@@ -18,21 +18,21 @@ All coefficients are exact rationals.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product as cartesian
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .posets import f_structure_constants, interval_of
 from .trees import (
     Forest,
     LEAF,
     LabeledTree,
+    TREE_TABLE,
     RootedTree,
     aut_order,
     canonical_representative,
-    compose_shapes,
     enumerate_trees,
     labeled_isomorphisms,
     labeled_trees,
@@ -274,6 +274,12 @@ class TensorElement:
         return f"TensorElement({self.algebra!r}, {' + '.join(bits) or '0'})"
 
 
+def _read_only(x):
+    # a cached result is shared by every caller, so its terms are frozen
+    x.terms = MappingProxyType(x.terms)
+    return x
+
+
 def tensor_map(te: TensorElement, algebra: str,
                left_map: Callable[[object], HopfElement],
                right_map: Callable[[object], HopfElement]) -> TensorElement:
@@ -308,39 +314,31 @@ def hnap_coproduct(t: RootedTree) -> TensorElement:
     for forest, theta in zip(ip.forests, ip.thetas):
         key = (forest_as_tree_monomial(forest), theta)
         out[key] = out.get(key, Fraction(0)) + 1
-    return TensorElement("hnap", out)
-
-
-def _exact_assignments(k: int, total: int) -> Iterable[tuple[RootedTree, ...]]:
-    # ordered k-tuples of trees whose sizes sum to exactly `total`
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for s in range(1, total - (k - 1) + 1):
-        for t in enumerate_trees(s):
-            for rest in _exact_assignments(k - 1, total - s):
-                yield (t,) + rest
+    return _read_only(TensorElement("hnap", out))
 
 
 @lru_cache(maxsize=None)
-def g_structure_constants(alpha: RootedTree) -> dict[tuple[Forest, RootedTree], int]:
+def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree], int]:
     """Coproduct structure constants of the generator attached to alpha.
 
     The value at (beta, gamma) counts the distinct orderings of the multiset
     beta whose composition into a representative of gamma has class alpha.
     Keys carry the full multiset beta, single-vertex components included.
+    The orderings are counted by reading the graft recursion of NAP
+    composition backwards (:meth:`~naphopf.trees.TreeTable.decompose`),
+    never through ideals.  The mapping is cached and read-only.
     """
     if alpha.size < 2:
         raise ValueError("generators are attached to trees of size >= 2")
-    n = alpha.size
-    out: Counter[tuple[Forest, RootedTree]] = Counter()
-    for k in range(1, n + 1):
+    table = TREE_TABLE
+    target = table.id(alpha)
+    memo: dict = {}
+    out: dict[tuple[Forest, RootedTree], int] = {}
+    for k in range(1, alpha.size + 1):
         for gamma in enumerate_trees(k):
-            for seq in _exact_assignments(k, n):
-                if compose_shapes(gamma, seq) == alpha:
-                    out[(Forest(seq), gamma)] += 1
-    return dict(out)
+            for beta, c in table.decompose(table.id(gamma), target, memo).items():
+                out[(Forest(table.trees[i] for i in beta), gamma)] = c
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +350,7 @@ def qgnap_coproduct(alpha: RootedTree) -> TensorElement:
         right = Forest((gamma,)) if gamma.size > 1 else Forest()
         key = (left, right)
         out[key] = out.get(key, Fraction(0)) + g
-    return TensorElement("qgnap", out)
+    return _read_only(TensorElement("qgnap", out))
 
 
 def _qgnap_monomial_coproduct(key: Forest) -> TensorElement:
@@ -371,13 +369,18 @@ def _ck_tree_coproduct(t: RootedTree) -> TensorElement:
     for (a, b), c in inner.terms.items():
         key = (a, Forest((RootedTree(b.components),)))
         out[key] = out.get(key, Fraction(0)) + c
-    return TensorElement("ck", out)
+    return _read_only(TensorElement("ck", out))
 
 
 def ck_coproduct(f: "Forest | RootedTree") -> TensorElement:
-    """Connes-Kreimer coproduct of a forest (or a single tree)."""
+    """Connes-Kreimer coproduct of a forest (or a single tree).
+
+    The coproduct of a single tree is the cached, read-only one.
+    """
     if isinstance(f, RootedTree):
-        f = Forest((f,))
+        return _ck_tree_coproduct(f)
+    if len(f) == 1:
+        return _ck_tree_coproduct(f.components[0])
     out = TensorElement.single("ck", Forest(), Forest())
     for t in f.components:
         out = out * _ck_tree_coproduct(t)
@@ -545,12 +548,17 @@ def antipode_monomial(algebra: str, key) -> HopfElement:
                 continue
             acc = acc - c * (antipode_monomial(algebra, a) * HopfElement.monomial(algebra, b))
         out = acc
-    _ANTIPODE_CACHE[(algebra, key)] = out
+    _ANTIPODE_CACHE[(algebra, key)] = _read_only(out)
     return out
 
 
 def antipode(x: HopfElement) -> HopfElement:
-    """Linear extension of the monomial antipode."""
+    """Linear extension of the monomial antipode; a single monomial with
+    coefficient 1 gets the cached, read-only monomial antipode."""
+    if len(x.terms) == 1:
+        (key, c), = x.terms.items()
+        if c == 1:
+            return antipode_monomial(x.algebra, key)
     out = HopfElement.zero(x.algebra)
     for key, c in x.terms.items():
         out = out + c * antipode_monomial(x.algebra, key)

@@ -2,8 +2,8 @@
 
 A truncated series assigns a rational coefficient to every tree of size at
 most N; group elements have coefficient 1 on the single vertex.  The product
-substitutes the right series into every vertex of every labeled
-representative drawn from the left one.  The classical Zeta, Mobius,
+substitutes the right series into every vertex of every tree of the left
+one, by the graft recursion on interned tree ids.  The classical Zeta, Mobius,
 corolla and ladder series live here, together with the three projections
 onto one-variable power series groups.
 """
@@ -12,19 +12,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .hopf import HopfElement
 from .trees import (
     LEAF,
-    LabeledTree,
+    TREE_TABLE,
     RootedTree,
     aut_order,
     chain,
-    compose_shapes,
     corolla,
     enumerate_trees,
-    slot_compositions,
 )
 
 
@@ -110,55 +108,47 @@ def _require_group(a: TreeSeries) -> None:
         raise ValueError("series is not a group element (unit coefficient must be 1)")
 
 
-def _pool_by_size(b: TreeSeries) -> dict[int, list[tuple[RootedTree, Fraction]]]:
-    pool: dict[int, list[tuple[RootedTree, Fraction]]] = {}
-    for t, c in b.coeffs.items():
-        pool.setdefault(t.size, []).append((t, c))
-    return pool
+def _plain(c: Fraction):
+    # integral coefficients as ints: int arithmetic is many times cheaper
+    # than Fraction arithmetic, and TreeSeries turns the sums back
+    return c.numerator if c.denominator == 1 else c
 
 
-def _assignments(slots: int, budget: int, pool: dict):
-    # ordered `slots`-tuples drawn from the pool with total size <= budget,
-    # yielded with the product of their coefficients
-    if slots == 0:
-        yield (), Fraction(1)
-        return
-    for size, entries in pool.items():
-        if size > budget - (slots - 1):
-            continue
-        for t, c in entries:
-            for rest, prod in _assignments(slots - 1, budget - size, pool):
-                yield (t,) + rest, c * prod
+def _pool(b: TreeSeries, n: int) -> list:
+    # b's terms of size <= n as the engine's (size, id, coeff) list
+    table = TREE_TABLE
+    return sorted((t.size, table.id(t), _plain(c))
+                  for t, c in b.coeffs.items() if t.size <= n)
 
 
-def series_multiply(a: TreeSeries, b: TreeSeries,
-                    representative: Callable[[RootedTree], LabeledTree] | None = None,
-                    ) -> TreeSeries:
+def series_multiply(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     """Substitution product of two group elements.
 
     The coefficient of a class c collects, over every tree t in the support
-    of a and every assignment of support trees of b to the vertices of a
-    labeled representative of t, the product of the coefficients whose
-    composition lands in c.  The result is exact through the common
+    of a and every assignment of support trees of b to the vertices of t,
+    the product of the coefficients whose composition lands in c.  It is
+    computed by the graft recursion of :class:`~naphopf.trees.TreeTable`
+    on interned tree ids; the result is exact through the common
     truncation.
     """
     _require_group(a)
     _require_group(b)
     n = min(a.truncation, b.truncation)
-    return _multiply_raw(a, b, n, representative)
+    return _multiply_raw(a, b, n)
 
 
-def _multiply_raw(a: TreeSeries, b: TreeSeries, n: int,
-                  representative=None) -> TreeSeries:
-    pool = _pool_by_size(b)
-    out: dict[RootedTree, Fraction] = {}
+def _multiply_raw(a: TreeSeries, b: TreeSeries, n: int) -> TreeSeries:
+    table = TREE_TABLE
+    pool = _pool(b, n)
+    memo: dict = {}
+    out: dict = {}
     for t, at in a.coeffs.items():
         if t.size > n:
             continue
-        for assignment, prod in _assignments(t.size, n, pool):
-            c = compose_shapes(t, assignment, representative)
-            out[c] = out.get(c, Fraction(0)) + at * prod
-    return TreeSeries(n, out)
+        at = _plain(at)
+        for _, u, c in table.substitute(table.id(t), pool, n, memo):
+            out[u] = out.get(u, 0) + at * c
+    return TreeSeries(n, {table.trees[u]: c for u, c in out.items()})
 
 
 def series_inverse(a: TreeSeries) -> TreeSeries:
@@ -203,19 +193,18 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     """[a,b] = sum over supports of a_s b_t (s∘t - t∘s), where x∘y grafts y
     into one vertex of x at a time with units elsewhere."""
     n = min(a.truncation, b.truncation)
-    out: dict[RootedTree, Fraction] = {}
-
-    def add(s: RootedTree, t: RootedTree, coeff: Fraction) -> None:
-        if s.size + t.size - 1 > n:
-            return
-        for shape, mult in slot_compositions(s, t):
-            out[shape] = out.get(shape, Fraction(0)) + coeff * mult
-
-    for s, ca in a.coeffs.items():
-        for t, cb in b.coeffs.items():
-            add(s, t, ca * cb)
-            add(t, s, -ca * cb)
-    return TreeSeries(n, out)
+    table = TREE_TABLE
+    out: dict = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        pool = _pool(y, n)
+        memo: dict = {}
+        for s, cs in x.coeffs.items():
+            if s.size > n:
+                continue
+            cs = sign * _plain(cs)
+            for _, u, c in table.derive(table.id(s), pool, n, memo):
+                out[u] = out.get(u, 0) + cs * c
+    return TreeSeries(n, {table.trees[u]: c for u, c in out.items()})
 
 
 def zeta_series(n: int) -> TreeSeries:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as cartesian
 from math import factorial
+from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Label = Hashable
@@ -321,14 +322,16 @@ class LabeledTree:
         children: dict[Label, list[Label]] = {v: [] for v in labels}
         for child, parent in self.parents.items():
             children[parent].append(child)
-        self._children = children
+        # read-only: labeled trees are hashed, and cached intervals share them
+        self._children = {v: tuple(kids) for v, kids in children.items()}
+        self.parents = MappingProxyType(self.parents)
         self._hash = hash((self.root, frozenset(self.parents.items())))
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    def children(self, v: Label) -> list[Label]:
+    def children(self, v: Label) -> tuple[Label, ...]:
         return self._children[v]
 
     def __eq__(self, other: object) -> bool:
@@ -494,56 +497,210 @@ def dfs_representative(t: RootedTree) -> LabeledTree:
     return LabeledTree(1, parents)
 
 
-_COMPOSE_CACHE: dict[tuple, RootedTree] = {}
+class TreeTable:
+    """Interned integer ids of rooted trees, and the NAP composition engine.
+
+    A tree gets the next free id the first time it is seen, and the graft
+    map ``(i, j) -> id(s ◁ t)`` is filled on first use.  Nothing is
+    enumerated in advance, so the table holds only the trees that some
+    computation reached.
+
+    Substituting into a tree is the B-series recursion (Butcher 1972;
+    Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
+    a tree x at the root of B(t_1..t_k) and composing each branch gives
+    x ◁ S(t_1) ◁ ... ◁ S(t_k).  Linear combinations are lists of
+    ``(size, id, coeff)`` sorted by size, and a size budget prunes every
+    graft whose result could not fit.
+    """
+
+    __slots__ = ("trees", "sizes", "ids", "grafts")
+
+    def __init__(self) -> None:
+        self.trees: list[RootedTree] = []
+        self.sizes: list[int] = []
+        self.ids: dict[RootedTree, int] = {}
+        self.grafts: dict[tuple[int, int], int] = {}
+
+    def __len__(self) -> int:
+        return len(self.trees)
+
+    def id(self, t: RootedTree) -> int:
+        """The id of t, assigned on first sight."""
+        i = self.ids.get(t)
+        if i is None:
+            i = len(self.trees)
+            self.ids[t] = i
+            self.trees.append(t)
+            self.sizes.append(t.size)
+        return i
+
+    def graft(self, i: int, j: int) -> int:
+        """The id of s ◁ t, where i and j are the ids of s and t."""
+        g = self.grafts.get((i, j))
+        if g is None:
+            g = self.id(RootedTree(self.trees[i].children + (self.trees[j],)))
+            self.grafts[(i, j)] = g
+        return g
+
+    def _sorted(self, acc: dict) -> list:
+        sizes = self.sizes
+        return sorted((sizes[u], u, c) for u, c in acc.items() if c)
+
+    def substitute(self, t: int, pool: list, budget: int, memo: dict) -> list:
+        """Every vertex of tree t substituted by a tree of ``pool``.
+
+        Returns the combination of the composed classes of size at most
+        ``budget``, each weighted by the product of the pool coefficients.
+        ``memo`` is keyed by (subtree, budget) and must only ever see one
+        pool.
+        """
+        key = (t, budget)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tree = self.trees[t]
+        sizes, grafts, graft = self.sizes, self.grafts, self.graft
+        # vertices not yet substituted: each takes at least one more vertex
+        rest = tree.size - 1
+        acc = {}
+        for sx, x, cx in pool:
+            if sx > budget - rest:
+                break
+            acc[x] = cx
+        for branch in tree.children:
+            rest -= branch.size
+            sub = self.substitute(self.id(branch), pool,
+                                  budget - tree.size + branch.size, memo)
+            grown: dict = {}
+            for u, cu in acc.items():
+                room = budget - sizes[u] - rest
+                for sy, y, cy in sub:
+                    if sy > room:
+                        break
+                    g = grafts.get((u, y))
+                    if g is None:
+                        g = graft(u, y)
+                    grown[g] = grown.get(g, 0) + cu * cy
+            acc = grown
+        out = memo[key] = self._sorted(acc)
+        return out
+
+    def derive(self, s: int, pool: list, budget: int, memo: dict) -> list:
+        """One vertex of tree s substituted by a tree of ``pool``, units
+        elsewhere, summed over the vertices: the tree at the root, or at one
+        slot inside one branch.  Sizes and ``memo`` as in :meth:`substitute`.
+        """
+        key = (s, budget)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tree = self.trees[s]
+        graft = self.graft
+        kids = [self.id(c) for c in tree.children]
+        acc: dict = {}
+        for sx, x, cx in pool:
+            if sx > budget - tree.size + 1:
+                break
+            for k in kids:
+                x = graft(x, k)
+            acc[x] = acc.get(x, 0) + cx
+        for i, child in enumerate(tree.children):
+            if i and tree.children[i - 1] == child:
+                continue
+            mult = tree.children.count(child)
+            rest = self.id(LEAF)
+            for k in kids[:i] + kids[i + 1:]:
+                rest = graft(rest, k)
+            for _, y, cy in self.derive(kids[i], pool,
+                                        budget - tree.size + child.size, memo):
+                g = graft(rest, y)
+                acc[g] = acc.get(g, 0) + mult * cy
+        out = memo[key] = self._sorted(acc)
+        return out
+
+    def decompose(self, outer: int, target: int, memo: dict) -> dict:
+        """The ways to compose tree ``outer`` into tree ``target``.
+
+        Returns {multiset of inner ids as a sorted tuple: number of
+        assignments of inner trees to the vertices of outer, with that
+        multiset, whose composition is target}.  This is the substitution
+        recursion read backwards: target = x ◁ y_1 ◁ ... ◁ y_k with y_i
+        composed from the i-th branch of outer, so the y_i are root
+        branches of target and x is the root with the branches left over.
+        ``memo`` is keyed by (outer, target).
+        """
+        key = (outer, target)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        o, t = self.trees[outer], self.trees[target]
+        out: dict = {}
+        if not o.children:
+            out[(target,)] = 1
+        elif o.size <= t.size:
+            spare = Counter(t.children)
+
+            def place(i: int, acc: dict) -> None:
+                # branch i of outer goes to one of the root branches of
+                # target not yet taken
+                if i == len(o.children):
+                    x = self.id(RootedTree(spare.elements()))
+                    for beta, c in acc.items():
+                        k = tuple(sorted(beta + (x,)))
+                        out[k] = out.get(k, 0) + c
+                    return
+                branch = self.id(o.children[i])
+                for y, free in list(spare.items()):
+                    if not free:
+                        continue
+                    sub = self.decompose(branch, self.id(y), memo)
+                    if not sub:
+                        continue
+                    spare[y] -= 1
+                    place(i + 1, {b1 + b2: c1 * c2 for b1, c1 in acc.items()
+                                  for b2, c2 in sub.items()})
+                    spare[y] += 1
+
+            place(0, {(): 1})
+        memo[key] = out
+        return out
 
 
-def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree],
-                   representative: Callable[[RootedTree], LabeledTree] | None = None,
-                   ) -> RootedTree:
+TREE_TABLE = TreeTable()
+
+
+def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree]) -> RootedTree:
     """Class of the NAP composition of outer with the given inner trees.
 
-    ``inner[i]`` is substituted at the vertex labeled i+1 of the chosen
-    labeled representative of ``outer``.  With the default (BFS)
-    representative, results are memoized.
+    ``inner[i]`` is substituted at the vertex labeled i+1 of the BFS
+    representative of ``outer`` (:func:`canonical_representative`).
     """
     inner = tuple(inner)
     if len(inner) != outer.size:
         raise ValueError("need one inner tree per vertex of the outer tree")
-    cached = representative is None
-    if cached:
-        key = (outer, inner)
-        hit = _COMPOSE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        rep = canonical_representative(outer)
-    else:
-        rep = representative(outer)
-    subs = {}
-    for i, t in enumerate(inner):
-        sub_rep = canonical_representative(t)
-        subs[i + 1] = sub_rep.relabel({v: (i, v) for v in sub_rep.labels})
-    shape = nap_compose(rep, subs).shape()
-    if cached:
-        _COMPOSE_CACHE[key] = shape
-    return shape
-
-
-_SLOT_CACHE: dict[tuple[RootedTree, RootedTree], tuple[tuple[RootedTree, int], ...]] = {}
+    table = TREE_TABLE
+    # parent[v] is the BFS position of the parent of the vertex at position v
+    order, parent = [outer], [-1]
+    for v, node in enumerate(order):
+        for child in node.children:
+            order.append(child)
+            parent.append(v)
+    # a vertex follows its parent in BFS order, so walking backwards grafts
+    # each composed subtree only once it is complete
+    comp = [table.id(t) for t in inner]
+    for v in range(len(order) - 1, 0, -1):
+        comp[parent[v]] = table.graft(comp[parent[v]], comp[v])
+    return table.trees[comp[0]]
 
 
 def slot_compositions(s: RootedTree, t: RootedTree) -> tuple[tuple[RootedTree, int], ...]:
     """The sum s ∘ t over single slots: substitute t at one vertex of s,
     units elsewhere, and collect resulting classes with multiplicities."""
-    hit = _SLOT_CACHE.get((s, t))
-    if hit is not None:
-        return hit
-    counts: Counter[RootedTree] = Counter()
-    for v in range(1, s.size + 1):
-        inner = tuple(t if i + 1 == v else LEAF for i in range(s.size))
-        counts[compose_shapes(s, inner)] += 1
-    out = tuple(sorted(counts.items(), key=lambda kv: _key(kv[0])))
-    _SLOT_CACHE[(s, t)] = out
-    return out
+    table = TREE_TABLE
+    pool = [(t.size, table.id(t), 1)]
+    combo = table.derive(table.id(s), pool, s.size + t.size - 1, {})
+    return tuple(sorted(((table.trees[u], m) for _, u, m in combo),
+                        key=lambda kv: _key(kv[0])))
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:

@@ -81,6 +81,7 @@ from .trees import (
     RootedTree,
     aut0_order,
     aut_order,
+    canonical_representative,
     chain,
     comm_instance,
     corolla,
@@ -88,6 +89,7 @@ from .trees import (
     enumerate_forests,
     enumerate_trees,
     forest_aut_order,
+    nap_compose,
     nap_instance,
     parse_tree,
     slot_compositions,
@@ -625,17 +627,59 @@ def _series_left_linear(degree, rng):
     return "" if lhs == rhs else "left linearity"
 
 
+# The labeled route: substitute into a labeled representative with
+# nap_compose and take the shape.  It shares nothing with the graft engine
+# of trees.TreeTable, so it serves as its oracle.
+
+
+def _compose_labeled(outer: RootedTree, inner, representative) -> RootedTree:
+    """Class of the composition with ``inner[i]`` at the vertex labeled
+    i+1 of ``representative(outer)``."""
+    subs = {}
+    for i, t in enumerate(inner):
+        rep = canonical_representative(t)
+        subs[i + 1] = rep.relabel({v: (i, v) for v in rep.labels})
+    return nap_compose(representative(outer), subs).shape()
+
+
+def _assignments(slots: int, budget: int, pool: list):
+    # ordered `slots`-tuples drawn from the pool with total size <= budget,
+    # yielded with the product of their coefficients
+    if slots == 0:
+        yield (), Fraction(1)
+        return
+    for t, c in pool:
+        if t.size > budget - (slots - 1):
+            continue
+        for rest, prod in _assignments(slots - 1, budget - t.size, pool):
+            yield (t,) + rest, c * prod
+
+
+def _multiply_labeled(a: TreeSeries, b: TreeSeries, representative) -> TreeSeries:
+    """The series product summed over every assignment of b's support to
+    the vertices of the chosen representative of each tree of a."""
+    n = min(a.truncation, b.truncation)
+    pool = list(b.coeffs.items())
+    out: dict = {}
+    for t, at in a.coeffs.items():
+        for assignment, prod in _assignments(t.size, n, pool):
+            c = _compose_labeled(t, assignment, representative)
+            out[c] = out.get(c, Fraction(0)) + at * prod
+    return TreeSeries(n, out)
+
+
 @_check("series", "product is independent of the representative labeling")
 def _series_representatives(degree, rng):
     n = _bound(degree, 5)
     a = random_group_element(rng, n)
     b = random_group_element(rng, n)
-    if series_multiply(a, b) != series_multiply(a, b, representative=dfs_representative):
-        return "random elements"
-    if (series_multiply(zeta_series(n), mobius_series(n))
-            != series_multiply(zeta_series(n), mobius_series(n),
-                               representative=dfs_representative)):
-        return "zeta times mobius"
+    for representative in (canonical_representative, dfs_representative):
+        label = representative.__name__
+        if series_multiply(a, b) != _multiply_labeled(a, b, representative):
+            return f"random elements, {label}"
+        if (series_multiply(zeta_series(n), mobius_series(n))
+                != _multiply_labeled(zeta_series(n), mobius_series(n), representative)):
+            return f"zeta times mobius, {label}"
     return ""
 
 

@@ -1,0 +1,171 @@
+"""The graft engine on interned tree ids against the labeled nap_compose route.
+
+The labeled route (``naphopf.verify._compose_labeled`` and friends)
+substitutes into a labeled representative and takes the shape; it shares
+no code with ``trees.TreeTable``.  Sizes stay at N <= 7, where it is cheap.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from collections import Counter, defaultdict
+
+import pytest
+
+from naphopf.hopf import g_structure_constants
+from naphopf.series import (
+    TreeSeries,
+    lie_bracket,
+    mobius_series,
+    random_group_element,
+    series_inverse,
+    series_multiply,
+    unit_series,
+    zeta_series,
+)
+from naphopf.trees import (
+    LEAF,
+    Forest,
+    canonical_representative,
+    chain,
+    compose_shapes,
+    dfs_representative,
+    enumerate_trees,
+    find_shape_isomorphism,
+    slot_compositions,
+)
+from naphopf.verify import _compose_labeled, _multiply_labeled
+
+REPRESENTATIVES = (canonical_representative, dfs_representative)
+
+
+def trees_up_to(n):
+    return [t for k in range(1, n + 1) for t in enumerate_trees(k)]
+
+
+@pytest.mark.parametrize("representative", REPRESENTATIVES)
+def test_zeta_products_match_labeled_route(representative):
+    n = 7
+    z, m = zeta_series(n), mobius_series(n)
+    assert series_multiply(z, z) == _multiply_labeled(z, z, representative)
+    assert series_multiply(m, z) == _multiply_labeled(m, z, representative)
+
+
+@pytest.mark.parametrize("representative", REPRESENTATIVES)
+@pytest.mark.parametrize("seed,n", [(1, 5), (2, 6), (3, 7)])
+def test_random_products_match_labeled_route(representative, seed, n):
+    rng = random.Random(seed)
+    a = random_group_element(rng, n)
+    b = random_group_element(rng, n)
+    assert series_multiply(a, b) == _multiply_labeled(a, b, representative)
+
+
+def slots_labeled(s, t, representative):
+    # s ∘ t by the labeled route: t at each vertex of the representative
+    return Counter(_compose_labeled(s, [t if i == v else LEAF for i in range(s.size)],
+                                    representative)
+                   for v in range(s.size))
+
+
+@pytest.mark.parametrize("representative", REPRESENTATIVES)
+def test_slot_compositions_match_labeled_route(representative):
+    trees = trees_up_to(7)
+    pairs = 0
+    for s in trees:
+        for t in trees:
+            if s.size + t.size - 1 > 7:
+                continue
+            pairs += 1
+            assert dict(slot_compositions(s, t)) == slots_labeled(s, t, representative)
+    assert pairs == 312
+
+
+def test_compose_shapes_matches_labeled_route_under_both_representatives():
+    # compose_shapes reads inner[i] at BFS label i+1; under the DFS
+    # representative the same tuple is carried over by a shape isomorphism
+    rng = random.Random(12)
+    trees = trees_up_to(4)
+    for outer in trees_up_to(6):
+        bfs, dfs = canonical_representative(outer), dfs_representative(outer)
+        phi = find_shape_isomorphism(bfs, dfs)
+        for _ in range(5):
+            inner = [rng.choice(trees) for _ in range(outer.size)]
+            moved = [None] * outer.size
+            for label, t in enumerate(inner, start=1):
+                moved[phi[label] - 1] = t
+            got = compose_shapes(outer, inner)
+            assert got == _compose_labeled(outer, inner, canonical_representative)
+            assert got == _compose_labeled(outer, moved, dfs_representative)
+
+
+def exact_tuples(k, total):
+    # ordered k-tuples of trees whose sizes sum to exactly `total`
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for size in range(1, total - k + 2):
+        for t in enumerate_trees(size):
+            for rest in exact_tuples(k - 1, total - size):
+                yield (t,) + rest
+
+
+def test_g_structure_constants_match_tuple_enumeration():
+    # forward: every ordered tuple composed into the BFS representative of
+    # every gamma by the labeled route, bucketed by the class it lands in
+    for n in range(2, 8):
+        expected = defaultdict(Counter)
+        for k in range(1, n + 1):
+            for gamma in enumerate_trees(k):
+                for seq in exact_tuples(k, n):
+                    alpha = _compose_labeled(gamma, seq, canonical_representative)
+                    expected[alpha][(Forest(seq), gamma)] += 1
+        for alpha in enumerate_trees(n):
+            assert dict(g_structure_constants(alpha)) == dict(expected[alpha])
+
+
+def test_single_vertex_and_truncation_one_edge_cases():
+    for t in trees_up_to(5):
+        assert compose_shapes(LEAF, (t,)) == t
+        assert compose_shapes(t, (LEAF,) * t.size) == t
+        assert slot_compositions(LEAF, t) == ((t, 1),)
+        assert slot_compositions(t, LEAF) == ((t, t.size),)
+    eps = unit_series(1)
+    assert series_multiply(eps, eps) == eps
+    assert series_inverse(eps) == eps
+    assert lie_bracket(eps, eps) == TreeSeries(1, {})
+    rng = random.Random(4)
+    a = random_group_element(rng, 1)
+    assert series_multiply(a, eps) == _multiply_labeled(a, eps, dfs_representative) == eps
+    two = TreeSeries(1, {LEAF: 1, chain(2): 5})
+    assert series_multiply(two, two) == eps
+    with pytest.raises(ValueError):
+        compose_shapes(chain(2), (LEAF,))
+
+
+def test_lie_bracket_interns_only_the_trees_it_reaches():
+    # a fresh interpreter, so that no other test has filled the table
+    code = (
+        "import json\n"
+        "from naphopf.series import TreeSeries, lie_bracket\n"
+        "from naphopf.trees import LEAF, TREE_TABLE, chain\n"
+        "a = TreeSeries(12, {LEAF: 1, chain(2): 2})\n"
+        "b = TreeSeries(12, {LEAF: 3, chain(2): -1})\n"
+        "c = lie_bracket(a, b)\n"
+        "print(json.dumps([len(TREE_TABLE), max(TREE_TABLE.sizes),\n"
+        "                  {t.string: str(v) for t, v in c.coeffs.items()}]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    interned, largest, coeffs = json.loads(out.stdout)
+    # the trees of the two supports and of their slot compositions: at most
+    # 3 vertices, against 7k trees up to 12 vertices
+    assert largest <= 3
+    assert interned <= 4
+    # with r the two-chain, [1 + 2r, 3 - r] = (2*3 - 1*(-1)) (r∘1 - 1∘r)
+    # = 7 (2r - r); the r∘r terms cancel
+    assert coeffs == {"(())": "7"}

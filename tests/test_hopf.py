@@ -29,7 +29,7 @@ from naphopf.hopf import (
     tensor_map,
     unit_key,
 )
-from naphopf.posets import f_structure_constants
+from naphopf.posets import f_structure_constants, interval_of
 from naphopf.trees import (
     Forest,
     LEAF,
@@ -402,3 +402,38 @@ def test_antipode_monomial_cached_consistency():
     # degree-graded involution-like sanity: S(S(x)) = x in a commutative Hopf algebra
     x = F(T2100)
     assert antipode(antipode(x)) == x
+
+
+def test_cached_results_are_read_only():
+    t = parse_tree("((()))")
+    constants = g_structure_constants(t)
+    with pytest.raises(AttributeError):
+        constants.clear()
+    with pytest.raises(TypeError):
+        constants[(Forest((t,)), LEAF)] = 5
+    for te in (hnap_coproduct(t), qgnap_coproduct(t), ck_coproduct(t),
+               antipode_monomial("hnap", t)):
+        with pytest.raises(AttributeError):
+            te.terms.clear()
+        with pytest.raises(TypeError):
+            te.terms[next(iter(te.terms))] = Fraction(7)
+    ip = interval_of(t)
+    with pytest.raises(TypeError):
+        ip.poset.leq[0][0] = False
+    with pytest.raises(TypeError):
+        ip.poset.leq[0] = ()
+    with pytest.raises(TypeError):
+        ip.representative.parents[2] = 3
+    assert len(g_structure_constants(t)) == 3
+    assert len(hnap_coproduct(t).terms) == 3
+    assert len(interval_of(t)) == 3
+
+
+def test_single_tree_ck_and_antipode_return_the_cached_values():
+    t = parse_tree("(()(()))")
+    assert ck_coproduct(t) is ck_coproduct(Forest((t,))) is ck_coproduct(t)
+    assert ck_coproduct(t) == ck_coproduct_cuts(t)
+    x = F(t)
+    assert antipode(x) is antipode_monomial("hnap", t)
+    # a scaled monomial still goes through the linear extension
+    assert antipode(2 * x) == 2 * antipode(x)

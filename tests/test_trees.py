@@ -34,6 +34,7 @@ from naphopf.trees import (
     parse_tree,
     singleton,
 )
+from naphopf.verify import _compose_labeled
 
 
 @st.composite
@@ -383,19 +384,18 @@ def test_basic_property_spot_check_injectivity():
             outputs[cls] = x
 
 
-# --- compose_shapes and caching ---------------------------------------------
+# --- compose_shapes against the labeled route -------------------------------
 
 
-def test_compose_shapes_matches_uncached_path():
+def test_compose_shapes_matches_labeled_route():
     rng = random.Random(11)
     trees = [t for n in range(1, 4) for t in enumerate_trees(n)]
     for _ in range(30):
         outer = rng.choice(trees)
         inner = tuple(rng.choice(trees) for _ in range(outer.size))
-        cached = compose_shapes(outer, inner)
-        explicit = compose_shapes(outer, inner,
-                                  representative=canonical_representative)
-        assert cached == explicit
+        engine = compose_shapes(outer, inner)
+        labeled = _compose_labeled(outer, inner, canonical_representative)
+        assert engine == labeled
 
 
 def test_dfs_representative_is_a_representative():
