@@ -28,7 +28,7 @@ from .series import (
     unit_series,
     zeta_series,
 )
-from .trees import Forest, TreeSyntaxError, enumerate_trees, labeled_trees, parse_tree
+from .trees import Forest, enumerate_trees, labeled_trees, parse_tree
 from .verify import run_suite, suite_names
 
 NAMED_SERIES = {
@@ -108,7 +108,7 @@ def _load_series(token: str, n: int) -> TreeSeries:
     maker = NAMED_SERIES.get(token)
     if maker is not None:
         return maker(n)
-    if os.path.exists(token):
+    if os.path.isfile(token):
         with open(token, "r", encoding="utf-8") as fh:
             loaded = TreeSeries.from_json(json.load(fh))
         if loaded.truncation < n:
@@ -208,11 +208,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TreeSyntaxError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # the coproduct and ideal recursions go one call deeper per tree level
+        print("error: tree too deep for the recursive algorithms "
+              f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product as cartesian
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .trees import (
@@ -159,8 +160,8 @@ class IntervalPoset:
     the restriction of t to the ideal.
     """
 
-    __slots__ = ("tree", "representative", "elements", "poset",
-                 "bottom_index", "top_index", "forests", "thetas")
+    __slots__ = ("representative", "elements", "bottom_index", "top_index",
+                 "forests", "thetas")
 
     def __init__(self, tree: RootedTree) -> None:
         rep = canonical_representative(tree)
@@ -168,11 +169,8 @@ class IntervalPoset:
         n = tree.size
         # bottom (rank 0) is the full vertex set; rank = vertices removed
         ideals.sort(key=lambda s: (n - len(s), tuple(sorted(s))))
-        leq = [[s2 <= s1 for s2 in ideals] for s1 in ideals]
-        self.tree = tree
         self.representative = rep
         self.elements = tuple(ideals)
-        self.poset = FinitePoset(leq, check=False)
         self.bottom_index = 0
         self.top_index = len(ideals) - 1
         pairs = [_ideal_split(rep, s) for s in ideals]
@@ -182,11 +180,15 @@ class IntervalPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @property
+    def poset(self) -> FinitePoset:
+        """The order x <= y iff ideal(x) contains ideal(y), built on each
+        call; the interval itself stores no order matrix."""
+        ideals = self.elements
+        return FinitePoset([[s2 <= s1 for s2 in ideals] for s1 in ideals], check=False)
+
     def covers(self) -> tuple[tuple[int, int], ...]:
         return self.poset.covers()
-
-    def index_of(self, ideal: frozenset) -> int:
-        return self.elements.index(ideal)
 
 
 def _ideals_of(rep: LabeledTree) -> list[frozenset]:
@@ -379,7 +381,9 @@ class BruteForcePoset:
         self.instance = instance
         self.labels = tuple(labels)
         self.elements = tuple(pi_elements(instance, self.labels))
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        # read-only, like theta below: brute_force_pi hands one cached poset
+        # to every caller
+        self.index = MappingProxyType({e: i for i, e in enumerate(self.elements)})
         n = len(self.elements)
         leq = [[i == j for j in range(n)] for i in range(n)]
         theta_witness: dict[tuple[int, int], frozenset] = {}
@@ -395,7 +399,7 @@ class BruteForcePoset:
                 theta_witness[(i, j)] = theta
                 leq[i][j] = True
         self.poset = FinitePoset(leq)
-        self.theta = theta_witness
+        self.theta = MappingProxyType(theta_witness)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -87,10 +87,23 @@ class TreeSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TreeSeries":
+        """Inverse of :meth:`to_json`.  Data of another shape raises
+        ValueError naming the offending field."""
         from .trees import parse_tree
 
-        return cls(int(data["truncation"]),
-                   {parse_tree(s): Fraction(c) for s, c in data["coeffs"].items()})
+        if not isinstance(data, dict):
+            raise ValueError("series JSON must be an object")
+        truncation, coeffs = data.get("truncation"), data.get("coeffs")
+        if type(truncation) is not int:
+            raise ValueError("series field 'truncation' must be an integer")
+        if not (isinstance(coeffs, dict) and all(
+                isinstance(k, str) and type(c) in (int, str) for k, c in coeffs.items())):
+            raise ValueError("series field 'coeffs' must map tree strings to rationals")
+        try:
+            parsed = {parse_tree(k): Fraction(c) for k, c in coeffs.items()}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"series field 'coeffs': {exc}") from None
+        return cls(truncation, parsed)
 
     def __repr__(self) -> str:
         bits = [f"{c}*{t.string}" for t, c in

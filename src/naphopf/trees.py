@@ -75,22 +75,8 @@ class RootedTree:
         """True iff every non-root vertex is a child of the root."""
         return all(c.size == 1 for c in self.children)
 
-    def is_chain(self) -> bool:
-        """True iff the tree is linear (every vertex has at most one child)."""
-        node = self
-        while node.children:
-            if len(node.children) > 1:
-                return False
-            node = node.children[0]
-        return True
-
 
 LEAF = RootedTree()
-
-
-def leaf() -> RootedTree:
-    """The single-vertex tree."""
-    return LEAF
 
 
 def chain(n: int) -> RootedTree:
@@ -110,11 +96,6 @@ def corolla(k: int) -> RootedTree:
     return RootedTree((LEAF,) * k)
 
 
-def graft(branches: Iterable[RootedTree]) -> RootedTree:
-    """B(r, t_1, ..., t_k): a new root with the given branch multiset."""
-    return RootedTree(branches)
-
-
 def graft_onto(s: RootedTree, t: RootedTree) -> RootedTree:
     """The NAP product s ◁ t: attach t as one more branch of the root of s."""
     return RootedTree(s.children + (t,))
@@ -127,38 +108,32 @@ def parse_tree(text: str) -> RootedTree:
     raises :class:`TreeSyntaxError` with the offending byte offset.
     """
     n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def parse(i: int) -> tuple[RootedTree, int]:
-        if i >= n:
-            raise TreeSyntaxError("unexpected end of input, expected '('", i)
-        if text[i] != "(":
-            raise TreeSyntaxError(f"expected '(' but found {text[i]!r}", i)
+    i = 0
+    while i < n and text[i].isspace():
         i += 1
-        kids = []
-        while True:
-            if i >= n:
-                raise TreeSyntaxError("unclosed '('", i)
-            if text[i] == ")":
-                return RootedTree(kids), i + 1
-            child, i = parse(i)
-            kids.append(child)
-
-    i = skip_ws(0)
-    tree, i = parse(i)
-    i = skip_ws(i)
+    # the children collected so far at each open vertex: an explicit stack,
+    # so that the nesting depth is not bounded by the recursion limit
+    stack: list[list[RootedTree]] = []
+    while True:
+        if i >= n:
+            raise TreeSyntaxError("unclosed '('" if stack else
+                                  "unexpected end of input, expected '('", i)
+        ch = text[i]
+        i += 1
+        if ch == "(":
+            stack.append([])
+        elif ch == ")" and stack:
+            tree = RootedTree(stack.pop())
+            if not stack:
+                break
+            stack[-1].append(tree)
+        else:
+            raise TreeSyntaxError(f"expected '(' but found {ch!r}", i - 1)
+    while i < n and text[i].isspace():
+        i += 1
     if i != n:
         raise TreeSyntaxError("trailing input after tree", i)
     return tree
-
-
-def render_tree(t: RootedTree) -> str:
-    """Canonical string form; inverse of :func:`parse_tree` on canonical input."""
-    return t.string
 
 
 class Forest:
@@ -200,9 +175,6 @@ class Forest:
     def render(self) -> str:
         """Whitespace-separated canonical tree strings (empty string if empty)."""
         return " ".join(t.string for t in self.components)
-
-    def multiplicities(self) -> dict[RootedTree, int]:
-        return dict(Counter(self.components))
 
     def drop_units(self) -> "Forest":
         """The forest with single-vertex components removed."""
@@ -426,10 +398,6 @@ class LabeledForest:
     def partition(self) -> frozenset:
         """The induced partition of the ground set: one block per component."""
         return frozenset(c.labels for c in self.components)
-
-    def shape_forest(self) -> Forest:
-        """The multiset of component shapes."""
-        return Forest(c.shape() for c in self.components)
 
 
 def nap_compose(t: LabeledTree, subs: dict[Label, LabeledTree]) -> LabeledTree:

@@ -26,6 +26,7 @@ from .hopf import (
     coproduct_monomial,
     count_Ef_Eg,
     f_coefficient,
+    forest_as_tree_monomial,
     g_coefficient,
     iso_from_ck,
     iso_to_ck,
@@ -567,13 +568,29 @@ def _ck_iso_inverse(degree, rng):
     return ""
 
 
+def _hnap_coproduct_by_ideals(t: RootedTree) -> TensorElement:
+    """The incidence coproduct of F_[t] from its definition: one
+    branch-forest (x) restriction term per ideal of the interval of t.
+
+    ``hopf.hnap_coproduct`` goes through the Connes-Kreimer coproduct
+    instead, so this is the oracle it is checked against.
+    """
+    ip = interval_of(t)
+    out: dict = {}
+    for forest, theta in zip(ip.forests, ip.thetas):
+        key = (forest_as_tree_monomial(forest), theta)
+        out[key] = out.get(key, 0) + 1
+    return TensorElement("hnap", out)
+
+
 @_check("ck-iso", "basis isomorphism intertwines the coproducts")
 def _ck_iso_coproduct(degree, rng):
+    # left: the ideal enumeration; right: the Connes-Kreimer coproduct
     d = _bound(degree, 5)
     for n in range(1, d + 1):
         for t in enumerate_trees(n):
             x = HopfElement.hnap_basis(t)
-            lhs = tensor_map(x.coproduct(), "ck",
+            lhs = tensor_map(_hnap_coproduct_by_ideals(t), "ck",
                              lambda k: iso_to_ck(_mono("hnap", k)),
                              lambda k: iso_to_ck(_mono("hnap", k)))
             if lhs != iso_to_ck(x).coproduct():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from naphopf.cli import main
+from naphopf.trees import chain, parse_tree
 
 
 def run(capsys, *argv):
@@ -73,6 +74,22 @@ def test_coproduct_parse_error(capsys):
     assert "byte 3" in err
 
 
+DEEP_CHAIN = "(" * 1200 + ")" * 1200
+
+
+def test_parse_tree_takes_a_deep_chain():
+    assert parse_tree(DEEP_CHAIN) == chain(1200)
+
+
+@pytest.mark.parametrize("command", ["coproduct", "interval"])
+def test_deep_tree_exits_2_without_traceback(capsys, command):
+    code, out, err = run(capsys, command, DEEP_CHAIN)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_interval_json(capsys):
     code, out, _ = run(capsys, "interval", "((()))")
     data = json.loads(out)
@@ -129,6 +146,27 @@ def test_series_file_truncated_below_request(tmp_path, capsys):
     code, out, err = run(capsys, "series", "inv", str(path), "-N", "6")
     assert code == 2
     assert "only exact to degree 4" in err
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"coeffs": {"()": "1"}}, "'truncation'"),
+    ({"truncation": 3, "coeffs": ["()", "1"]}, "'coeffs'"),
+    ({"truncation": 3, "coeffs": {"()": "1/0"}}, "'coeffs'"),
+    ([3, {"()": "1"}], "object"),
+])
+def test_series_file_with_bad_schema(tmp_path, capsys, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "series", "inv", str(path), "-N", "3")
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_series_directory_operand(tmp_path, capsys):
+    code, out, err = run(capsys, "series", "inv", str(tmp_path), "-N", "3")
+    assert code == 2
+    assert "unknown series" in err
 
 
 def test_series_bad_operation(capsys):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,6 @@ from naphopf.hopf import (
     g_coefficient,
     g_structure_constants,
     hnap_coproduct,
-    hnap_multiply,
     iso_from_ck,
     iso_to_ck,
     l_nap,
@@ -29,7 +31,7 @@ from naphopf.hopf import (
     tensor_map,
     unit_key,
 )
-from naphopf.posets import f_structure_constants, interval_of
+from naphopf.posets import brute_force_pi, f_structure_constants, interval_of
 from naphopf.trees import (
     Forest,
     LEAF,
@@ -40,8 +42,10 @@ from naphopf.trees import (
     enumerate_forests,
     enumerate_trees,
     forest_aut_order,
+    nap_instance,
     parse_tree,
 )
+from naphopf.verify import _hnap_coproduct_by_ideals
 
 T10 = chain(2)
 T110 = chain(3)
@@ -80,8 +84,8 @@ def test_hnap_unit():
 def test_tag_mismatch_raises():
     with pytest.raises(ValueError, match="mismatch"):
         F(T10) * HopfElement.ck_tree(T10)
-    with pytest.raises(ValueError):
-        hnap_multiply(F(T10), HopfElement.qg_generator(T10))
+    with pytest.raises(ValueError, match="mismatch"):
+        F(T10) * HopfElement.qg_generator(T10)
 
 
 def test_forest_as_tree_monomial():
@@ -114,6 +118,33 @@ def test_hnap_coproduct_counts_match_f_constants():
             delta = hnap_coproduct(t)
             total = sum(delta.terms.values())
             assert total == sum(f_structure_constants(t).values())
+
+
+def test_hnap_coproduct_matches_ideal_enumeration():
+    # the Connes-Kreimer route against one term per ideal of the interval
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    assert len(trees) == 200
+    for t in trees:
+        assert hnap_coproduct(t) == _hnap_coproduct_by_ideals(t), t.string
+
+
+def test_hnap_coproduct_and_antipode_build_no_interval():
+    # a fresh interpreter, so that no other test has filled the interval cache
+    code = (
+        "from naphopf.hopf import HopfElement, antipode, hnap_coproduct\n"
+        "from naphopf.posets import interval_of\n"
+        "from naphopf.trees import enumerate_trees\n"
+        "for n in range(1, 8):\n"
+        "    for t in enumerate_trees(n):\n"
+        "        hnap_coproduct(t)\n"
+        "        antipode(HopfElement.hnap_basis(t))\n"
+        "print(interval_of.cache_info().currsize, hnap_coproduct.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "85"]
 
 
 # --- function-algebra coproduct ---------------------------------------------------
@@ -417,6 +448,11 @@ def test_cached_results_are_read_only():
             te.terms.clear()
         with pytest.raises(TypeError):
             te.terms[next(iter(te.terms))] = Fraction(7)
+    bp = brute_force_pi(nap_instance(), 2)
+    with pytest.raises(TypeError):
+        bp.index[next(iter(bp.index))] = 0
+    with pytest.raises(AttributeError):
+        bp.theta.clear()
     ip = interval_of(t)
     with pytest.raises(TypeError):
         ip.poset.leq[0][0] = False
@@ -427,6 +463,8 @@ def test_cached_results_are_read_only():
     assert len(g_structure_constants(t)) == 3
     assert len(hnap_coproduct(t).terms) == 3
     assert len(interval_of(t)) == 3
+    assert len(brute_force_pi(nap_instance(), 2).index) == 3
+    assert len(brute_force_pi(nap_instance(), 2).theta) == 5
 
 
 def test_single_tree_ck_and_antipode_return_the_cached_values():

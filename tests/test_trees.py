@@ -24,7 +24,6 @@ from naphopf.trees import (
     enumerate_forests_with_components,
     enumerate_trees,
     forest_aut_order,
-    graft,
     graft_onto,
     labeled_forests,
     labeled_trees,
@@ -203,8 +202,8 @@ def test_forest_aut_against_label_permutation_oracle():
 
 
 def test_graft_examples():
-    assert graft([]) == LEAF
-    assert graft([LEAF, LEAF, LEAF]) == corolla(3)
+    assert RootedTree([]) == LEAF
+    assert RootedTree([LEAF, LEAF, LEAF]) == corolla(3)
     assert graft_onto(chain(2), LEAF) == corolla(2)
 
 
