@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .hopf import TensorElement, ck_coproduct, hnap_coproduct, qgnap_coproduct
+from .hopf import ALGEBRAS
 from .posets import interval_dot, interval_of
 from .series import (
     TreeSeries,
@@ -28,7 +28,7 @@ from .series import (
     unit_series,
     zeta_series,
 )
-from .trees import Forest, enumerate_trees, labeled_trees, parse_tree
+from .trees import enumerate_trees, labeled_trees, parse_tree
 from .verify import run_suite, suite_names
 
 NAMED_SERIES = {
@@ -68,17 +68,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_coproduct(args) -> int:
-    tree = parse_tree(args.tree)
-    if args.algebra == "hnap":
-        tensor = hnap_coproduct(tree)
-    elif args.algebra == "qgnap":
-        if tree.size == 1:
-            tensor = TensorElement.single("qgnap", Forest(), Forest())
-        else:
-            tensor = qgnap_coproduct(tree)
-    else:
-        tensor = ck_coproduct(tree)
-    _emit(tensor.to_json())
+    alg = ALGEBRAS[args.algebra]
+    _emit(alg.coproduct(alg.tree_key(parse_tree(args.tree))).to_json())
     return 0
 
 
@@ -176,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coproduct", help="coproduct of a tree, as JSON terms")
     p.add_argument("tree")
-    p.add_argument("--algebra", choices=("hnap", "qgnap", "ck"), default="hnap")
+    p.add_argument("--algebra", choices=tuple(ALGEBRAS), default="hnap")
     p.set_defaults(fn=_cmd_coproduct)
 
     p = sub.add_parser("interval", help="the ideal-lattice interval of a tree")

@@ -20,9 +20,11 @@ All coefficients are exact rationals.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product as cartesian
+from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -42,40 +44,6 @@ from .trees import (
     set_partitions,
 )
 
-ALGEBRAS = ("hnap", "qgnap", "ck")
-
-
-def unit_key(algebra: str):
-    if algebra == "hnap":
-        return LEAF
-    return Forest()
-
-
-def monomial_degree(algebra: str, key) -> int:
-    if algebra == "hnap":
-        return key.size - 1
-    if algebra == "qgnap":
-        return key.size - len(key)
-    return key.size
-
-
-def multiply_keys(algebra: str, a, b):
-    if algebra == "hnap":
-        return RootedTree(a.children + b.children)
-    return Forest(a.components + b.components)
-
-
-def monomial_string(algebra: str, key) -> str:
-    if algebra == "hnap":
-        return key.string
-    return key.render() or "1"
-
-
-def _monomial_sort_key(algebra: str, key):
-    if algebra == "hnap":
-        return (key.size, key.string)
-    return key.sort_key()
-
 
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
     """The basis tree equal to the product of F_[t] over the components of f.
@@ -90,18 +58,14 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
     return RootedTree(branches)
 
 
-def _check_algebra(algebra: str) -> None:
-    if algebra not in ALGEBRAS:
-        raise ValueError(f"unknown algebra tag {algebra!r}")
-
-
-class HopfElement:
-    """Finite rational combination of monomials in one of the three algebras."""
+class _Combination:
+    """Finite rational combination of keys, tagged with its algebra; the
+    vector-space operations shared by elements and tensors."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: str, terms: dict | None = None) -> None:
-        _check_algebra(algebra)
+        ALGEBRAS[algebra]  # an unknown tag raises ValueError
         clean = {}
         for key, coeff in (terms or {}).items():
             c = Fraction(coeff)
@@ -110,9 +74,63 @@ class HopfElement:
         self.algebra = algebra
         self.terms = clean
 
+    def _new(self, terms: dict):
+        # keys and Fraction coefficients come from operands already checked
+        x = object.__new__(type(self))
+        x.algebra = self.algebra
+        x.terms = {k: c for k, c in terms.items() if c}
+        return x
+
+    def _require_same(self, other: "_Combination") -> None:
+        if self.algebra != other.algebra:
+            raise ValueError(f"algebra tag mismatch: {self.algebra} vs {other.algebra}")
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self)
+                and self.algebra == other.algebra
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, frozenset(self.terms.items())))
+
+    def _combine(self, other, sign: int):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_same(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + sign * c
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, scalar):
+        c = Fraction(scalar)
+        return self._new({k: c * v for k, v in self.terms.items()})
+
+
+class HopfElement(_Combination):
+    """Finite rational combination of monomials in one of the three algebras."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra: str, terms: dict | None = None) -> None:
+        is_key = ALGEBRAS[algebra].is_key
+        for key in terms or ():
+            if not is_key(key):
+                raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
+        super().__init__(algebra, terms)
+
     @classmethod
     def unit(cls, algebra: str) -> "HopfElement":
-        return cls(algebra, {unit_key(algebra): Fraction(1)})
+        return cls(algebra, {ALGEBRAS[algebra].unit: 1})
 
     @classmethod
     def zero(cls, algebra: str) -> "HopfElement":
@@ -120,159 +138,86 @@ class HopfElement:
 
     @classmethod
     def monomial(cls, algebra: str, key, coeff=1) -> "HopfElement":
-        return cls(algebra, {key: Fraction(coeff)})
+        return cls(algebra, {key: coeff})
 
     @classmethod
     def hnap_basis(cls, t: RootedTree) -> "HopfElement":
         """The basis element F_[t]."""
-        return cls("hnap", {t: Fraction(1)})
+        return cls.monomial("hnap", t)
 
     @classmethod
     def qg_generator(cls, alpha: RootedTree) -> "HopfElement":
         """The generator G_alpha (the unit when alpha is a single vertex)."""
-        if alpha.size == 1:
-            return cls.unit("qgnap")
-        return cls("qgnap", {Forest((alpha,)): Fraction(1)})
+        return cls.monomial("qgnap", ALGEBRAS["qgnap"].tree_key(alpha))
 
     @classmethod
     def ck_forest(cls, f: Forest) -> "HopfElement":
-        return cls("ck", {f: Fraction(1)})
+        return cls.monomial("ck", f)
 
     @classmethod
     def ck_tree(cls, t: RootedTree) -> "HopfElement":
-        return cls("ck", {Forest((t,)): Fraction(1)})
-
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HopfElement)
-                and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, frozenset(self.terms.items())))
-
-    def __add__(self, other: "HopfElement") -> "HopfElement":
-        self._require_same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return HopfElement(self.algebra, out)
-
-    def __sub__(self, other: "HopfElement") -> "HopfElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "HopfElement":
-        return (-1) * self
-
-    def __rmul__(self, scalar) -> "HopfElement":
-        c = Fraction(scalar)
-        return HopfElement(self.algebra, {k: c * v for k, v in self.terms.items()})
+        return cls.monomial("ck", Forest((t,)))
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
-        if not isinstance(other, HopfElement):
+        if type(other) is not HopfElement:
             return NotImplemented
         self._require_same(other)
+        multiply = ALGEBRAS[self.algebra].multiply
         out: dict = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                k = multiply_keys(self.algebra, ka, kb)
-                out[k] = out.get(k, Fraction(0)) + ca * cb
-        return HopfElement(self.algebra, out)
-
-    def _require_same(self, other: "HopfElement") -> None:
-        if self.algebra != other.algebra:
-            raise ValueError(f"algebra tag mismatch: {self.algebra} vs {other.algebra}")
+                k = multiply(ka, kb)
+                out[k] = out.get(k, 0) + ca * cb
+        return self._new(out)
 
     def coproduct(self) -> "TensorElement":
+        coproduct = ALGEBRAS[self.algebra].coproduct
         out = TensorElement(self.algebra, {})
         for key, coeff in self.terms.items():
-            out = out + coeff * coproduct_monomial(self.algebra, key)
+            out = out + coeff * coproduct(key)
         return out
 
     def counit(self) -> Fraction:
-        return self.coefficient(unit_key(self.algebra))
+        return self.terms.get(ALGEBRAS[self.algebra].unit, Fraction(0))
 
     def antipode(self) -> "HopfElement":
         return antipode(self)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"HopfElement({self.algebra!r}, 0)"
-        bits = []
-        for key in sorted(self.terms, key=lambda k: _monomial_sort_key(self.algebra, k)):
-            bits.append(f"{self.terms[key]}*{monomial_string(self.algebra, key)}")
-        return f"HopfElement({self.algebra!r}, {' + '.join(bits)})"
+        alg = ALGEBRAS[self.algebra]
+        bits = [f"{self.terms[key]}*{alg.render(key)}"
+                for key in sorted(self.terms, key=alg.sort_key)]
+        return f"HopfElement({self.algebra!r}, {' + '.join(bits) or '0'})"
 
 
-class TensorElement:
+class TensorElement(_Combination):
     """Finite rational combination of monomial (x) monomial pairs."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: str, terms: dict | None = None) -> None:
-        _check_algebra(algebra)
-        clean = {}
-        for pair, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[pair] = c
-        self.algebra = algebra
-        self.terms = clean
-
-    @classmethod
-    def single(cls, algebra: str, left, right, coeff=1) -> "TensorElement":
-        return cls(algebra, {(left, right): Fraction(coeff)})
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TensorElement)
-                and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.algebra != other.algebra:
-            raise ValueError("algebra tag mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorElement(self.algebra, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "TensorElement":
-        c = Fraction(scalar)
-        return TensorElement(self.algebra, {k: c * v for k, v in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        if not isinstance(other, TensorElement):
+        if type(other) is not TensorElement:
             return NotImplemented
-        if self.algebra != other.algebra:
-            raise ValueError("algebra tag mismatch")
+        self._require_same(other)
+        multiply = ALGEBRAS[self.algebra].multiply
         out: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                k = (multiply_keys(self.algebra, a1, a2),
-                     multiply_keys(self.algebra, b1, b2))
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return TensorElement(self.algebra, out)
+                k = (multiply(a1, a2), multiply(b1, b2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return self._new(out)
 
     def to_json(self) -> list[dict]:
         """Sorted list of {left, right, coeff} records with p/q coefficients."""
-        rows = []
-        for (a, b) in sorted(self.terms,
-                             key=lambda kv: (_monomial_sort_key(self.algebra, kv[0]),
-                                             _monomial_sort_key(self.algebra, kv[1]))):
-            rows.append({"left": monomial_string(self.algebra, a),
-                         "right": monomial_string(self.algebra, b),
-                         "coeff": str(self.terms[(a, b)])})
-        return rows
+        alg = ALGEBRAS[self.algebra]
+        return [{"left": alg.render(a), "right": alg.render(b),
+                 "coeff": str(self.terms[(a, b)])}
+                for (a, b) in sorted(self.terms, key=lambda kv: (alg.sort_key(kv[0]),
+                                                                 alg.sort_key(kv[1])))]
 
     def __repr__(self) -> str:
-        bits = [f"{c}*({monomial_string(self.algebra, a)} (x) "
-                f"{monomial_string(self.algebra, b)})"
-                for (a, b), c in self.terms.items()]
+        render = ALGEBRAS[self.algebra].render
+        bits = [f"{c}*({render(a)} (x) {render(b)})" for (a, b), c in self.terms.items()]
         return f"TensorElement({self.algebra!r}, {' + '.join(bits) or '0'})"
 
 
@@ -345,17 +290,20 @@ def qgnap_coproduct(alpha: RootedTree) -> TensorElement:
     """Coproduct of the generator G_alpha in the function Hopf algebra."""
     out: dict = {}
     for (beta, gamma), g in g_structure_constants(alpha).items():
-        left = beta.drop_units()
-        right = Forest((gamma,)) if gamma.size > 1 else Forest()
-        key = (left, right)
+        key = (beta.drop_units(), Forest((gamma,)).drop_units())
         out[key] = out.get(key, Fraction(0)) + g
     return _read_only(TensorElement("qgnap", out))
 
 
-def _qgnap_monomial_coproduct(key: Forest) -> TensorElement:
-    out = TensorElement.single("qgnap", Forest(), Forest())
-    for t in key.components:
-        out = out * qgnap_coproduct(t)
+def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], TensorElement],
+                      f: Forest) -> TensorElement:
+    # coproducts are algebra morphisms: multiply the trees' coproducts from
+    # 1 (x) 1; a single tree's coproduct is handed out as it is, cached or not
+    if len(f) == 1:
+        return tree_coproduct(f.components[0])
+    out = TensorElement(algebra, {(Forest(), Forest()): 1})
+    for t in f.components:
+        out = out * tree_coproduct(t)
     return out
 
 
@@ -378,12 +326,7 @@ def ck_coproduct(f: "Forest | RootedTree") -> TensorElement:
     """
     if isinstance(f, RootedTree):
         return _ck_tree_coproduct(f)
-    if len(f) == 1:
-        return _ck_tree_coproduct(f.components[0])
-    out = TensorElement.single("ck", Forest(), Forest())
-    for t in f.components:
-        out = out * _ck_tree_coproduct(t)
-    return out
+    return _forest_coproduct("ck", _ck_tree_coproduct, f)
 
 
 def _admissible_cuts(rep: LabeledTree) -> Iterable[frozenset]:
@@ -419,7 +362,7 @@ def ck_coproduct_cuts(f: "Forest | RootedTree") -> TensorElement:
     """
     if isinstance(f, RootedTree):
         f = Forest((f,))
-    out = TensorElement.single("ck", Forest(), Forest())
+    out = TensorElement("ck", {(Forest(), Forest()): 1})
     for t in f.components:
         rep = canonical_representative(t)
         terms: dict = {(Forest((t,)), Forest()): Fraction(1)}
@@ -456,73 +399,105 @@ def b_plus(f: Forest) -> RootedTree:
     return RootedTree(f.components)
 
 
-def b_plus_map(x: HopfElement) -> HopfElement:
-    """Linear extension of the graft operator on the Connes-Kreimer algebra."""
-    if x.algebra != "ck":
-        raise ValueError("b_plus_map acts on ck elements")
+# ---------------------------------------------------------------------------
+# the three algebras
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """What sets one of the three Hopf algebras apart."""
+
+    unit: object                                  # the key of 1
+    is_key: Callable[[object], bool]              # tells the monomial keys
+    degree: Callable[[object], int]               # the grading
+    multiply: Callable[[object, object], object]  # the product of two keys
+    coproduct: Callable[[object], TensorElement]  # the coproduct of one key
+    render: Callable[[object], str]               # how a key prints
+    sort_key: Callable[[object], tuple]           # the order keys print in
+    tree_key: Callable[[RootedTree], object]      # the monomial of one tree
+
+
+class _AlgebraTable(dict):
+    def __missing__(self, tag):
+        raise ValueError(f"unknown algebra tag {tag!r}")
+
+
+# Connes-Kreimer: every forest is a monomial
+_CK = Algebra(
+    unit=Forest(),
+    is_key=lambda k: isinstance(k, Forest),
+    degree=lambda f: f.size,
+    multiply=lambda a, b: Forest(a.components + b.components),
+    coproduct=ck_coproduct,
+    render=lambda f: f.render() or "1",
+    sort_key=Forest.sort_key,
+    tree_key=lambda t: Forest((t,)))
+
+ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
+    # the incidence algebra: basis trees F_[t], whose product merges root branches
+    hnap=Algebra(
+        unit=LEAF,
+        is_key=lambda k: isinstance(k, RootedTree),
+        degree=lambda t: t.size - 1,
+        multiply=lambda a, b: RootedTree(a.children + b.children),
+        coproduct=hnap_coproduct,
+        render=lambda t: t.string,
+        sort_key=lambda t: (t.size, t.string),
+        tree_key=lambda t: t),
+    # the function algebra: forests of the generators G_t, as CK but with
+    # G_t of a single vertex t the unit
+    qgnap=replace(
+        _CK,
+        is_key=lambda k: isinstance(k, Forest) and all(t.size > 1 for t in k.components),
+        degree=lambda f: f.size - len(f),
+        coproduct=partial(_forest_coproduct, "qgnap", qgnap_coproduct),
+        tree_key=lambda t: Forest((t,)).drop_units()),
+    ck=_CK,
+)
+
+
+# ---------------------------------------------------------------------------
+# maps between the algebras
+
+
+def _basis_map(x: HopfElement, source: str, target: str,
+               key_map: Callable[[object], object],
+               weight: Callable[[object], Fraction] | None = None) -> HopfElement:
+    # the linear extension of key -> weight(key) * key_map(key)
+    if x.algebra != source:
+        raise ValueError(f"the map acts on {source} elements, not {x.algebra}")
     out: dict = {}
     for key, c in x.terms.items():
-        k = Forest((b_plus(key),))
-        out[k] = out.get(k, Fraction(0)) + c
-    return HopfElement("ck", out)
+        k = key_map(key)
+        out[k] = out.get(k, 0) + (c if weight is None else c * weight(key))
+    return HopfElement(target, out)
+
+
+def b_plus_map(x: HopfElement) -> HopfElement:
+    """Linear extension of the graft operator on the Connes-Kreimer algebra."""
+    return _basis_map(x, "ck", "ck", lambda f: Forest((b_plus(f),)))
 
 
 def l_nap(x: HopfElement) -> HopfElement:
     """The one-cocycle on the incidence algebra: F_[t] -> F_[B(r,t)]."""
-    if x.algebra != "hnap":
-        raise ValueError("l_nap acts on hnap elements")
-    out: dict = {}
-    for t, c in x.terms.items():
-        k = RootedTree((t,))
-        out[k] = out.get(k, Fraction(0)) + c
-    return HopfElement("hnap", out)
+    return _basis_map(x, "hnap", "hnap", lambda t: RootedTree((t,)))
 
 
 def iso_to_ck(x: HopfElement) -> HopfElement:
     """The Hopf isomorphism F_[B(r,t_1..t_k)] -> forest t_1...t_k."""
-    if x.algebra != "hnap":
-        raise ValueError("iso_to_ck acts on hnap elements")
-    out: dict = {}
-    for t, c in x.terms.items():
-        k = Forest(t.children)
-        out[k] = out.get(k, Fraction(0)) + c
-    return HopfElement("ck", out)
+    return _basis_map(x, "hnap", "ck", lambda t: Forest(t.children))
 
 
 def iso_from_ck(x: HopfElement) -> HopfElement:
     """Inverse isomorphism: forest t_1...t_k -> F_[B(r,t_1..t_k)]."""
-    if x.algebra != "ck":
-        raise ValueError("iso_from_ck acts on ck elements")
-    out: dict = {}
-    for f, c in x.terms.items():
-        k = RootedTree(f.components)
-        out[k] = out.get(k, Fraction(0)) + c
-    return HopfElement("hnap", out)
-
-
-def coproduct_monomial(algebra: str, key) -> TensorElement:
-    """Coproduct of a single monomial in any of the three algebras."""
-    _check_algebra(algebra)
-    if algebra == "hnap":
-        return hnap_coproduct(key)
-    if algebra == "qgnap":
-        return _qgnap_monomial_coproduct(key)
-    return ck_coproduct(key)
+    return _basis_map(x, "ck", "hnap", b_plus)
 
 
 def rho(x: HopfElement) -> HopfElement:
     """The surjection onto the incidence algebra: G_alpha -> F_[alpha]/#Aut(alpha),
     extended multiplicatively over forest monomials."""
-    if x.algebra != "qgnap":
-        raise ValueError("rho acts on qgnap elements")
-    out: dict = {}
-    for forest, c in x.terms.items():
-        scale = Fraction(1)
-        for t in forest.components:
-            scale /= aut_order(t)
-        k = forest_as_tree_monomial(forest)
-        out[k] = out.get(k, Fraction(0)) + c * scale
-    return HopfElement("hnap", out)
+    return _basis_map(x, "qgnap", "hnap", forest_as_tree_monomial,
+                      lambda f: Fraction(1, prod(aut_order(t) for t in f.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +512,16 @@ def antipode_monomial(algebra: str, key) -> HopfElement:
     cached = _ANTIPODE_CACHE.get((algebra, key))
     if cached is not None:
         return cached
-    unit = unit_key(algebra)
-    if monomial_degree(algebra, key) == 0:
-        out = HopfElement.unit(algebra)
+    alg = ALGEBRAS[algebra]
+    x = HopfElement.monomial(algebra, key)  # checks the key
+    if alg.degree(key) == 0:
+        out = x
     else:
-        acc = HopfElement.monomial(algebra, key, -1)
-        for (a, b), c in coproduct_monomial(algebra, key).terms.items():
-            if a == unit or b == unit:
+        out = -x
+        for (a, b), c in alg.coproduct(key).terms.items():
+            if a == alg.unit or b == alg.unit:
                 continue
-            acc = acc - c * (antipode_monomial(algebra, a) * HopfElement.monomial(algebra, b))
-        out = acc
+            out = out - c * (antipode_monomial(algebra, a) * HopfElement.monomial(algebra, b))
     _ANTIPODE_CACHE[(algebra, key)] = _read_only(out)
     return out
 

@@ -16,6 +16,7 @@ from math import factorial
 
 from . import hopf
 from .hopf import (
+    ALGEBRAS,
     HopfElement,
     TensorElement,
     admissible_triples,
@@ -23,7 +24,6 @@ from .hopf import (
     ck_coproduct,
     ck_coproduct_cuts,
     convolution_antipode_identity,
-    coproduct_monomial,
     count_Ef_Eg,
     f_coefficient,
     forest_as_tree_monomial,
@@ -34,7 +34,6 @@ from .hopf import (
     qgnap_coproduct,
     rho,
     tensor_map,
-    unit_key,
 )
 from .posets import (
     brute_force_pi,
@@ -376,28 +375,23 @@ def _hopf_relation(degree, rng):
 
 
 def _generator_keys(algebra: str, max_degree: int):
-    if algebra == "hnap":
-        for n in range(1, max_degree + 1):
-            yield from enumerate_trees(n)
-    elif algebra == "qgnap":
-        for n in range(2, max_degree + 1):
-            for t in enumerate_trees(n):
-                yield Forest((t,))
-    else:
-        for n in range(1, max_degree + 1):
-            for t in enumerate_trees(n):
-                yield Forest((t,))
+    # the monomial attached to each tree of 1..max_degree vertices
+    tree_key = ALGEBRAS[algebra].tree_key
+    for n in range(1, max_degree + 1):
+        for t in enumerate_trees(n):
+            yield tree_key(t)
 
 
 def _coassociative(algebra: str, key) -> bool:
-    delta = coproduct_monomial(algebra, key)
+    coproduct = ALGEBRAS[algebra].coproduct
+    delta = coproduct(key)
     left: dict = {}
     right: dict = {}
     for (a, b), c in delta.terms.items():
-        for (a1, a2), c2 in coproduct_monomial(algebra, a).terms.items():
+        for (a1, a2), c2 in coproduct(a).terms.items():
             k = (a1, a2, b)
             left[k] = left.get(k, Fraction(0)) + c * c2
-        for (b1, b2), c2 in coproduct_monomial(algebra, b).terms.items():
+        for (b1, b2), c2 in coproduct(b).terms.items():
             k = (a, b1, b2)
             right[k] = right.get(k, Fraction(0)) + c * c2
     left = {k: v for k, v in left.items() if v}
@@ -408,10 +402,10 @@ def _coassociative(algebra: str, key) -> bool:
 @_check("hopf", "coassociativity of all three coproducts")
 def _hopf_coassoc(degree, rng):
     d = _bound(degree, 6)
-    for algebra in ("hnap", "qgnap", "ck"):
+    for algebra in ALGEBRAS:
         for key in _generator_keys(algebra, d):
             if not _coassociative(algebra, key):
-                return f"{algebra}: {hopf.monomial_string(algebra, key)}"
+                return f"{algebra}: {ALGEBRAS[algebra].render(key)}"
     return ""
 
 
@@ -427,7 +421,8 @@ def _hopf_delta_multiplicative(degree, rng):
                     if (x * y).coproduct() != x.coproduct() * y.coproduct():
                         return f"hnap: {s.string} * {t.string}"
     for algebra in ("qgnap", "ck"):
-        keys = list(_generator_keys(algebra, max(2, d - 2)))
+        keys = [k for k in _generator_keys(algebra, max(2, d - 2))
+                if k != ALGEBRAS[algebra].unit]
         for _ in range(10):
             a = rng.choice(keys)
             b = rng.choice(keys)
@@ -440,13 +435,12 @@ def _hopf_delta_multiplicative(degree, rng):
 @_check("hopf", "antipode satisfies the convolution identity")
 def _hopf_antipode(degree, rng):
     d = _bound(degree, 5)
-    for algebra in ("hnap", "qgnap", "ck"):
+    for algebra in ALGEBRAS:
         for key in _generator_keys(algebra, d):
             x = _mono(algebra, key)
-            expected = HopfElement(algebra,
-                                   {unit_key(algebra): x.counit()})
+            expected = HopfElement(algebra, {ALGEBRAS[algebra].unit: x.counit()})
             if convolution_antipode_identity(x) != expected:
-                return f"{algebra}: {hopf.monomial_string(algebra, key)}"
+                return f"{algebra}: {ALGEBRAS[algebra].render(key)}"
     return ""
 
 

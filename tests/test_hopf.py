@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from naphopf.hopf import (
+    ALGEBRAS,
     HopfElement,
     TensorElement,
     antipode,
@@ -16,7 +17,6 @@ from naphopf.hopf import (
     ck_coproduct,
     ck_coproduct_cuts,
     convolution_antipode_identity,
-    coproduct_monomial,
     count_Ef_Eg,
     f_coefficient,
     forest_as_tree_monomial,
@@ -29,7 +29,6 @@ from naphopf.hopf import (
     qgnap_coproduct,
     rho,
     tensor_map,
-    unit_key,
 )
 from naphopf.posets import brute_force_pi, f_structure_constants, interval_of
 from naphopf.trees import (
@@ -45,7 +44,7 @@ from naphopf.trees import (
     nap_instance,
     parse_tree,
 )
-from naphopf.verify import _hnap_coproduct_by_ideals
+from naphopf.verify import _coassociative, _hnap_coproduct_by_ideals
 
 T10 = chain(2)
 T110 = chain(3)
@@ -86,6 +85,24 @@ def test_tag_mismatch_raises():
         F(T10) * HopfElement.ck_tree(T10)
     with pytest.raises(ValueError, match="mismatch"):
         F(T10) * HopfElement.qg_generator(T10)
+    # a key of the wrong algebra is refused on construction
+    for algebra, key in (("hnap", Forest()), ("hnap", Forest((T10,))),
+                         ("ck", T10), ("qgnap", T10),
+                         ("qgnap", Forest((LEAF,))), ("qgnap", Forest((T10, LEAF)))):
+        with pytest.raises(ValueError, match=algebra):
+            HopfElement(algebra, {key: 1})
+    with pytest.raises(ValueError, match="qgnap"):
+        antipode_monomial("qgnap", Forest((LEAF,)))
+    with pytest.raises(ValueError, match="unknown algebra"):
+        HopfElement.unit("nap")
+    # a foreign operand is a TypeError, not an AttributeError
+    for x in (F(T10), hnap_coproduct(T10)):
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x - 1
+        with pytest.raises(TypeError):
+            x * 1
 
 
 def test_forest_as_tree_monomial():
@@ -276,12 +293,12 @@ def test_antipode_convolution_all_algebras():
     for algebra, pool in keys.items():
         for key in pool:
             x = HopfElement.monomial(algebra, key)
-            want = HopfElement(algebra, {unit_key(algebra): x.counit()})
+            want = HopfElement(algebra, {ALGEBRAS[algebra].unit: x.counit()})
             assert convolution_antipode_identity(x) == want
         a = HopfElement.monomial(algebra, rng.choice(pool), Fraction(2, 3))
         b = HopfElement.monomial(algebra, rng.choice(pool), Fraction(-1, 2))
         x = a + b + HopfElement.unit(algebra)
-        want = HopfElement(algebra, {unit_key(algebra): x.counit()})
+        want = HopfElement(algebra, {ALGEBRAS[algebra].unit: x.counit()})
         assert convolution_antipode_identity(x) == want
 
 
@@ -352,18 +369,6 @@ def test_iso_intertwines_coproduct_and_cocycle():
 
 
 # --- coalgebra axioms --------------------------------------------------------------------
-
-
-def _coassociative(algebra, key):
-    delta = coproduct_monomial(algebra, key)
-    left, right = {}, {}
-    for (a, b), c in delta.terms.items():
-        for (a1, a2), c2 in coproduct_monomial(algebra, a).terms.items():
-            left[(a1, a2, b)] = left.get((a1, a2, b), 0) + c * c2
-        for (b1, b2), c2 in coproduct_monomial(algebra, b).terms.items():
-            right[(a, b1, b2)] = right.get((a, b1, b2), 0) + c * c2
-    return ({k: v for k, v in left.items() if v}
-            == {k: v for k, v in right.items() if v})
 
 
 def test_coassociativity():
