@@ -203,7 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the coproduct and ideal recursions go one call deeper per tree level
+        # the ideal recursions of interval, and the decomposition behind the
+        # qgnap coproduct, go one call deeper per tree level; the hnap and ck
+        # coproducts run on explicit stacks
         print("error: tree too deep for the recursive algorithms "
               f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

@@ -3,19 +3,24 @@
 * ``hnap``: the incidence Hopf algebra of tree intervals.  Monomials are
   single trees (the basis F_[t]); multiplying two basis trees merges their
   root branches.  The coproduct sums branch-forest x restriction pairs over
-  the ideals of the tree; it is computed as the Connes-Kreimer coproduct of
-  the branch forest, carried back by the basis isomorphism (the ideal
-  enumeration of :mod:`naphopf.posets` is the oracle in ``verify``).
+  the ideals of the tree, and an ideal is what an admissible cut leaves with
+  the root (the ideal enumeration of :mod:`naphopf.posets` is the oracle in
+  ``verify``).
 * ``qgnap``: the function Hopf algebra of the group of tree-indexed series,
   free commutative on one generator per tree of size >= 2.  Monomials are
   forests of such trees; the generator coproduct counts the ordered ways to
   compose a representative of gamma with a rearrangement of beta.
 * ``ck``: the Connes-Kreimer Hopf algebra, free commutative on all trees.
-  Monomials are arbitrary forests; the coproduct is computed by the
-  inductive one-cocycle formula for the graft operator, with an independent
-  admissible-cut enumeration kept as an oracle.
+  Monomials are arbitrary forests; a tree's coproduct is t (x) 1 plus one
+  pruned-forest (x) trunk term per admissible cut.
 
-All coefficients are exact rationals.
+The ``hnap`` and ``ck`` coproducts and antipodes are read off one table,
+the admissible cuts of :meth:`naphopf.trees.TreeTable.cuts`, which works on
+interned tree ids with integer counts; trees, forests and rational
+coefficients are built from it only when a result is handed out.  The
+admissible-cut enumeration over edge subsets is the oracle in ``verify``.
+
+All coefficients of elements are exact rationals.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .posets import f_structure_constants
 from .trees import (
     Forest,
     LEAF,
-    LabeledTree,
     TREE_TABLE,
     RootedTree,
     aut_order,
@@ -227,38 +231,45 @@ def _read_only(x):
     return x
 
 
-def tensor_map(te: TensorElement, algebra: str,
-               left_map: Callable[[object], HopfElement],
-               right_map: Callable[[object], HopfElement]) -> TensorElement:
-    """Apply linear maps (monomial -> element) to the two tensor factors."""
+def tensor_map(te: TensorElement, left: BasisMap, right: BasisMap) -> TensorElement:
+    """left (x) right applied to a tensor, key by key."""
+    if left.source != te.algebra or right.source != te.algebra or left.target != right.target:
+        raise ValueError(f"maps from {left.source} and {right.source} into {left.target} and "
+                         f"{right.target} do not act on a {te.algebra} tensor")
     out: dict = {}
     for (a, b), c in te.terms.items():
-        ea = left_map(a)
-        eb = right_map(b)
-        for ka, ca in ea.terms.items():
-            for kb, cb in eb.terms.items():
-                k = (ka, kb)
-                out[k] = out.get(k, Fraction(0)) + c * ca * cb
-    return TensorElement(algebra, out)
+        k = (left.key_map(a), right.key_map(b))
+        out[k] = out.get(k, 0) + c * left.weight(a) * right.weight(b)
+    return TensorElement(left.target, out)
 
 
 # ---------------------------------------------------------------------------
 # products and coproducts
 
 
+def _b_plus_id(forest: tuple[int, ...]) -> int:
+    # the id of B+ of a forest of tree ids: each component grafted onto a leaf
+    table = TREE_TABLE
+    i = table.id(LEAF)
+    for k in forest:
+        i = table.graft(i, k)
+    return i
+
+
 @lru_cache(maxsize=None)
 def hnap_coproduct(t: RootedTree) -> TensorElement:
     """Coproduct of F_[t]: sum over ideals of branch-forest (x) restriction.
 
-    Computed through the basis isomorphism F_[B(r,t_1..t_k)] -> t_1...t_k:
-    the Connes-Kreimer coproduct of the branch forest of t, with both
-    tensor factors mapped back by forest -> B+(forest).  An admissible cut
-    of the branches prunes the forest hanging under an ideal and keeps the
-    ideal's restriction as trunk.
+    The ideals of t are the trunks of its admissible cuts, and the branches
+    of an ideal's forest are the subtrees the cut prunes, so each cut
+    (a, r) of :meth:`~naphopf.trees.TreeTable.cuts` is the term
+    F_[B+(a)] (x) F_[r].
     """
+    table = TREE_TABLE
+    trees = table.trees
     return _read_only(TensorElement("hnap", {
-        (b_plus(a), b_plus(b)): c
-        for (a, b), c in ck_coproduct(Forest(t.children)).terms.items()}))
+        (trees[_b_plus_id(a)], trees[r]): c
+        for (a, r), c in table.cuts(table.id(t)).items()}))
 
 
 @lru_cache(maxsize=None)
@@ -309,13 +320,12 @@ def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], Tenso
 
 @lru_cache(maxsize=None)
 def _ck_tree_coproduct(t: RootedTree) -> TensorElement:
-    # inductive one-cocycle formula: D(B+(x)) = B+(x) (x) 1 + (id (x) B+) D(x)
-    branches = Forest(t.children)
-    inner = ck_coproduct(branches)
-    out: dict = {(Forest((t,)), Forest()): Fraction(1)}
-    for (a, b), c in inner.terms.items():
-        key = (a, Forest((RootedTree(b.components),)))
-        out[key] = out.get(key, Fraction(0)) + c
+    # t (x) 1, then pruned forest (x) trunk for every admissible cut
+    table = TREE_TABLE
+    trees = table.trees
+    out = {(Forest((t,)), Forest()): 1}
+    for (a, r), c in table.cuts(table.id(t)).items():
+        out[(Forest(trees[k] for k in a), Forest((trees[r],)))] = c
     return _read_only(TensorElement("ck", out))
 
 
@@ -329,74 +339,91 @@ def ck_coproduct(f: "Forest | RootedTree") -> TensorElement:
     return _forest_coproduct("ck", _ck_tree_coproduct, f)
 
 
-def _admissible_cuts(rep: LabeledTree) -> Iterable[frozenset]:
-    # edge subsets with at most one cut edge on any root-to-leaf path
-    edges = [(p, c) for c, p in rep.parents.items()]
-    ancestors: dict = {}
-    for v in rep.labels:
-        chain = set()
-        w = v
-        while w != rep.root:
-            w = rep.parents[w]
-            chain.add(w)
-        ancestors[v] = chain
-    m = len(edges)
-    for mask in range(1 << m):
-        cut = [edges[i] for i in range(m) if mask >> i & 1]
-        ok = True
-        for i, (u1, v1) in enumerate(cut):
-            for (u2, v2) in cut[i + 1:]:
-                if v1 == v2 or v1 in ancestors[v2] or v2 in ancestors[v1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield frozenset(cut)
-
-
-def ck_coproduct_cuts(f: "Forest | RootedTree") -> TensorElement:
-    """Connes-Kreimer coproduct by direct admissible-cut enumeration.
-
-    Independent of the inductive route; the two must agree.
-    """
-    if isinstance(f, RootedTree):
-        f = Forest((f,))
-    out = TensorElement("ck", {(Forest(), Forest()): 1})
-    for t in f.components:
-        rep = canonical_representative(t)
-        terms: dict = {(Forest((t,)), Forest()): Fraction(1)}
-        for cut in _admissible_cuts(rep):
-            kept = {c: p for c, p in rep.parents.items() if (p, c) not in cut}
-            pruned = [LabeledTree(v, _subtree_parents(rep, v)) for (_, v) in cut]
-            root_part = _root_component(rep, kept)
-            key = (Forest(p.shape() for p in pruned),
-                   Forest((root_part.shape(),)))
-            terms[key] = terms.get(key, Fraction(0)) + 1
-        out = out * TensorElement("ck", terms)
-    return out
-
-
-def _subtree_parents(rep: LabeledTree, v) -> dict:
-    keep = rep.subtree_labels(v)
-    return {c: p for c, p in rep.parents.items() if c in keep and p in keep}
-
-
-def _root_component(rep: LabeledTree, kept_parents: dict) -> LabeledTree:
-    stay = {rep.root}
-    changed = True
-    while changed:
-        changed = False
-        for c, p in kept_parents.items():
-            if p in stay and c not in stay:
-                stay.add(c)
-                changed = True
-    return LabeledTree(rep.root, {c: p for c, p in kept_parents.items() if c in stay})
-
-
 def b_plus(f: Forest) -> RootedTree:
     """The graft operator: a new root whose branches are the forest components."""
     return RootedTree(f.components)
+
+
+# ---------------------------------------------------------------------------
+# antipodes on tree ids
+
+# the Connes-Kreimer antipode of each tree id, as {sorted id tuple: int}
+_TREE_ANTIPODES: dict[int, dict[tuple[int, ...], int]] = {}
+
+
+def _id_product(factors: Iterable[dict]) -> dict:
+    # the product of combinations of forests given as sorted id tuples
+    out: dict = {(): 1}
+    for f in factors:
+        grown: dict = {}
+        for u, cu in out.items():
+            for v, cv in f.items():
+                k = tuple(sorted(u + v))
+                grown[k] = grown.get(k, 0) + cu * cv
+        out = {k: c for k, c in grown.items() if c}
+    return out
+
+
+def _tree_antipode(i: int) -> dict:
+    # S(t) = -t - sum c S(a) r over the cuts (a, r) with a nonempty.  The
+    # pruned trees are smaller than t, so they are done first, on an
+    # explicit stack.
+    memo = _TREE_ANTIPODES
+    table = TREE_TABLE
+    stack = [i]
+    while stack:
+        j = stack[-1]
+        if j in memo:
+            stack.pop()
+            continue
+        rows = table.cuts(j)
+        todo = [k for k in dict.fromkeys(k for a, _ in rows for k in a) if k not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        out = {(j,): -1}
+        for (a, r), c in rows.items():
+            if not a:
+                continue
+            for u, cu in _id_product(memo[k] for k in a).items():
+                k = tuple(sorted(u + (r,)))
+                out[k] = out.get(k, 0) - c * cu
+        memo[j] = {u: c for u, c in out.items() if c}
+    return memo[i]
+
+
+def _forest_antipode(f: Iterable[RootedTree]) -> dict:
+    # the antipode is multiplicative: the product of the trees' antipodes
+    return _id_product(_tree_antipode(TREE_TABLE.id(t)) for t in f)
+
+
+def _ck_antipode(f: Forest) -> HopfElement:
+    trees = TREE_TABLE.trees
+    return HopfElement("ck", {Forest(trees[k] for k in u): c
+                              for u, c in _forest_antipode(f.components).items()})
+
+
+def _hnap_antipode(t: RootedTree) -> HopfElement:
+    # the ck antipode of the branch forest, carried back by B+
+    trees = TREE_TABLE.trees
+    return HopfElement("hnap", {trees[_b_plus_id(u)]: c
+                                for u, c in _forest_antipode(t.children).items()})
+
+
+def _graded_antipode(algebra: str, key) -> HopfElement:
+    # the graded-connected recursion S(x) = -x - sum S(x') x'' over the
+    # reduced coproduct
+    alg = ALGEBRAS[algebra]
+    x = HopfElement.monomial(algebra, key)
+    if alg.degree(key) == 0:
+        return x
+    out = -x
+    for (a, b), c in alg.coproduct(key).terms.items():
+        if a == alg.unit or b == alg.unit:
+            continue
+        out = out - c * (antipode_monomial(algebra, a) * HopfElement.monomial(algebra, b))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +439,7 @@ class Algebra:
     degree: Callable[[object], int]               # the grading
     multiply: Callable[[object, object], object]  # the product of two keys
     coproduct: Callable[[object], TensorElement]  # the coproduct of one key
+    antipode: Callable[[object], HopfElement]     # the antipode of one key, uncached
     render: Callable[[object], str]               # how a key prints
     sort_key: Callable[[object], tuple]           # the order keys print in
     tree_key: Callable[[RootedTree], object]      # the monomial of one tree
@@ -429,6 +457,7 @@ _CK = Algebra(
     degree=lambda f: f.size,
     multiply=lambda a, b: Forest(a.components + b.components),
     coproduct=ck_coproduct,
+    antipode=_ck_antipode,
     render=lambda f: f.render() or "1",
     sort_key=Forest.sort_key,
     tree_key=lambda t: Forest((t,)))
@@ -441,6 +470,7 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
         degree=lambda t: t.size - 1,
         multiply=lambda a, b: RootedTree(a.children + b.children),
         coproduct=hnap_coproduct,
+        antipode=_hnap_antipode,
         render=lambda t: t.string,
         sort_key=lambda t: (t.size, t.string),
         tree_key=lambda t: t),
@@ -451,6 +481,7 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
         is_key=lambda k: isinstance(k, Forest) and all(t.size > 1 for t in k.components),
         degree=lambda f: f.size - len(f),
         coproduct=partial(_forest_coproduct, "qgnap", qgnap_coproduct),
+        antipode=partial(_graded_antipode, "qgnap"),
         tree_key=lambda t: Forest((t,)).drop_units()),
     ck=_CK,
 )
@@ -460,44 +491,54 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
 # maps between the algebras
 
 
-def _basis_map(x: HopfElement, source: str, target: str,
-               key_map: Callable[[object], object],
-               weight: Callable[[object], Fraction] | None = None) -> HopfElement:
-    # the linear extension of key -> weight(key) * key_map(key)
-    if x.algebra != source:
-        raise ValueError(f"the map acts on {source} elements, not {x.algebra}")
-    out: dict = {}
-    for key, c in x.terms.items():
-        k = key_map(key)
-        out[k] = out.get(k, 0) + (c if weight is None else c * weight(key))
-    return HopfElement(target, out)
+class BasisMap:
+    """A linear map sending each monomial to a multiple of one monomial:
+    key -> weight(key) * key_map(key), from one algebra into another.
+
+    Calling it maps an element; :func:`tensor_map` applies two of them to
+    the factors of a tensor.
+    """
+
+    __slots__ = ("source", "target", "key_map", "weight")
+
+    def __init__(self, source: str, target: str, key_map: Callable[[object], object],
+                 weight: Callable[[object], Fraction | int] = lambda key: 1) -> None:
+        self.source = source
+        self.target = target
+        self.key_map = key_map
+        self.weight = weight
+
+    @classmethod
+    def identity(cls, algebra: str) -> "BasisMap":
+        return cls(algebra, algebra, lambda key: key)
+
+    def __call__(self, x: HopfElement) -> HopfElement:
+        if x.algebra != self.source:
+            raise ValueError(f"the map acts on {self.source} elements, not {x.algebra}")
+        key_map, weight = self.key_map, self.weight
+        out: dict = {}
+        for key, c in x.terms.items():
+            k = key_map(key)
+            out[k] = out.get(k, 0) + c * weight(key)
+        return HopfElement(self.target, out)
 
 
-def b_plus_map(x: HopfElement) -> HopfElement:
-    """Linear extension of the graft operator on the Connes-Kreimer algebra."""
-    return _basis_map(x, "ck", "ck", lambda f: Forest((b_plus(f),)))
+# the linear extension of the graft operator on the Connes-Kreimer algebra
+b_plus_map = BasisMap("ck", "ck", lambda f: Forest((b_plus(f),)))
 
+# the one-cocycle on the incidence algebra: F_[t] -> F_[B(r,t)]
+l_nap = BasisMap("hnap", "hnap", lambda t: RootedTree((t,)))
 
-def l_nap(x: HopfElement) -> HopfElement:
-    """The one-cocycle on the incidence algebra: F_[t] -> F_[B(r,t)]."""
-    return _basis_map(x, "hnap", "hnap", lambda t: RootedTree((t,)))
+# the Hopf isomorphism F_[B(r,t_1..t_k)] -> forest t_1...t_k
+iso_to_ck = BasisMap("hnap", "ck", lambda t: Forest(t.children))
 
+# the inverse isomorphism: forest t_1...t_k -> F_[B(r,t_1..t_k)]
+iso_from_ck = BasisMap("ck", "hnap", b_plus)
 
-def iso_to_ck(x: HopfElement) -> HopfElement:
-    """The Hopf isomorphism F_[B(r,t_1..t_k)] -> forest t_1...t_k."""
-    return _basis_map(x, "hnap", "ck", lambda t: Forest(t.children))
-
-
-def iso_from_ck(x: HopfElement) -> HopfElement:
-    """Inverse isomorphism: forest t_1...t_k -> F_[B(r,t_1..t_k)]."""
-    return _basis_map(x, "ck", "hnap", b_plus)
-
-
-def rho(x: HopfElement) -> HopfElement:
-    """The surjection onto the incidence algebra: G_alpha -> F_[alpha]/#Aut(alpha),
-    extended multiplicatively over forest monomials."""
-    return _basis_map(x, "qgnap", "hnap", forest_as_tree_monomial,
-                      lambda f: Fraction(1, prod(aut_order(t) for t in f.components)))
+# the surjection onto the incidence algebra: G_alpha -> F_[alpha]/#Aut(alpha),
+# extended multiplicatively over forest monomials
+rho = BasisMap("qgnap", "hnap", forest_as_tree_monomial,
+               lambda f: Fraction(1, prod(aut_order(t) for t in f.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,22 +548,17 @@ _ANTIPODE_CACHE: dict[tuple, HopfElement] = {}
 
 
 def antipode_monomial(algebra: str, key) -> HopfElement:
-    """Antipode of one monomial, by the graded-connected recursion
-    S(x) = -x - sum S(x') x'' over the reduced coproduct."""
+    """Antipode of one monomial, cached and read-only.
+
+    ``hnap`` and ``ck`` read it off the admissible cuts on tree ids,
+    ``qgnap`` uses the graded-connected recursion S(x) = -x - sum S(x') x''
+    over the reduced coproduct.
+    """
     cached = _ANTIPODE_CACHE.get((algebra, key))
     if cached is not None:
         return cached
-    alg = ALGEBRAS[algebra]
-    x = HopfElement.monomial(algebra, key)  # checks the key
-    if alg.degree(key) == 0:
-        out = x
-    else:
-        out = -x
-        for (a, b), c in alg.coproduct(key).terms.items():
-            if a == alg.unit or b == alg.unit:
-                continue
-            out = out - c * (antipode_monomial(algebra, a) * HopfElement.monomial(algebra, b))
-    _ANTIPODE_CACHE[(algebra, key)] = _read_only(out)
+    HopfElement.monomial(algebra, key)  # checks the key
+    out = _ANTIPODE_CACHE[(algebra, key)] = _read_only(ALGEBRAS[algebra].antipode(key))
     return out
 
 

@@ -479,15 +479,19 @@ class TreeTable:
     x ◁ S(t_1) ◁ ... ◁ S(t_k).  Linear combinations are lists of
     ``(size, id, coeff)`` sorted by size, and a size budget prunes every
     graft whose result could not fit.
+
+    The admissible cuts of a tree (Connes-Kreimer 1998) are tabled the same
+    way, by id and with integer counts: see :meth:`cuts`.
     """
 
-    __slots__ = ("trees", "sizes", "ids", "grafts")
+    __slots__ = ("trees", "sizes", "ids", "grafts", "cut_table")
 
     def __init__(self) -> None:
         self.trees: list[RootedTree] = []
         self.sizes: list[int] = []
         self.ids: dict[RootedTree, int] = {}
         self.grafts: dict[tuple[int, int], int] = {}
+        self.cut_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -509,6 +513,47 @@ class TreeTable:
             g = self.id(RootedTree(self.trees[i].children + (self.trees[j],)))
             self.grafts[(i, j)] = g
         return g
+
+    def cuts(self, i: int) -> dict:
+        """The admissible cuts of tree i, as {(pruned, trunk): count}.
+
+        ``pruned`` is the sorted tuple of the ids of the subtrees cut off,
+        ``trunk`` the id of what stays with the root; the empty cut gives
+        ((), i).  Each branch k of the root is either cut off whole, or cut
+        by one of its own cuts (a2, r2), whose trunk r2 is grafted back onto
+        the root.  Trees are filled children first on an explicit stack, so
+        the depth of a tree is not bounded by the recursion limit.
+        """
+        table = self.cut_table
+        rows = table.get(i)
+        if rows is not None:
+            return rows
+        graft, leaf = self.graft, self.id(LEAF)
+        stack = [i]
+        while stack:
+            j = stack[-1]
+            if j in table:
+                stack.pop()
+                continue
+            kids = [self.id(c) for c in self.trees[j].children]
+            todo = [k for k in dict.fromkeys(kids) if k not in table]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            rows = {((), leaf): 1}
+            for k in kids:
+                below = table[k]
+                grown: dict = {}
+                for (a, r), c in rows.items():
+                    key = (tuple(sorted(a + (k,))), r)
+                    grown[key] = grown.get(key, 0) + c
+                    for (a2, r2), c2 in below.items():
+                        key = (tuple(sorted(a + a2)), graft(r, r2))
+                        grown[key] = grown.get(key, 0) + c * c2
+                rows = grown
+            table[j] = rows
+        return table[i]
 
     def _sorted(self, acc: dict) -> list:
         sizes = self.sizes

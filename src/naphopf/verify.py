@@ -13,16 +13,17 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import Iterable
 
 from . import hopf
 from .hopf import (
     ALGEBRAS,
+    BasisMap,
     HopfElement,
     TensorElement,
     admissible_triples,
     b_plus_map,
     ck_coproduct,
-    ck_coproduct_cuts,
     convolution_antipode_identity,
     count_Ef_Eg,
     f_coefficient,
@@ -471,9 +472,7 @@ def _hopf_rho(degree, rng):
     for n in range(2, d + 1):
         for alpha in enumerate_trees(n):
             g = HopfElement.qg_generator(alpha)
-            lhs = tensor_map(g.coproduct(), "hnap",
-                             lambda k: rho(_mono("qgnap", k)),
-                             lambda k: rho(_mono("qgnap", k)))
+            lhs = tensor_map(g.coproduct(), rho, rho)
             if lhs != rho(g).coproduct():
                 return alpha.string
     return ""
@@ -538,9 +537,7 @@ def _ck_cocycle(degree, rng):
             x = HopfElement.ck_forest(f)
             bx = b_plus_map(x)
             rhs = TensorElement("ck", {(k, unitf): c for k, c in bx.terms.items()})
-            rhs = rhs + tensor_map(x.coproduct(), "ck",
-                                   lambda k: _mono("ck", k),
-                                   lambda k: b_plus_map(_mono("ck", k)))
+            rhs = rhs + tensor_map(x.coproduct(), BasisMap.identity("ck"), b_plus_map)
             if bx.coproduct() != rhs:
                 return f.render() or "1"
     return ""
@@ -560,6 +557,67 @@ def _ck_iso_inverse(degree, rng):
             if iso_to_ck(iso_from_ck(y)) != y:
                 return f.render() or "1"
     return ""
+
+
+def _edge_cuts(t: RootedTree) -> Iterable[tuple[int, bool, list, RootedTree]]:
+    """Every subset C of the edges of t, cut: (|C|, whether C is admissible,
+    the subtrees cut off, the part left with the root).  C is admissible
+    when no cut edge lies below another."""
+    rep = canonical_representative(t)
+    # BFS labels grow downwards, so taking the edges by decreasing child
+    # label completes every subtree before its parent edge is reached
+    edges = sorted(rep.parents.items(), reverse=True)
+    for mask in range(1 << len(edges)):
+        kids: dict = {v: [] for v in rep.labels}
+        cut_below = dict.fromkeys(rep.labels, False)
+        pieces: list = []
+        admissible = True
+        for i, (c, p) in enumerate(edges):
+            if mask >> i & 1:
+                pieces.append(RootedTree(kids[c]))
+                admissible = admissible and not cut_below[c]
+                cut_below[p] = True
+            else:
+                kids[p].append(RootedTree(kids[c]))
+                cut_below[p] = cut_below[p] or cut_below[c]
+        yield len(pieces), admissible, pieces, RootedTree(kids[rep.root])
+
+
+def ck_coproduct_cuts(f: "Forest | RootedTree") -> TensorElement:
+    """Connes-Kreimer coproduct by direct admissible-cut enumeration.
+
+    Independent of ``hopf.ck_coproduct``, which builds the cuts branch by
+    branch on tree ids; the two must agree.
+    """
+    if isinstance(f, RootedTree):
+        f = Forest((f,))
+    out = TensorElement("ck", {(Forest(), Forest()): 1})
+    for t in f.components:
+        terms: dict = {(Forest((t,)), Forest()): 1}
+        for _, admissible, pieces, trunk in _edge_cuts(t):
+            if admissible:
+                key = (Forest(pieces), Forest((trunk,)))
+                terms[key] = terms.get(key, 0) + 1
+        out = out * TensorElement("ck", terms)
+    return out
+
+
+def ck_antipode_closed_form(f: "Forest | RootedTree") -> HopfElement:
+    """The Connes-Kreimer antipode from its closed form (Connes-Kreimer
+    1998): S(t) is the sum over all edge subsets C of t of (-1)^(|C|+1)
+    times the forest left after cutting C, multiplied over the components
+    of f.  Independent of the recursion on admissible cuts in ``hopf``.
+    """
+    if isinstance(f, RootedTree):
+        f = Forest((f,))
+    out = HopfElement.unit("ck")
+    for t in f.components:
+        terms: dict = {}
+        for cut, _, pieces, trunk in _edge_cuts(t):
+            key = Forest(pieces + [trunk])
+            terms[key] = terms.get(key, 0) + (-1) ** (cut + 1)
+        out = out * HopfElement("ck", terms)
+    return out
 
 
 def _hnap_coproduct_by_ideals(t: RootedTree) -> TensorElement:
@@ -584,9 +642,7 @@ def _ck_iso_coproduct(degree, rng):
     for n in range(1, d + 1):
         for t in enumerate_trees(n):
             x = HopfElement.hnap_basis(t)
-            lhs = tensor_map(_hnap_coproduct_by_ideals(t), "ck",
-                             lambda k: iso_to_ck(_mono("hnap", k)),
-                             lambda k: iso_to_ck(_mono("hnap", k)))
+            lhs = tensor_map(_hnap_coproduct_by_ideals(t), iso_to_ck, iso_to_ck)
             if lhs != iso_to_ck(x).coproduct():
                 return t.string
     return ""

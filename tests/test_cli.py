@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -81,7 +82,20 @@ def test_parse_tree_takes_a_deep_chain():
     assert parse_tree(DEEP_CHAIN) == chain(1200)
 
 
-@pytest.mark.parametrize("command", ["coproduct", "interval"])
+@pytest.mark.parametrize("algebra, terms", [("hnap", 1200), ("ck", 1201)])
+def test_deep_chain_coproduct_needs_no_recursion(capsys, algebra, terms):
+    # under a recursion limit far below the depth of the chain
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        code, out, err = run(capsys, "coproduct", DEEP_CHAIN, "--algebra", algebra)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0, err
+    assert len(json.loads(out)) == terms
+
+
+@pytest.mark.parametrize("command", ["interval"])
 def test_deep_tree_exits_2_without_traceback(capsys, command):
     code, out, err = run(capsys, command, DEEP_CHAIN)
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 
 from naphopf.hopf import (
     ALGEBRAS,
+    BasisMap,
     HopfElement,
     TensorElement,
     antipode,
@@ -15,7 +16,6 @@ from naphopf.hopf import (
     b_plus,
     b_plus_map,
     ck_coproduct,
-    ck_coproduct_cuts,
     convolution_antipode_identity,
     count_Ef_Eg,
     f_coefficient,
@@ -44,7 +44,12 @@ from naphopf.trees import (
     nap_instance,
     parse_tree,
 )
-from naphopf.verify import _coassociative, _hnap_coproduct_by_ideals
+from naphopf.verify import (
+    _coassociative,
+    _hnap_coproduct_by_ideals,
+    ck_antipode_closed_form,
+    ck_coproduct_cuts,
+)
 
 T10 = chain(2)
 T110 = chain(3)
@@ -250,9 +255,7 @@ def test_rho_on_generators():
 
 def test_rho_is_hopf_morphism_at_a_four_vertex_tree():
     g = HopfElement.qg_generator(T1200)
-    lhs = tensor_map(g.coproduct(), "hnap",
-                     lambda k: rho(HopfElement.monomial("qgnap", k)),
-                     lambda k: rho(HopfElement.monomial("qgnap", k)))
+    lhs = tensor_map(g.coproduct(), rho, rho)
     assert aut_order(T1200) == 2
     assert lhs == Fraction(1, 2) * hnap_coproduct(T1200)
 
@@ -315,9 +318,10 @@ def test_ck_coproduct_base_cases():
 
 
 def test_ck_inductive_equals_cut_enumeration():
-    for n in range(1, 6):
-        for t in enumerate_trees(n):
-            assert ck_coproduct(t) == ck_coproduct_cuts(t)
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    assert len(trees) == 200
+    for t in trees:
+        assert ck_coproduct(t) == ck_coproduct_cuts(t), t.string
     for m in range(0, 5):
         for f in enumerate_forests(m):
             assert ck_coproduct(f) == ck_coproduct_cuts(f)
@@ -336,9 +340,7 @@ def test_cocycle_identity():
             x = HopfElement.ck_forest(f)
             bx = b_plus_map(x)
             rhs = TensorElement("ck", {(k, unitf): c for k, c in bx.terms.items()})
-            rhs = rhs + tensor_map(x.coproduct(), "ck",
-                                   lambda k: HopfElement.monomial("ck", k),
-                                   lambda k: b_plus_map(HopfElement.monomial("ck", k)))
+            rhs = rhs + tensor_map(x.coproduct(), BasisMap.identity("ck"), b_plus_map)
             assert bx.coproduct() == rhs
 
 
@@ -361,9 +363,7 @@ def test_iso_intertwines_coproduct_and_cocycle():
     for n in range(1, 6):
         for t in enumerate_trees(n):
             x = F(t)
-            mapped = tensor_map(x.coproduct(), "ck",
-                                lambda k: iso_to_ck(F(k)),
-                                lambda k: iso_to_ck(F(k)))
+            mapped = tensor_map(x.coproduct(), iso_to_ck, iso_to_ck)
             assert mapped == iso_to_ck(x).coproduct()
             assert iso_to_ck(l_nap(x)) == b_plus_map(iso_to_ck(x))
 
@@ -480,3 +480,35 @@ def test_single_tree_ck_and_antipode_return_the_cached_values():
     assert antipode(x) is antipode_monomial("hnap", t)
     # a scaled monomial still goes through the linear extension
     assert antipode(2 * x) == 2 * antipode(x)
+
+
+def test_antipodes_equal_the_closed_form_to_8_vertices():
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            f = Forest((t,))
+            assert antipode(HopfElement.ck_forest(f)) == ck_antipode_closed_form(f), t.string
+            # hnap through the basis isomorphism: the antipode of the branch forest
+            assert (iso_to_ck(antipode(F(t)))
+                    == ck_antipode_closed_form(Forest(t.children))), t.string
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_antipode_of_a_chain_needs_no_recursion():
+    # a chain deeper than the recursion limit leaves room for
+    t = chain(25)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 20)
+    try:
+        s_ck = antipode_monomial("ck", Forest((t,)))
+        s_hnap = antipode_monomial("hnap", t)
+    finally:
+        sys.setrecursionlimit(limit)
+    # one forest of chains per partition of 25 (of 24 under B+), all signs agreeing
+    assert len(s_ck.terms) == 1958
+    assert len(s_hnap.terms) == 1575
