@@ -39,6 +39,12 @@ NAMED_SERIES = {
     "unit": unit_series,
 }
 
+# the largest inputs that take seconds: zeta*zeta at N = 13 takes ~3 s and
+# ~100 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, and each
+# costs several times more one size up
+SERIES_N_LIMIT = 13
+LABELED_N_LIMIT = 7
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
@@ -48,6 +54,10 @@ def _cmd_enumerate(args) -> int:
     n = args.n
     if n < 1:
         print("error: n must be >= 1", file=sys.stderr)
+        return 2
+    if args.labeled and n > LABELED_N_LIMIT:
+        print(f"error: enumerate --labeled lists n^(n-1) trees; n = {n} is above "
+              f"LABELED_N_LIMIT = {LABELED_N_LIMIT}", file=sys.stderr)
         return 2
     if args.labeled:
         items = [t.render() for t in labeled_trees([str(i) for i in range(1, n + 1)])]
@@ -112,6 +122,8 @@ def _load_series(token: str, n: int) -> TreeSeries:
 
 def _cmd_series(args) -> int:
     n = args.N
+    if n > SERIES_N_LIMIT:
+        raise ValueError(f"-N {n} is above SERIES_N_LIMIT = {SERIES_N_LIMIT}")
     op = args.op
     operands = args.args
     if op in NAMED_SERIES:

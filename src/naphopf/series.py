@@ -11,7 +11,7 @@ onto one-variable power series groups.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 from .hopf import HopfElement
@@ -38,7 +38,8 @@ class TreeSeries:
         for t, c in (coeffs or {}).items():
             if t.size > truncation:
                 continue
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[t] = c
         self.truncation = truncation
@@ -121,17 +122,53 @@ def _require_group(a: TreeSeries) -> None:
         raise ValueError("series is not a group element (unit coefficient must be 1)")
 
 
-def _plain(c: Fraction):
-    # integral coefficients as ints: int arithmetic is many times cheaper
-    # than Fraction arithmetic, and TreeSeries turns the sums back
-    return c.numerator if c.denominator == 1 else c
+def _graded_scale(n: int, *series: TreeSeries) -> int:
+    # a D with D**|t| * c integral for every term c*t of size <= n: a prime
+    # p <= |t| enters with the least exponent that suffices (for zeta, D is
+    # the product of the primes below n), the rest of a denominator whole
+    need: dict = {}
+    rest = 1
+    for size, q in {(t.size, c.denominator) for s in series
+                    for t, c in s.coeffs.items() if t.size <= n and c.denominator > 1}:
+        for p in range(2, size + 1):
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            if e:
+                need[p] = max(need.get(p, 0), -(-e // size))
+        rest = lcm(rest, q)
+    return lcm(rest, *(p ** e for p, e in need.items()))
 
 
-def _pool(b: TreeSeries, n: int) -> list:
-    # b's terms of size <= n as the engine's (size, id, coeff) list
+def _scaled_pool(b: TreeSeries, n: int, scale: int) -> list:
+    # b's terms of size <= n as the engine's (size, id, coeff) list, each
+    # coefficient times scale**size: an int when scale is b's graded scale
     table = TREE_TABLE
-    return sorted((t.size, table.id(t), _plain(c))
+    return sorted((t.size, table.id(t), c.numerator * (scale ** t.size // c.denominator))
                   for t, c in b.coeffs.items() if t.size <= n)
+
+
+def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict) -> dict:
+    # sum of a_t S(t) over the trees t of a, where S substitutes the scaled
+    # pool into every vertex, as {class id: coefficient}.  a_t is scaled by
+    # the lcm D_a of a's denominators, so every term landing on a class c
+    # carries D_a * scale**|c|, taken out by one division per class
+    table = TREE_TABLE
+    da = lcm(*(c.denominator for c in a.values()))
+    acc: dict = {}
+    for t, at in a.items():
+        if t.size > n:
+            continue
+        at = at.numerator * (da // at.denominator)
+        i = table.id(t)
+        for _, u, c in table.substitute(i, pool, n, memo):
+            acc[u] = acc.get(u, 0) + at * c
+        # no other call here reads t at the full budget, and at N = 13 these
+        # entries would be most of the memo
+        del memo[(i, n)]
+    sizes = table.sizes
+    return {u: Fraction(c, da * scale ** sizes[u]) for u, c in acc.items() if c}
 
 
 def series_multiply(a: TreeSeries, b: TreeSeries) -> TreeSeries:
@@ -141,50 +178,43 @@ def series_multiply(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     of a and every assignment of support trees of b to the vertices of t,
     the product of the coefficients whose composition lands in c.  It is
     computed by the graft recursion of :class:`~naphopf.trees.TreeTable`
-    on interned tree ids; the result is exact through the common
-    truncation.
+    on interned tree ids, in ints: b_s is scaled by D**|s| for a D that
+    clears b's denominators and a_t by the lcm D_a of a's, so every term
+    landing on c carries D_a * D**|c| and each class is divided once.  The
+    result is exact through the common truncation.
     """
     _require_group(a)
     _require_group(b)
     n = min(a.truncation, b.truncation)
-    return _multiply_raw(a, b, n)
-
-
-def _multiply_raw(a: TreeSeries, b: TreeSeries, n: int) -> TreeSeries:
-    table = TREE_TABLE
-    pool = _pool(b, n)
-    memo: dict = {}
-    out: dict = {}
-    for t, at in a.coeffs.items():
-        if t.size > n:
-            continue
-        at = _plain(at)
-        for _, u, c in table.substitute(table.id(t), pool, n, memo):
-            out[u] = out.get(u, 0) + at * c
-    return TreeSeries(n, {table.trees[u]: c for u, c in out.items()})
+    scale = _graded_scale(n, b)
+    out = _substituted(a.coeffs, _scaled_pool(b, n, scale), scale, n, {})
+    return TreeSeries(n, {TREE_TABLE.trees[u]: c for u, c in out.items()})
 
 
 def series_inverse(a: TreeSeries) -> TreeSeries:
     """Two-sided inverse of a group element, solved degree by degree.
 
-    The unknown coefficient of each size-n class enters a left product h*a
+    The unknown coefficient of each size-d class enters a left product h*a
     only through the all-singleton assignment, so each degree is solved by
-    one subtraction; the right identity a*h = unit is then verified.
+    one subtraction.  The degrees and the check h*a = unit share one scaled
+    pool of a and one memo, valid at every degree because an entry reads
+    the pool only up to its budget; a*h = unit is checked by its own product.
     """
     _require_group(a)
     n = a.truncation
+    table = TREE_TABLE
+    scale = _graded_scale(n, a)
+    pool = _scaled_pool(a, n, scale)
+    memo: dict = {}
     inv = {LEAF: Fraction(1)}
     for d in range(2, n + 1):
-        h = TreeSeries(d, inv)
-        residue = _multiply_raw(h, a, d)
-        for t in enumerate_trees(d):
-            c = residue.coefficient(t)
-            if c:
-                inv[t] = -c
-    h = TreeSeries(n, inv)
-    if _multiply_raw(h, a, n) != unit_series(n):
+        for u, c in _substituted(inv, pool, scale, d, memo).items():
+            if table.sizes[u] == d:
+                inv[table.trees[u]] = -c
+    if _substituted(inv, pool, scale, n, memo) != {table.id(LEAF): 1}:
         raise ArithmeticError("left inverse failed to verify")
-    if _multiply_raw(a, h, n) != unit_series(n):
+    h = TreeSeries(n, inv)
+    if series_multiply(a, h) != unit_series(n):
         raise ArithmeticError("inverse is not two-sided to this truncation")
     return h
 
@@ -204,20 +234,26 @@ def series_graft(a: TreeSeries, b: TreeSeries) -> TreeSeries:
 
 def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     """[a,b] = sum over supports of a_s b_t (s∘t - t∘s), where x∘y grafts y
-    into one vertex of x at a time with units elsewhere."""
+    into one vertex of x at a time with units elsewhere.
+
+    Runs in ints like the product: with one D clearing both operands, a
+    term of size |s| is scaled by D**|s|, so every term landing on a class
+    c of size |s|+|t|-1 carries D**(|c|+1).
+    """
     n = min(a.truncation, b.truncation)
     table = TREE_TABLE
+    scale = _graded_scale(n, a, b)
+    pa, pb = _scaled_pool(a, n, scale), _scaled_pool(b, n, scale)
     out: dict = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        pool = _pool(y, n)
+    for xs, ys, sign in ((pa, pb, 1), (pb, pa, -1)):
         memo: dict = {}
-        for s, cs in x.coeffs.items():
-            if s.size > n:
-                continue
-            cs = sign * _plain(cs)
-            for _, u, c in table.derive(table.id(s), pool, n, memo):
+        for _, s, cs in xs:
+            cs *= sign
+            for _, u, c in table.derive(s, ys, n, memo):
                 out[u] = out.get(u, 0) + cs * c
-    return TreeSeries(n, {table.trees[u]: c for u, c in out.items()})
+    sizes = table.sizes
+    return TreeSeries(n, {table.trees[u]: Fraction(c, scale ** (sizes[u] + 1))
+                          for u, c in out.items() if c})
 
 
 def zeta_series(n: int) -> TreeSeries:
@@ -233,8 +269,6 @@ def mobius_series(n: int) -> TreeSeries:
     """Mobius weights: (-1)^k/k! on the corolla with k leaves, zero elsewhere."""
     out = {}
     for k in range(0, n):
-        if k + 1 > n:
-            break
         out[corolla(k)] = Fraction((-1) ** k, factorial(k))
     return TreeSeries(n, out)
 

@@ -330,17 +330,6 @@ class LabeledTree:
         return LabeledTree(mapping[self.root],
                            {mapping[c]: mapping[p] for c, p in self.parents.items()})
 
-    def subtree_labels(self, v: Label) -> frozenset:
-        """v together with all of its descendants."""
-        out = {v}
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for c in self._children[w]:
-                out.add(c)
-                stack.append(c)
-        return frozenset(out)
-
     def restrict(self, keep: frozenset) -> "LabeledTree":
         """Restriction to an ancestor-closed vertex set containing the root."""
         if self.root not in keep:
@@ -478,7 +467,9 @@ class TreeTable:
     a tree x at the root of B(t_1..t_k) and composing each branch gives
     x ◁ S(t_1) ◁ ... ◁ S(t_k).  Linear combinations are lists of
     ``(size, id, coeff)`` sorted by size, and a size budget prunes every
-    graft whose result could not fit.
+    graft whose result could not fit.  The coefficients are ints: the series
+    layer scales rational ones to integers first (see
+    :func:`naphopf.series.series_multiply`).
 
     The admissible cuts of a tree (Connes-Kreimer 1998) are tabled the same
     way, by id and with integer counts: see :meth:`cuts`.
@@ -565,7 +556,8 @@ class TreeTable:
         Returns the combination of the composed classes of size at most
         ``budget``, each weighted by the product of the pool coefficients.
         ``memo`` is keyed by (subtree, budget) and must only ever see one
-        pool.
+        pool; an entry reads only pool terms up to its budget, so one memo
+        serves every budget.
         """
         key = (t, budget)
         hit = memo.get(key)

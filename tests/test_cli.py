@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from naphopf.cli import main
+from naphopf import cli
+from naphopf.cli import LABELED_N_LIMIT, SERIES_N_LIMIT, main
 from naphopf.trees import chain, parse_tree
 
 
@@ -193,6 +194,31 @@ def test_series_unknown_operand(capsys):
     code, out, err = run(capsys, "series", "inv", "nonsense", "-N", "3")
     assert code == 2
     assert "unknown series" in err
+
+
+def refuse(*args):
+    raise AssertionError("enumeration started above the size limit")
+
+
+@pytest.mark.parametrize("argv", [["mul", "zeta", "zeta"], ["inv", "mobius"], ["zeta"]])
+def test_series_above_the_size_limit_exits_2(capsys, monkeypatch, argv):
+    for name in cli.NAMED_SERIES:
+        monkeypatch.setitem(cli.NAMED_SERIES, name, refuse)
+    code, out, err = run(capsys, "series", *argv, "-N", str(SERIES_N_LIMIT + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: -N {SERIES_N_LIMIT + 1} is above SERIES_N_LIMIT = 13\n"
+
+
+def test_labeled_enumeration_above_the_size_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "labeled_trees", refuse)
+    code, out, err = run(capsys, "enumerate", str(LABELED_N_LIMIT + 1), "--labeled")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "LABELED_N_LIMIT = 7" in err
+    # the limit itself is still listed
+    monkeypatch.setattr(cli, "labeled_trees", lambda labels: [])
+    code, out, _ = run(capsys, "enumerate", str(LABELED_N_LIMIT), "--labeled", "--count-only")
+    assert (code, out) == (0, "0\n")
 
 
 def test_verify_suite_exit_code_and_report(capsys):

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -169,3 +170,94 @@ def test_lie_bracket_interns_only_the_trees_it_reaches():
     # with r the two-chain, [1 + 2r, 3 - r] = (2*3 - 1*(-1)) (r∘1 - 1∘r)
     # = 7 (2r - r); the r∘r terms cancel
     assert coeffs == {"(())": "7"}
+
+
+# The series engine runs on ints scaled by D**size; these inputs make every
+# scale matter: coprime denominators, a large prime denominator on a 6-vertex
+# tree, both signs, truncation 1, and the unit as a right factor.
+DENOMINATORS = (7, 9, 11, 13, 32)
+
+
+def fraction_heavy(seed, n, unit=Fraction(1)):
+    rng = random.Random(seed)
+    coeffs = {LEAF: unit}
+    for t in trees_up_to(n)[1:]:
+        coeffs[t] = Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice(DENOMINATORS))
+    if n >= 6:
+        coeffs[enumerate_trees(6)[seed]] = Fraction(-1, 1000003)
+    return TreeSeries(n, coeffs)
+
+
+@pytest.mark.parametrize("representative", REPRESENTATIVES)
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_fraction_heavy_products_match_labeled_route(representative, n):
+    a, b, eps = fraction_heavy(1, n), fraction_heavy(2, n), unit_series(n)
+    for x, y in ((a, b), (b, a), (a, a), (a, eps), (eps, b), (zeta_series(n), a)):
+        assert series_multiply(x, y) == _multiply_labeled(x, y, representative)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_fraction_heavy_inverse_is_two_sided_by_labeled_route(n):
+    a, eps = fraction_heavy(3, n), unit_series(n)
+    h = series_inverse(a)
+    assert _multiply_labeled(h, a, dfs_representative) == eps
+    assert _multiply_labeled(a, h, canonical_representative) == eps
+
+
+def bracket_by_slots(a, b):
+    # the bilinear sum of a_s b_t (s∘t - t∘s) in Fractions
+    n = min(a.truncation, b.truncation)
+    out = Counter()
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for s, cs in x.coeffs.items():
+            for t, ct in y.coeffs.items():
+                if s.size + t.size - 1 <= n:
+                    for u, m in slot_compositions(s, t):
+                        out[u] += sign * cs * ct * m
+    return TreeSeries(n, out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_fraction_heavy_bracket_matches_slot_sum(n):
+    a, b = fraction_heavy(4, n), fraction_heavy(5, n, unit=Fraction(-3, 7))
+    for x, y in ((a, b), (b, zeta_series(n)), (a, unit_series(n))):
+        assert lie_bracket(x, y) == bracket_by_slots(x, y)
+
+
+def test_series_engine_does_no_fraction_arithmetic_per_term():
+    # calls of Fraction._add and Fraction._mul, counted by a profile hook in
+    # a fresh interpreter: a Fraction inner loop would make thousands
+    code = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from naphopf.series import (TreeSeries, lie_bracket, series_inverse,\n"
+        "                            series_multiply, zeta_series)\n"
+        "z = zeta_series(7)\n"
+        "a = TreeSeries(7, {t: Fraction(i % 5 - 2, 7 + i) or Fraction(1, 3)\n"
+        "                   for i, t in enumerate(z.coeffs)})\n"
+        "watched = {Fraction._add.__code__, Fraction._mul.__code__}\n"
+        "calls = 0\n"
+        "def count(frame, event, arg):\n"
+        "    global calls\n"
+        "    if event == 'call' and frame.f_code in watched:\n"
+        "        calls += 1\n"
+        "rows = []\n"
+        "for f, args in ((series_multiply, (z, z)), (series_inverse, (z,)),\n"
+        "                (lie_bracket, (a, z))):\n"
+        "    calls = 0\n"
+        "    sys.setprofile(count)\n"
+        "    out = f(*args)\n"
+        "    sys.setprofile(None)\n"
+        "    terms = sum(len(x.coeffs) for x in args) + len(out.coeffs)\n"
+        "    rows.append([f.__name__, calls, terms, len(out.coeffs)])\n"
+        "print(json.dumps(rows))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    rows = json.loads(out.stdout)
+    assert [r[0] for r in rows] == ["series_multiply", "series_inverse", "lie_bracket"]
+    for name, calls, terms, produced in rows:
+        assert produced > 1, name
+        assert calls <= terms, (name, calls, terms)
