@@ -215,9 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the ideal recursions of interval, and the decomposition behind the
-        # qgnap coproduct, go one call deeper per tree level; the hnap and ck
-        # coproducts run on explicit stacks
+        # only the ideal recursions of interval go one call deeper per tree
+        # level; the coproducts and antipodes run on explicit stacks
         print("error: tree too deep for the recursive algorithms "
               f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

@@ -3,22 +3,24 @@
 * ``hnap``: the incidence Hopf algebra of tree intervals.  Monomials are
   single trees (the basis F_[t]); multiplying two basis trees merges their
   root branches.  The coproduct sums branch-forest x restriction pairs over
-  the ideals of the tree, and an ideal is what an admissible cut leaves with
-  the root (the ideal enumeration of :mod:`naphopf.posets` is the oracle in
-  ``verify``).
+  the root-containing ideals of the tree.
 * ``qgnap``: the function Hopf algebra of the group of tree-indexed series,
   free commutative on one generator per tree of size >= 2.  Monomials are
   forests of such trees; the generator coproduct counts the ordered ways to
   compose a representative of gamma with a rearrangement of beta.
 * ``ck``: the Connes-Kreimer Hopf algebra, free commutative on all trees.
   Monomials are arbitrary forests; a tree's coproduct is t (x) 1 plus one
-  pruned-forest (x) trunk term per admissible cut.
+  pruned-forest (x) trunk term per admissible cut, and the admissible cuts
+  are the ideals: a cut prunes the branches of the ideal's components.
 
-The ``hnap`` and ``ck`` coproducts and antipodes are read off one table,
-the admissible cuts of :meth:`naphopf.trees.TreeTable.cuts`, which works on
-interned tree ids with integer counts; trees, forests and rational
-coefficients are built from it only when a result is handed out.  The
-admissible-cut enumeration over edge subsets is the oracle in ``verify``.
+All three coproducts and the ``hnap`` and ``ck`` antipodes are read off one
+table, the root-containing ideals of
+:meth:`naphopf.trees.TreeTable.ideals`, which works on interned tree ids
+with integer counts; the ``qgnap`` constants are its counts under the
+paper's main theorem.  Trees, forests and rational coefficients are built
+only when a result is handed out.  The oracles (ideal enumeration by
+:mod:`naphopf.posets`, admissible cuts over edge subsets, the labeled
+composition route and the brute-force orbit counts) live in ``verify``.
 
 All coefficients of elements are exact rationals.
 """
@@ -28,25 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations, product as cartesian
 from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .posets import f_structure_constants
-from .trees import (
-    Forest,
-    LEAF,
-    TREE_TABLE,
-    RootedTree,
-    aut_order,
-    canonical_representative,
-    enumerate_trees,
-    labeled_isomorphisms,
-    labeled_trees,
-    nap_compose,
-    set_partitions,
-)
+from .trees import Forest, LEAF, TREE_TABLE, RootedTree, aut_order
 
 
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
@@ -260,16 +248,23 @@ def _b_plus_id(forest: tuple[int, ...]) -> int:
 def hnap_coproduct(t: RootedTree) -> TensorElement:
     """Coproduct of F_[t]: sum over ideals of branch-forest (x) restriction.
 
-    The ideals of t are the trunks of its admissible cuts, and the branches
-    of an ideal's forest are the subtrees the cut prunes, so each cut
-    (a, r) of :meth:`~naphopf.trees.TreeTable.cuts` is the term
-    F_[B+(a)] (x) F_[r].
+    Each row (beta, gamma) of :meth:`~naphopf.trees.TreeTable.ideals` gives
+    F_[beta_1] ... F_[beta_m] (x) F_[gamma], and the product merges root
+    branches: it is the first component with the other components'
+    branches grafted on (the unit F_[•] when beta is all single vertices).
     """
     table = TREE_TABLE
-    trees = table.trees
-    return _read_only(TensorElement("hnap", {
-        (trees[_b_plus_id(a)], trees[r]): c
-        for (a, r), c in table.cuts(table.id(t)).items()}))
+    trees, kids, graft = table.trees, table.kids, table.graft
+    leaf = table.id(LEAF)
+    out: dict = {}
+    for (b, g), c in table.ideals(table.id(t)).items():
+        m = b[0] if b else leaf
+        for j in b[1:]:
+            for k in kids[j]:
+                m = graft(m, k)
+        key = (trees[m], trees[g])
+        out[key] = out.get(key, 0) + c
+    return _read_only(TensorElement("hnap", out))
 
 
 @lru_cache(maxsize=None)
@@ -279,20 +274,23 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
     The value at (beta, gamma) counts the distinct orderings of the multiset
     beta whose composition into a representative of gamma has class alpha.
     Keys carry the full multiset beta, single-vertex components included.
-    The orderings are counted by reading the graft recursion of NAP
-    composition backwards (:meth:`~naphopf.trees.TreeTable.decompose`),
-    never through ideals.  The mapping is cached and read-only.
+    The paper's main theorem gives it from the incidence constant f, the
+    count of :meth:`~naphopf.trees.TreeTable.ideals`:
+    aut(alpha) aut0(beta) g = forest_aut(beta) aut(gamma) f, where
+    forest_aut(beta) / aut0(beta) is the product of the automorphism orders
+    of the components of beta.  The mapping is cached and read-only.
     """
     if alpha.size < 2:
         raise ValueError("generators are attached to trees of size >= 2")
     table = TREE_TABLE
-    target = table.id(alpha)
-    memo: dict = {}
+    trees, sizes, auts = table.trees, table.sizes, table.auts
+    i = table.id(alpha)
     out: dict[tuple[Forest, RootedTree], int] = {}
-    for k in range(1, alpha.size + 1):
-        for gamma in enumerate_trees(k):
-            for beta, c in table.decompose(table.id(gamma), target, memo).items():
-                out[(Forest(table.trees[i] for i in beta), gamma)] = c
+    for (b, g), f in table.ideals(i).items():
+        for j in b:
+            f *= auts[j]
+        beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
+        out[(beta, trees[g])] = f * auts[g] // auts[i]
     return MappingProxyType(out)
 
 
@@ -320,12 +318,14 @@ def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], Tenso
 
 @lru_cache(maxsize=None)
 def _ck_tree_coproduct(t: RootedTree) -> TensorElement:
-    # t (x) 1, then pruned forest (x) trunk for every admissible cut
+    # t (x) 1, then pruned forest (x) trunk for every admissible cut: an
+    # ideal's cut prunes the branches of its components
     table = TREE_TABLE
-    trees = table.trees
+    trees, kids = table.trees, table.kids
     out = {(Forest((t,)), Forest()): 1}
-    for (a, r), c in table.cuts(table.id(t)).items():
-        out[(Forest(trees[k] for k in a), Forest((trees[r],)))] = c
+    for (b, g), c in table.ideals(table.id(t)).items():
+        key = (Forest([trees[k] for j in b for k in kids[j]]), Forest((trees[g],)))
+        out[key] = out.get(key, 0) + c
     return _read_only(TensorElement("ck", out))
 
 
@@ -365,27 +365,26 @@ def _id_product(factors: Iterable[dict]) -> dict:
 
 
 def _tree_antipode(i: int) -> dict:
-    # S(t) = -t - sum c S(a) r over the cuts (a, r) with a nonempty.  The
-    # pruned trees are smaller than t, so they are done first, on an
-    # explicit stack.
+    # S(t) = -t - sum c S(a) r over the ideals (beta, r) other than t
+    # itself, where a is the forest of the branches of beta's components.
+    # Those are smaller than t, so they are done first, on an explicit stack.
     memo = _TREE_ANTIPODES
-    table = TREE_TABLE
+    kids = TREE_TABLE.kids
     stack = [i]
     while stack:
         j = stack[-1]
         if j in memo:
             stack.pop()
             continue
-        rows = table.cuts(j)
-        todo = [k for k in dict.fromkeys(k for a, _ in rows for k in a) if k not in memo]
+        rows = [([k for v in b for k in kids[v]], r, c)
+                for (b, r), c in TREE_TABLE.ideals(j).items() if b]
+        todo = [k for k in dict.fromkeys(k for a, _, _ in rows for k in a) if k not in memo]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
         out = {(j,): -1}
-        for (a, r), c in rows.items():
-            if not a:
-                continue
+        for a, r, c in rows:
             for u, cu in _id_product(memo[k] for k in a).items():
                 k = tuple(sorted(u + (r,)))
                 out[k] = out.get(k, 0) - c * cu
@@ -393,22 +392,18 @@ def _tree_antipode(i: int) -> dict:
     return memo[i]
 
 
-def _forest_antipode(f: Iterable[RootedTree]) -> dict:
-    # the antipode is multiplicative: the product of the trees' antipodes
-    return _id_product(_tree_antipode(TREE_TABLE.id(t)) for t in f)
-
-
 def _ck_antipode(f: Forest) -> HopfElement:
+    # the antipode is multiplicative: the product of the trees' antipodes
     trees = TREE_TABLE.trees
-    return HopfElement("ck", {Forest(trees[k] for k in u): c
-                              for u, c in _forest_antipode(f.components).items()})
+    s = _id_product(_tree_antipode(TREE_TABLE.id(t)) for t in f.components)
+    return HopfElement("ck", {Forest(trees[k] for k in u): c for u, c in s.items()})
 
 
 def _hnap_antipode(t: RootedTree) -> HopfElement:
     # the ck antipode of the branch forest, carried back by B+
-    trees = TREE_TABLE.trees
-    return HopfElement("hnap", {trees[_b_plus_id(u)]: c
-                                for u, c in _forest_antipode(t.children).items()})
+    table = TREE_TABLE
+    s = _id_product(_tree_antipode(k) for k in table.kids[table.id(t)])
+    return HopfElement("hnap", {table.trees[_b_plus_id(u)]: c for u, c in s.items()})
 
 
 def _graded_antipode(algebra: str, key) -> HopfElement:
@@ -550,7 +545,7 @@ _ANTIPODE_CACHE: dict[tuple, HopfElement] = {}
 def antipode_monomial(algebra: str, key) -> HopfElement:
     """Antipode of one monomial, cached and read-only.
 
-    ``hnap`` and ``ck`` read it off the admissible cuts on tree ids,
+    ``hnap`` and ``ck`` read it off the ideal table on tree ids,
     ``qgnap`` uses the graded-connected recursion S(x) = -x - sum S(x') x''
     over the reduced coproduct.
     """
@@ -580,101 +575,4 @@ def convolution_antipode_identity(x: HopfElement) -> HopfElement:
     out = HopfElement.zero(x.algebra)
     for (a, b), c in x.coproduct().terms.items():
         out = out + c * (antipode_monomial(x.algebra, a) * HopfElement.monomial(x.algebra, b))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# brute-force counting of the two torsor sets behind f and g
-
-
-def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree,
-                max_size: int = 6) -> tuple[int, int]:
-    """Cardinalities of the two isomorphism-decorated composition sets.
-
-    E_f ranges over partitions of {1..n} ordered by least element, labeled
-    outer/inner trees composing exactly to the representative of alpha, and
-    explicit isomorphisms onto representatives of gamma and of the
-    components of beta.  E_g ranges over component orderings and explicit
-    isomorphisms of the composite onto the representative of alpha.  Both
-    are enumerated exhaustively; the two counts agree.
-    """
-    n = alpha.size
-    k = gamma.size
-    if beta.size != n:
-        raise ValueError("total size of beta must equal the size of alpha")
-    if len(beta) != k:
-        raise ValueError("beta must have one component per vertex of gamma")
-    if n > max_size:
-        raise ValueError(f"ground set of size {n} exceeds max_size {max_size}")
-
-    r_alpha = canonical_representative(alpha)
-    r_gamma = canonical_representative(gamma)
-    comps = list(beta.components)
-    sizes = [t.size for t in comps]
-    std_reps = [canonical_representative(t) for t in comps]
-
-    # E_g: orderings tau with an explicit isomorphism of the composite onto alpha
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    block_reps = [std_reps[i].relabel({v: v + offsets[i] for v in std_reps[i].labels})
-                  for i in range(len(comps))]
-    eg = 0
-    for tau in permutations(range(k)):
-        w = nap_compose(r_gamma, {i + 1: block_reps[tau[i]] for i in range(k)})
-        eg += len(labeled_isomorphisms(w, r_alpha))
-
-    # E_f: exact compositions onto the representative of alpha
-    ef = 0
-    ground = list(range(1, n + 1))
-    for blocks in set_partitions(ground):
-        if len(blocks) != k:
-            continue
-        parts = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
-        pools = [labeled_trees(part) for part in parts]
-        for u in labeled_trees(list(range(1, k + 1))):
-            psi = len(labeled_isomorphisms(u, r_gamma))
-            if not psi:
-                continue
-            for combo in cartesian(*pools):
-                if nap_compose(u, {i + 1: combo[i] for i in range(k)}) != r_alpha:
-                    continue
-                iso = [[len(labeled_isomorphisms(combo[a], std_reps[b]))
-                        for b in range(k)] for a in range(k)]
-                sigma_sum = 0
-                for sigma in permutations(range(k)):
-                    prod = 1
-                    for i in range(k):
-                        prod *= iso[sigma[i]][i]
-                        if not prod:
-                            break
-                    sigma_sum += prod
-                ef += psi * sigma_sum
-    return ef, eg
-
-
-def f_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
-    """Incidence structure constant looked up by the full multiset beta."""
-    return f_structure_constants(alpha).get((beta.drop_units(), gamma), 0)
-
-
-def g_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
-    """Group-side structure constant looked up by the full multiset beta."""
-    if alpha.size < 2:
-        raise ValueError("generators are attached to trees of size >= 2")
-    return g_structure_constants(alpha).get((beta, gamma), 0)
-
-
-def admissible_triples(alpha: RootedTree) -> list[tuple[Forest, RootedTree]]:
-    """All size-compatible (beta, gamma) pairs for the given alpha."""
-    from .trees import enumerate_forests_with_components
-
-    n = alpha.size
-    out = []
-    for k in range(1, n + 1):
-        for gamma in enumerate_trees(k):
-            for beta in enumerate_forests_with_components(n, k):
-                out.append((beta, gamma))
     return out

@@ -13,7 +13,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product as cartesian
+from itertools import groupby, permutations, product as cartesian
 from math import factorial
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -233,12 +233,10 @@ def aut_order(t: RootedTree) -> int:
     """Order of the automorphism group of t.
 
     Satisfies aut(t) = prod over distinct child classes c of
-    mult(c)! * aut(c)^mult(c).
+    mult(c)! * aut(c)^mult(c); :class:`TreeTable` evaluates it children
+    first when it interns t, without recursion.
     """
-    out = 1
-    for child, mult in Counter(t.children).items():
-        out *= factorial(mult) * aut_order(child) ** mult
-    return out
+    return TREE_TABLE.auts[TREE_TABLE.id(t)]
 
 
 def aut0_order(f: Forest) -> int:
@@ -457,10 +455,12 @@ def dfs_representative(t: RootedTree) -> LabeledTree:
 class TreeTable:
     """Interned integer ids of rooted trees, and the NAP composition engine.
 
-    A tree gets the next free id the first time it is seen, and the graft
-    map ``(i, j) -> id(s ◁ t)`` is filled on first use.  Nothing is
-    enumerated in advance, so the table holds only the trees that some
-    computation reached.
+    A tree gets the next free id the first time it is seen, its children
+    first, and the table keeps for every id its size, the ids of its
+    children in canonical child order (``kids``) and its automorphism
+    order.  The graft map ``(i, j) -> id(s ◁ t)`` is filled on first use.
+    Nothing is enumerated in advance, so the table holds only the trees
+    that some computation reached.
 
     Substituting into a tree is the B-series recursion (Butcher 1972;
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
@@ -471,31 +471,56 @@ class TreeTable:
     layer scales rational ones to integers first (see
     :func:`naphopf.series.series_multiply`).
 
-    The admissible cuts of a tree (Connes-Kreimer 1998) are tabled the same
-    way, by id and with integer counts: see :meth:`cuts`.
+    The root-containing ideals of a tree, which give all three coproducts,
+    are tabled the same way, by id and with integer counts: see
+    :meth:`ideals`.
     """
 
-    __slots__ = ("trees", "sizes", "ids", "grafts", "cut_table")
+    __slots__ = ("trees", "sizes", "kids", "auts", "ids", "grafts", "ideal_table")
 
     def __init__(self) -> None:
         self.trees: list[RootedTree] = []
         self.sizes: list[int] = []
+        self.kids: list[list[int]] = []
+        self.auts: list[int] = []
         self.ids: dict[RootedTree, int] = {}
         self.grafts: dict[tuple[int, int], int] = {}
-        self.cut_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
+        self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
 
     def __len__(self) -> int:
         return len(self.trees)
 
     def id(self, t: RootedTree) -> int:
-        """The id of t, assigned on first sight."""
-        i = self.ids.get(t)
-        if i is None:
-            i = len(self.trees)
-            self.ids[t] = i
-            self.trees.append(t)
-            self.sizes.append(t.size)
-        return i
+        """The id of t, assigned on first sight.
+
+        Children get their ids first, on an explicit stack, so the depth
+        of t is not bounded by the recursion limit.
+        """
+        ids = self.ids
+        i = ids.get(t)
+        if i is not None:
+            return i
+        auts = self.auts
+        stack = [t]
+        while stack:
+            s = stack[-1]
+            kids = [ids.get(c) for c in s.children]
+            if None in kids:
+                stack.extend(c for c in s.children if c not in ids)
+                continue
+            stack.pop()
+            if s in ids:
+                continue
+            aut = 1
+            for k, run in groupby(kids):  # equal children are adjacent
+                m = len(list(run))
+                aut *= factorial(m) * auts[k] ** m
+            ids[s] = len(self.trees)
+            self.trees.append(s)
+            self.sizes.append(s.size)
+            self.kids.append(kids)
+            auts.append(aut)
+        return ids[t]
 
     def graft(self, i: int, j: int) -> int:
         """The id of s ◁ t, where i and j are the ids of s and t."""
@@ -505,44 +530,53 @@ class TreeTable:
             self.grafts[(i, j)] = g
         return g
 
-    def cuts(self, i: int) -> dict:
-        """The admissible cuts of tree i, as {(pruned, trunk): count}.
+    def ideals(self, i: int) -> dict:
+        """The root-containing ideals S of tree i, as {(beta, gamma): count}.
 
-        ``pruned`` is the sorted tuple of the ids of the subtrees cut off,
-        ``trunk`` the id of what stays with the root; the empty cut gives
-        ((), i).  Each branch k of the root is either cut off whole, or cut
-        by one of its own cuts (a2, r2), whose trunk r2 is grafted back onto
-        the root.  Trees are filled children first on an explicit stack, so
-        the depth of a tree is not bounded by the recursion limit.
+        S writes the tree as gamma, its restriction to S, composed with one
+        component beta_v at each v in S: v and its branches outside S.
+        ``beta`` is the sorted tuple of the ids of the components with two
+        vertices or more (the other |gamma| - len(beta) are single
+        vertices); the count is the incidence structure constant f.
+
+        Each branch k of the root either hangs whole in the root's
+        component, or joins S through a row of k's own table.  Trees are
+        filled children first on an explicit stack, so the depth of a tree
+        is not bounded by the recursion limit.
         """
-        table = self.cut_table
+        table = self.ideal_table
         rows = table.get(i)
         if rows is not None:
             return rows
-        graft, leaf = self.graft, self.id(LEAF)
+        graft, kids_of, leaf = self.graft, self.kids, self.id(LEAF)
         stack = [i]
         while stack:
             j = stack[-1]
             if j in table:
                 stack.pop()
                 continue
-            kids = [self.id(c) for c in self.trees[j].children]
-            todo = [k for k in dict.fromkeys(kids) if k not in table]
+            kids = kids_of[j]
+            todo = [k for k in kids if k not in table]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            rows = {((), leaf): 1}
+            # (beta so far, the root's component so far, gamma so far)
+            states: dict = {((), leaf, leaf): 1}
             for k in kids:
-                below = table[k]
-                grown: dict = {}
-                for (a, r), c in rows.items():
-                    key = (tuple(sorted(a + (k,))), r)
+                below, grown = table[k], {}
+                for (b, rc, g), c in states.items():
+                    key = (b, graft(rc, k), g)
                     grown[key] = grown.get(key, 0) + c
-                    for (a2, r2), c2 in below.items():
-                        key = (tuple(sorted(a + a2)), graft(r, r2))
+                    for (b2, g2), c2 in below.items():
+                        key = (tuple(sorted(b + b2)) if b and b2 else b or b2,
+                               rc, graft(g, g2))
                         grown[key] = grown.get(key, 0) + c * c2
-                rows = grown
+                states = grown
+            rows = {}
+            for (b, rc, g), c in states.items():
+                key = (tuple(sorted(b + (rc,))) if rc != leaf else b, g)
+                rows[key] = rows.get(key, 0) + c
             table[j] = rows
         return table[i]
 
@@ -563,19 +597,18 @@ class TreeTable:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        tree = self.trees[t]
         sizes, grafts, graft = self.sizes, self.grafts, self.graft
+        size = sizes[t]
         # vertices not yet substituted: each takes at least one more vertex
-        rest = tree.size - 1
+        rest = size - 1
         acc = {}
         for sx, x, cx in pool:
             if sx > budget - rest:
                 break
             acc[x] = cx
-        for branch in tree.children:
-            rest -= branch.size
-            sub = self.substitute(self.id(branch), pool,
-                                  budget - tree.size + branch.size, memo)
+        for k in self.kids[t]:
+            rest -= sizes[k]
+            sub = self.substitute(k, pool, budget - size + sizes[k], memo)
             grown: dict = {}
             for u, cu in acc.items():
                 room = budget - sizes[u] - rest
@@ -599,75 +632,26 @@ class TreeTable:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        tree = self.trees[s]
-        graft = self.graft
-        kids = [self.id(c) for c in tree.children]
+        graft, sizes = self.graft, self.sizes
+        size, kids = sizes[s], self.kids[s]
         acc: dict = {}
         for sx, x, cx in pool:
-            if sx > budget - tree.size + 1:
+            if sx > budget - size + 1:
                 break
             for k in kids:
                 x = graft(x, k)
             acc[x] = acc.get(x, 0) + cx
-        for i, child in enumerate(tree.children):
-            if i and tree.children[i - 1] == child:
+        for i, k in enumerate(kids):
+            if i and kids[i - 1] == k:
                 continue
-            mult = tree.children.count(child)
+            mult = kids.count(k)
             rest = self.id(LEAF)
-            for k in kids[:i] + kids[i + 1:]:
-                rest = graft(rest, k)
-            for _, y, cy in self.derive(kids[i], pool,
-                                        budget - tree.size + child.size, memo):
+            for k2 in kids[:i] + kids[i + 1:]:
+                rest = graft(rest, k2)
+            for _, y, cy in self.derive(k, pool, budget - size + sizes[k], memo):
                 g = graft(rest, y)
                 acc[g] = acc.get(g, 0) + mult * cy
         out = memo[key] = self._sorted(acc)
-        return out
-
-    def decompose(self, outer: int, target: int, memo: dict) -> dict:
-        """The ways to compose tree ``outer`` into tree ``target``.
-
-        Returns {multiset of inner ids as a sorted tuple: number of
-        assignments of inner trees to the vertices of outer, with that
-        multiset, whose composition is target}.  This is the substitution
-        recursion read backwards: target = x ◁ y_1 ◁ ... ◁ y_k with y_i
-        composed from the i-th branch of outer, so the y_i are root
-        branches of target and x is the root with the branches left over.
-        ``memo`` is keyed by (outer, target).
-        """
-        key = (outer, target)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        o, t = self.trees[outer], self.trees[target]
-        out: dict = {}
-        if not o.children:
-            out[(target,)] = 1
-        elif o.size <= t.size:
-            spare = Counter(t.children)
-
-            def place(i: int, acc: dict) -> None:
-                # branch i of outer goes to one of the root branches of
-                # target not yet taken
-                if i == len(o.children):
-                    x = self.id(RootedTree(spare.elements()))
-                    for beta, c in acc.items():
-                        k = tuple(sorted(beta + (x,)))
-                        out[k] = out.get(k, 0) + c
-                    return
-                branch = self.id(o.children[i])
-                for y, free in list(spare.items()):
-                    if not free:
-                        continue
-                    sub = self.decompose(branch, self.id(y), memo)
-                    if not sub:
-                        continue
-                    spare[y] -= 1
-                    place(i + 1, {b1 + b2: c1 * c2 for b1, c1 in acc.items()
-                                  for b2, c2 in sub.items()})
-                    spare[y] += 1
-
-            place(0, {(): 1})
-        memo[key] = out
         return out
 
 

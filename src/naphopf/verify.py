@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations, product as cartesian
 from math import factorial
 from typing import Iterable
 
@@ -21,14 +23,11 @@ from .hopf import (
     BasisMap,
     HopfElement,
     TensorElement,
-    admissible_triples,
     b_plus_map,
     ck_coproduct,
     convolution_antipode_identity,
-    count_Ef_Eg,
-    f_coefficient,
     forest_as_tree_monomial,
-    g_coefficient,
+    g_structure_constants,
     iso_from_ck,
     iso_to_ck,
     l_nap,
@@ -44,6 +43,7 @@ from .posets import (
     check_total_semimodularity,
     check_upset_isomorphism,
     diamond_poset,
+    f_structure_constants,
     interval_of,
     mobius,
     mobius_closed_form,
@@ -88,11 +88,15 @@ from .trees import (
     corolla,
     dfs_representative,
     enumerate_forests,
+    enumerate_forests_with_components,
     enumerate_trees,
     forest_aut_order,
+    labeled_isomorphisms,
+    labeled_trees,
     nap_compose,
     nap_instance,
     parse_tree,
+    set_partitions,
     slot_compositions,
 )
 
@@ -479,20 +483,134 @@ def _hopf_rho(degree, rng):
 
 
 # ---------------------------------------------------------------------------
-# main-theorem suite
+# main-theorem suite: the two structure constants from independent oracles,
+# f by ideal enumeration and g by the labeled route, and the brute-force
+# orbit counts behind both
+
+
+def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree,
+                max_size: int = 6) -> tuple[int, int]:
+    """Cardinalities of the two isomorphism-decorated composition sets.
+
+    E_f ranges over partitions of {1..n} ordered by least element, labeled
+    outer/inner trees composing exactly to the representative of alpha, and
+    explicit isomorphisms onto representatives of gamma and of the
+    components of beta.  E_g ranges over component orderings and explicit
+    isomorphisms of the composite onto the representative of alpha.  Both
+    are enumerated exhaustively; the two counts agree.
+    """
+    n = alpha.size
+    k = gamma.size
+    if beta.size != n:
+        raise ValueError("total size of beta must equal the size of alpha")
+    if len(beta) != k:
+        raise ValueError("beta must have one component per vertex of gamma")
+    if n > max_size:
+        raise ValueError(f"ground set of size {n} exceeds max_size {max_size}")
+
+    r_alpha = canonical_representative(alpha)
+    r_gamma = canonical_representative(gamma)
+    comps = list(beta.components)
+    sizes = [t.size for t in comps]
+    std_reps = [canonical_representative(t) for t in comps]
+
+    # E_g: orderings tau with an explicit isomorphism of the composite onto alpha
+    offsets = []
+    total = 0
+    for s in sizes:
+        offsets.append(total)
+        total += s
+    block_reps = [std_reps[i].relabel({v: v + offsets[i] for v in std_reps[i].labels})
+                  for i in range(len(comps))]
+    eg = 0
+    for tau in permutations(range(k)):
+        w = nap_compose(r_gamma, {i + 1: block_reps[tau[i]] for i in range(k)})
+        eg += len(labeled_isomorphisms(w, r_alpha))
+
+    # E_f: exact compositions onto the representative of alpha
+    ef = 0
+    ground = list(range(1, n + 1))
+    for blocks in set_partitions(ground):
+        if len(blocks) != k:
+            continue
+        parts = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
+        pools = [labeled_trees(part) for part in parts]
+        for u in labeled_trees(list(range(1, k + 1))):
+            psi = len(labeled_isomorphisms(u, r_gamma))
+            if not psi:
+                continue
+            for combo in cartesian(*pools):
+                if nap_compose(u, {i + 1: combo[i] for i in range(k)}) != r_alpha:
+                    continue
+                iso = [[len(labeled_isomorphisms(combo[a], std_reps[b]))
+                        for b in range(k)] for a in range(k)]
+                sigma_sum = 0
+                for sigma in permutations(range(k)):
+                    prod = 1
+                    for i in range(k):
+                        prod *= iso[sigma[i]][i]
+                        if not prod:
+                            break
+                    sigma_sum += prod
+                ef += psi * sigma_sum
+    return ef, eg
+
+
+def f_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
+    """Incidence structure constant looked up by the full multiset beta,
+    from the ideal enumeration of :func:`naphopf.posets.interval_of`."""
+    return f_structure_constants(alpha).get((beta.drop_units(), gamma), 0)
+
+
+def g_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
+    """Group-side structure constant looked up by the full multiset beta,
+    from the production :func:`naphopf.hopf.g_structure_constants`."""
+    if alpha.size < 2:
+        raise ValueError("generators are attached to trees of size >= 2")
+    return g_structure_constants(alpha).get((beta, gamma), 0)
+
+
+def admissible_triples(alpha: RootedTree) -> list[tuple[Forest, RootedTree]]:
+    """All size-compatible (beta, gamma) pairs for the given alpha."""
+    n = alpha.size
+    return [(beta, gamma) for k in range(1, n + 1) for gamma in enumerate_trees(k)
+            for beta in enumerate_forests_with_components(n, k)]
+
+
+def labeled_g_structure_constants(n: int) -> dict:
+    """The function-algebra structure constants of every tree of n vertices,
+    {alpha: {(beta, gamma): count}}, by the labeled route: each ordered
+    tuple of trees of total size n composed into the representative of each
+    gamma counts once for the class it lands in.  Independent of the ideal
+    table behind ``hopf.g_structure_constants``."""
+    pool = [(t, 1) for k in range(1, n + 1) for t in enumerate_trees(k)]
+    out: dict = defaultdict(Counter)
+    for k in range(1, n + 1):
+        for gamma in enumerate_trees(k):
+            for seq, _ in _assignments(k, n, pool):
+                if sum(t.size for t in seq) == n:
+                    alpha = _compose_labeled(gamma, seq, canonical_representative)
+                    out[alpha][(Forest(seq), gamma)] += 1
+    return out
 
 
 @_check("main-theorem", "aut-weighted identity between the two coproducts")
 def _main_identity(degree, rng):
+    # both sides as weighted dicts, compared over the union of their supports
     d = _bound(degree, 5)
     for n in range(2, d + 1):
+        g_of = labeled_g_structure_constants(n)
         for alpha in enumerate_trees(n):
-            for beta, gamma in admissible_triples(alpha):
-                lhs = aut_order(alpha) * aut0_order(beta) * g_coefficient(alpha, beta, gamma)
-                rhs = (forest_aut_order(beta) * aut_order(gamma)
-                       * f_coefficient(alpha, beta, gamma))
-                if lhs != rhs:
-                    return f"{alpha.string} | {beta.render() or '1'} | {gamma.string}"
+            lhs = {(beta, gamma): aut_order(alpha) * aut0_order(beta) * g
+                   for (beta, gamma), g in g_of[alpha].items()}
+            rhs = {}
+            for (beta, gamma), f in f_structure_constants(alpha).items():
+                beta = Forest(beta.components + (LEAF,) * (gamma.size - len(beta)))
+                rhs[(beta, gamma)] = forest_aut_order(beta) * aut_order(gamma) * f
+            bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)]
+            if bad:
+                beta, gamma = min(bad, key=lambda k: (k[0].sort_key(), k[1].size, k[1].string))
+                return f"{alpha.string} | {beta.render() or '1'} | {gamma.string}"
     return ""
 
 

@@ -12,12 +12,8 @@ from naphopf import ck_coproduct_cuts
 from naphopf.hopf import (
     HopfElement,
     TensorElement,
-    admissible_triples,
     b_plus_map,
     ck_coproduct,
-    count_Ef_Eg,
-    f_coefficient,
-    g_coefficient,
     hnap_coproduct,
     iso_to_ck,
     l_nap,
@@ -68,6 +64,7 @@ from naphopf.trees import (
     nap_instance,
     parse_tree,
 )
+from naphopf.verify import admissible_triples, count_Ef_Eg, f_coefficient, g_coefficient
 
 EXPECTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115]
 

@@ -83,7 +83,7 @@ def test_parse_tree_takes_a_deep_chain():
     assert parse_tree(DEEP_CHAIN) == chain(1200)
 
 
-@pytest.mark.parametrize("algebra, terms", [("hnap", 1200), ("ck", 1201)])
+@pytest.mark.parametrize("algebra, terms", [("hnap", 1200), ("ck", 1201), ("qgnap", 1200)])
 def test_deep_chain_coproduct_needs_no_recursion(capsys, algebra, terms):
     # under a recursion limit far below the depth of the chain
     limit = sys.getrecursionlimit()

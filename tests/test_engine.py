@@ -10,7 +10,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +28,6 @@ from naphopf.series import (
 )
 from naphopf.trees import (
     LEAF,
-    Forest,
     canonical_representative,
     chain,
     compose_shapes,
@@ -37,7 +36,7 @@ from naphopf.trees import (
     find_shape_isomorphism,
     slot_compositions,
 )
-from naphopf.verify import _compose_labeled, _multiply_labeled
+from naphopf.verify import _compose_labeled, _multiply_labeled, labeled_g_structure_constants
 
 REPRESENTATIVES = (canonical_representative, dfs_representative)
 
@@ -101,28 +100,11 @@ def test_compose_shapes_matches_labeled_route_under_both_representatives():
             assert got == _compose_labeled(outer, moved, dfs_representative)
 
 
-def exact_tuples(k, total):
-    # ordered k-tuples of trees whose sizes sum to exactly `total`
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for size in range(1, total - k + 2):
-        for t in enumerate_trees(size):
-            for rest in exact_tuples(k - 1, total - size):
-                yield (t,) + rest
-
-
 def test_g_structure_constants_match_tuple_enumeration():
     # forward: every ordered tuple composed into the BFS representative of
     # every gamma by the labeled route, bucketed by the class it lands in
-    for n in range(2, 8):
-        expected = defaultdict(Counter)
-        for k in range(1, n + 1):
-            for gamma in enumerate_trees(k):
-                for seq in exact_tuples(k, n):
-                    alpha = _compose_labeled(gamma, seq, canonical_representative)
-                    expected[alpha][(Forest(seq), gamma)] += 1
+    for n in range(2, 9):
+        expected = labeled_g_structure_constants(n)
         for alpha in enumerate_trees(n):
             assert dict(g_structure_constants(alpha)) == dict(expected[alpha])
 

@@ -17,10 +17,7 @@ from naphopf.hopf import (
     b_plus_map,
     ck_coproduct,
     convolution_antipode_identity,
-    count_Ef_Eg,
-    f_coefficient,
     forest_as_tree_monomial,
-    g_coefficient,
     g_structure_constants,
     hnap_coproduct,
     iso_from_ck,
@@ -34,6 +31,7 @@ from naphopf.posets import brute_force_pi, f_structure_constants, interval_of
 from naphopf.trees import (
     Forest,
     LEAF,
+    TREE_TABLE,
     aut0_order,
     aut_order,
     chain,
@@ -49,6 +47,9 @@ from naphopf.verify import (
     _hnap_coproduct_by_ideals,
     ck_antipode_closed_form,
     ck_coproduct_cuts,
+    count_Ef_Eg,
+    f_coefficient,
+    g_coefficient,
 )
 
 T10 = chain(2)
@@ -167,6 +168,37 @@ def test_hnap_coproduct_and_antipode_build_no_interval():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.split() == ["0", "85"]
+
+
+def test_ideal_table_counts_are_the_interval_constants():
+    # f read off TreeTable.ideals against the ideal enumeration of posets
+    table = TREE_TABLE
+    trees = 0
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            f = {(Forest(table.trees[j] for j in b), table.trees[g]): c
+                 for (b, g), c in table.ideals(table.id(t)).items()}
+            assert f == f_structure_constants(t), t.string
+            trees += 1
+    assert trees == 200
+
+
+def test_qgnap_coproduct_enumerates_no_trees():
+    # a fresh interpreter, so that no other test has filled the enumeration
+    # cache; the structure constants come from the ideals of alpha alone
+    code = (
+        "from naphopf.hopf import qgnap_coproduct\n"
+        "from naphopf.trees import chain, enumerate_trees, parse_tree\n"
+        "t = parse_tree('(()(())((()))(()())(()))')\n"
+        "print(t.size, len(qgnap_coproduct(chain(15)).terms), len(qgnap_coproduct(t).terms))\n"
+        "print(enumerate_trees.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    t = parse_tree("(()(())((()))(()())(()))")
+    assert out.stdout.split() == ["12", "15", str(len(qgnap_coproduct(t).terms)), "0"]
 
 
 # --- function-algebra coproduct ---------------------------------------------------
