@@ -13,7 +13,7 @@ import os
 import sys
 
 from .hopf import ALGEBRAS
-from .posets import interval_dot, interval_of
+from .posets import ideal_count, interval_dot, interval_of
 from .series import (
     TreeSeries,
     corolla_series,
@@ -44,6 +44,11 @@ NAMED_SERIES = {
 # costs several times more one size up
 SERIES_N_LIMIT = 13
 LABELED_N_LIMIT = 7
+# interval builds an m x m order on the m ideals of an n-vertex tree and
+# lists up to n vertices per ideal, so it is refused when m * (m + n) is
+# above INTERVAL_LIMIT: chain(440) (387,200) takes ~2 s and ~100 MB, and
+# corolla(9) (267,264) ~0.2 s; the 1200-vertex chain would take ~27 s and 1 GB
+INTERVAL_LIMIT = 400_000
 
 
 def _emit(obj) -> None:
@@ -85,6 +90,10 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_interval(args) -> int:
     tree = parse_tree(args.tree)
+    m = ideal_count(tree)
+    if m * (m + tree.size) > INTERVAL_LIMIT:
+        raise ValueError(f"the interval of a {tree.size}-vertex tree has {m} ideals; "
+                         f"m * (m + n) is above INTERVAL_LIMIT = {INTERVAL_LIMIT}")
     ip = interval_of(tree)
     if args.emit_dot:
         print(interval_dot(ip))
@@ -158,7 +167,9 @@ def _cmd_series(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, degree=args.degree, seed=args.seed)
     print(report.render_text(), file=sys.stderr)
-    _emit(report.to_dict())
+    if args.timings:
+        print(report.render_timings(), file=sys.stderr)
+    _emit(report.to_dict(include_timings=args.timings))
     return 0 if report.passed else 1
 
 
@@ -201,6 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the per-check degree bounds")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized checks")
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's milliseconds on stderr and add "
+                        "them to the JSON under \"timings\"")
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -215,8 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # only the ideal recursions of interval go one call deeper per tree
-        # level; the coproducts and antipodes run on explicit stacks
+        # no command goes one call deeper per tree level: parsing, the ideal
+        # enumeration of interval, the coproducts and the antipodes all run
+        # on explicit stacks; this keeps any deep input from a traceback
         print("error: tree too deep for the recursive algorithms "
               f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

@@ -280,28 +280,40 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
     forest_aut(beta) / aut0(beta) is the product of the automorphism orders
     of the components of beta.  The mapping is cached and read-only.
     """
+    table = TREE_TABLE
+    trees, sizes = table.trees, table.sizes
+    out: dict[tuple[Forest, RootedTree], int] = {}
+    for b, g, c in _g_rows(alpha):
+        beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
+        out[(beta, trees[g])] = c
+    return MappingProxyType(out)
+
+
+def _g_rows(alpha: RootedTree) -> list[tuple[tuple[int, ...], int, int]]:
+    # (ids of the components of beta with >= 2 vertices, id of gamma, g) for
+    # each row of the ideal table, weighted by the main theorem
     if alpha.size < 2:
         raise ValueError("generators are attached to trees of size >= 2")
     table = TREE_TABLE
-    trees, sizes, auts = table.trees, table.sizes, table.auts
+    auts = table.auts
     i = table.id(alpha)
-    out: dict[tuple[Forest, RootedTree], int] = {}
+    out = []
     for (b, g), f in table.ideals(i).items():
         for j in b:
             f *= auts[j]
-        beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
-        out[(beta, trees[g])] = f * auts[g] // auts[i]
-    return MappingProxyType(out)
+        out.append((b, g, f * auts[g] // auts[i]))
+    return out
 
 
 @lru_cache(maxsize=None)
 def qgnap_coproduct(alpha: RootedTree) -> TensorElement:
-    """Coproduct of the generator G_alpha in the function Hopf algebra."""
-    out: dict = {}
-    for (beta, gamma), g in g_structure_constants(alpha).items():
-        key = (beta.drop_units(), Forest((gamma,)).drop_units())
-        out[key] = out.get(key, Fraction(0)) + g
-    return _read_only(TensorElement("qgnap", out))
+    """Coproduct of the generator G_alpha in the function Hopf algebra:
+    beta (x) gamma with single vertices, the units, dropped."""
+    trees, leaf = TREE_TABLE.trees, TREE_TABLE.id(LEAF)
+    unit = Forest()
+    return _read_only(TensorElement("qgnap", {
+        (Forest([trees[j] for j in b]), unit if g == leaf else Forest((trees[g],))): c
+        for b, g, c in _g_rows(alpha)}))
 
 
 def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], TensorElement],

@@ -68,20 +68,21 @@ class FinitePoset:
                             row_i[j] = True
         return cls(leq)
 
+    def _masks(self) -> tuple[list[int], list[int]]:
+        # the down-set and the up-set of each element as int bitmasks
+        n = self.n
+        leq = self.leq
+        down = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
+        up = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
+        return down, up
+
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """All pairs (i, j) with j covering i."""
+        """All pairs (i, j) with j covering i: nothing lies strictly between."""
         if self._covers is None:
-            out = []
-            leq = self.leq
-            for i in range(self.n):
-                for j in range(self.n):
-                    if i == j or not leq[i][j]:
-                        continue
-                    if any(k != i and k != j and leq[i][k] and leq[k][j]
-                           for k in range(self.n)):
-                        continue
-                    out.append((i, j))
-            self._covers = tuple(out)
+            down, up = self._masks()
+            n = self.n
+            self._covers = tuple((i, j) for i in range(n) for j in range(n)
+                                 if i != j and up[i] & down[j] == (1 << i) | (1 << j))
         return self._covers
 
     def down_set(self, i: int) -> list[int]:
@@ -107,28 +108,17 @@ class FinitePoset:
         return maxs[0] if len(maxs) == 1 else None
 
     def _bound_tables(self) -> tuple[list[list[int | None]], list[list[int | None]]]:
+        # The meet of i and j is the element whose down-set is the
+        # intersection of theirs, when there is one (it is then the greatest
+        # common lower bound); the join is the dual, on up-sets.  Sets are
+        # int bitmasks, so both tables take O(n^2) lookups.
         if self._meet is None:
-            n = self.n
-            leq = self.leq
-            meet: list[list[int | None]] = [[None] * n for _ in range(n)]
-            join: list[list[int | None]] = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                    glb = [k for k in lower if all(leq[m][k] for m in lower)]
-                    meet[i][j] = glb[0] if len(glb) == 1 else None
-                    upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                    lub = [k for k in upper if all(leq[k][m] for m in upper)]
-                    join[i][j] = lub[0] if len(lub) == 1 else None
-            self._meet = meet
-            self._join = join
+            down, up = self._masks()
+            by_down = {m: i for i, m in enumerate(down)}
+            by_up = {m: i for i, m in enumerate(up)}
+            self._meet = [[by_down.get(di & dj) for dj in down] for di in down]
+            self._join = [[by_up.get(ui & uj) for uj in up] for ui in up]
         return self._meet, self._join
-
-    def meet(self, i: int, j: int) -> int | None:
-        return self._bound_tables()[0][i][j]
-
-    def join(self, i: int, j: int) -> int | None:
-        return self._bound_tables()[1][i][j]
 
     def is_lattice(self) -> bool:
         meet, join = self._bound_tables()
@@ -173,7 +163,8 @@ class IntervalPoset:
         self.elements = tuple(ideals)
         self.bottom_index = 0
         self.top_index = len(ideals) - 1
-        pairs = [_ideal_split(rep, s) for s in ideals]
+        full = _subtree_shapes(rep)
+        pairs = [_ideal_split(rep, full, s) for s in ideals]
         self.forests = tuple(p[0] for p in pairs)
         self.thetas = tuple(p[1] for p in pairs)
 
@@ -191,35 +182,57 @@ class IntervalPoset:
         return self.poset.covers()
 
 
+# The ideal algorithms below run children first over an explicit BFS order
+# instead of recursing, so a deep tree needs no Python stack.
+
+
+def _bfs_order(rep: LabeledTree, keep: "frozenset | None" = None) -> list[Label]:
+    # the vertices reachable from the root (inside keep, if given), parents
+    # before children
+    order = [rep.root]
+    for v in order:
+        order.extend(c for c in rep.children(v) if keep is None or c in keep)
+    return order
+
+
+def _subtree_shapes(rep: LabeledTree, keep: "frozenset | None" = None) -> dict:
+    # the shape of the subtree below each vertex, restricted to keep if given
+    shapes: dict = {}
+    for v in reversed(_bfs_order(rep, keep)):
+        shapes[v] = RootedTree(shapes[c] for c in rep.children(v) if c in shapes)
+    return shapes
+
+
 def _ideals_of(rep: LabeledTree) -> list[frozenset]:
     # Lower ideals containing the root; one ideal per choice of an ideal (or
-    # nothing) in each root branch, recursively.
-    def sub(v: Label) -> list[frozenset]:
-        pools = []
-        for c in rep.children(v):
-            pools.append([frozenset()] + sub(c))
-        out = []
-        for combo in cartesian(*pools):
-            s = {v}
-            for part in combo:
-                s.update(part)
-            out.append(frozenset(s))
-        return out
-
-    return sub(rep.root)
+    # nothing) in each branch of a vertex, children first.
+    below: dict = {}
+    for v in reversed(_bfs_order(rep)):
+        pools = [[frozenset()] + below.pop(c) for c in rep.children(v)]
+        below[v] = [frozenset({v}.union(*combo)) for combo in cartesian(*pools)]
+    return below[rep.root]
 
 
-def _ideal_split(rep: LabeledTree, ideal: frozenset) -> tuple[Forest, RootedTree]:
-    # Branches hanging under the ideal, and the restriction of the tree to it.
-    def full_shape(v: Label) -> RootedTree:
-        return RootedTree(full_shape(c) for c in rep.children(v))
-
-    def branch_shape(v: Label) -> RootedTree:
-        return RootedTree(full_shape(c) for c in rep.children(v) if c not in ideal)
-
-    forest = Forest(branch_shape(v) for v in ideal)
-    theta = rep.restrict(ideal).shape()
+def _ideal_split(rep: LabeledTree, full: dict, ideal: frozenset) -> tuple[Forest, RootedTree]:
+    # Branches hanging under the ideal, and the restriction of the tree to
+    # it; full maps each vertex to the shape of its subtree.
+    forest = Forest(RootedTree(full[c] for c in rep.children(v) if c not in ideal)
+                    for v in ideal)
+    theta = _subtree_shapes(rep, ideal)[rep.root]
     return forest, theta
+
+
+def ideal_count(t: RootedTree) -> int:
+    """The number of elements of the interval of t, without listing them:
+    each branch of a vertex is cut off or contributes one of its ideals."""
+    rep = canonical_representative(t)
+    count: dict = {}
+    for v in reversed(_bfs_order(rep)):
+        out = 1
+        for c in rep.children(v):
+            out *= 1 + count.pop(c)
+        count[v] = out
+    return count[rep.root]
 
 
 @lru_cache(maxsize=None)
@@ -242,14 +255,14 @@ def forest_below(t: RootedTree, ideal: "frozenset | Iterable") -> Forest:
     """Multiset of branch shapes hanging under the vertices of the ideal."""
     ideal = frozenset(ideal)
     rep = _validate_ideal(t, ideal)
-    return _ideal_split(rep, ideal)[0]
+    return _ideal_split(rep, _subtree_shapes(rep), ideal)[0]
 
 
 def theta_of(t: RootedTree, ideal: "frozenset | Iterable") -> RootedTree:
     """Shape of the restriction of t to the ideal."""
     ideal = frozenset(ideal)
     rep = _validate_ideal(t, ideal)
-    return _ideal_split(rep, ideal)[1]
+    return _subtree_shapes(rep, ideal)[rep.root]
 
 
 @lru_cache(maxsize=None)
@@ -293,21 +306,19 @@ def check_distributive_lattice(p: "FinitePoset | IntervalPoset") -> bool:
     poset = _as_poset(p)
     if not poset.is_lattice():
         return False
+    meet, join = poset._bound_tables()
     if isinstance(p, IntervalPoset):
         index = {s: i for i, s in enumerate(p.elements)}
-        for i, si in enumerate(p.elements):
-            for j, sj in enumerate(p.elements):
-                if poset.meet(i, j) != index[si | sj]:
+        for si, meet_i, join_i in zip(p.elements, meet, join):
+            for sj, meet_ij, join_ij in zip(p.elements, meet_i, join_i):
+                if meet_ij != index[si | sj] or join_ij != index[si & sj]:
                     return False
-                if poset.join(i, j) != index[si & sj]:
-                    return False
-    n = poset.n
-    meet = poset.meet
-    join = poset.join
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet(x, join(y, z)) != join(meet(x, y), meet(x, z)):
+    # x ∧ (y ∨ z) against (x ∧ y) ∨ (x ∧ z), read off the two tables
+    for meet_x in meet:
+        for y, join_y in enumerate(join):
+            join_with_xy = join[meet_x[y]]
+            for z, y_or_z in enumerate(join_y):
+                if meet_x[y_or_z] != join_with_xy[meet_x[z]]:
                     return False
     return True
 

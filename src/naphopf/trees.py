@@ -774,17 +774,29 @@ def labeled_isomorphisms(a: LabeledTree, b: LabeledTree,
                          targets: Sequence[Label] | None = None) -> list[dict]:
     """All bijections from a's labels onto b's (or ``targets``) carrying a to b.
 
-    Exhaustive over permutations; intended for small ground sets only.
+    Exhaustive over permutations; intended for small ground sets only.  A
+    candidate is tested on the parent maps instead of being relabeled: the
+    root must go to b's root and every parent edge c -> p of a to the edge
+    of b at the image of c.
     """
     source = list(a.labels)
     image = list(b.labels) if targets is None else list(targets)
-    if len(source) != len(image):
+    if len(source) != len(image) or len(source) != b.size:
         return []
+    at = {v: k for k, v in enumerate(source)}
+    root = at[a.root]
+    edges = [(at[c], at[p]) for c, p in a.parents.items()]
+    b_root, b_parents = b.root, b.parents
     out = []
     for perm in permutations(image):
-        mapping = dict(zip(source, perm))
-        if a.relabel(mapping) == b:
-            out.append(mapping)
+        if perm[root] != b_root:
+            continue
+        for c, p in edges:
+            w = perm[c]
+            if w not in b_parents or b_parents[w] != perm[p]:
+                break
+        else:
+            out.append(dict(zip(source, perm)))
     return out
 
 

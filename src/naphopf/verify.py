@@ -13,6 +13,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product as cartesian
 from math import factorial
 from typing import Iterable
@@ -111,6 +112,7 @@ class CheckResult:
     name: str
     passed: bool
     witness: str = ""
+    elapsed_ms: float = 0.0  # wall time of the check; not part of to_dict
 
     def to_dict(self) -> dict:
         return {"description": self.name,
@@ -128,12 +130,14 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self, include_elapsed: bool = True) -> dict:
+    def to_dict(self, include_elapsed: bool = True, include_timings: bool = False) -> dict:
         out = {"suite": self.suite,
                "passed": self.passed,
                "checks": [c.to_dict() for c in self.checks]}
         if include_elapsed:
             out["elapsed_ms"] = self.elapsed_ms
+        if include_timings:
+            out["timings"] = {c.name: round(c.elapsed_ms, 1) for c in self.checks}
         return out
 
     def render_text(self) -> str:
@@ -146,6 +150,11 @@ class SuiteReport:
                      f"{'pass' if self.passed else 'FAIL'} "
                      f"({len(self.checks)} checks, {self.elapsed_ms} ms)")
         return "\n".join(lines)
+
+    def render_timings(self) -> str:
+        """One line per check with its wall time in milliseconds."""
+        return "\n".join(f"{c.elapsed_ms:9.1f} ms  {self.suite}: {c.name}"
+                         for c in self.checks)
 
 
 _REGISTRY: list[tuple[str, str, object]] = []
@@ -527,16 +536,18 @@ def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree,
         w = nap_compose(r_gamma, {i + 1: block_reps[tau[i]] for i in range(k)})
         eg += len(labeled_isomorphisms(w, r_alpha))
 
-    # E_f: exact compositions onto the representative of alpha
+    # E_f: exact compositions onto the representative of alpha.  The
+    # composite keeps every edge of every inner tree, so an inner tree with
+    # an edge that alpha's representative lacks cannot take part.
     ef = 0
-    ground = list(range(1, n + 1))
-    for blocks in set_partitions(ground):
-        if len(blocks) != k:
-            continue
-        parts = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
-        pools = [labeled_trees(part) for part in parts]
-        for u in labeled_trees(list(range(1, k + 1))):
-            psi = len(labeled_isomorphisms(u, r_gamma))
+    outer = [(u, len(labeled_isomorphisms(u, r_gamma)))
+             for u in _labeled_pools(k, 1)[0][0]]  # every labeled tree on {1..k}
+    a_parents = r_alpha.parents
+    for pools in _labeled_pools(n, k):
+        pools = [[t for t in pool
+                  if all(a_parents.get(c) == p for c, p in t.parents.items())]
+                 for pool in pools]
+        for u, psi in outer:
             if not psi:
                 continue
             for combo in cartesian(*pools):
@@ -554,6 +565,18 @@ def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree,
                     sigma_sum += prod
                 ef += psi * sigma_sum
     return ef, eg
+
+
+@lru_cache(maxsize=None)
+def _labeled_pools(n: int, k: int) -> tuple:
+    # for each partition of {1..n} into k blocks, ordered by least element,
+    # the labeled trees on each block
+    out = []
+    for blocks in set_partitions(list(range(1, n + 1))):
+        if len(blocks) == k:
+            parts = sorted((sorted(b) for b in blocks), key=lambda b: b[0])
+            out.append(tuple(tuple(labeled_trees(part)) for part in parts))
+    return tuple(out)
 
 
 def f_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
@@ -931,16 +954,23 @@ def _series_lie(degree, rng):
     singles = [TreeSeries(big, {t: Fraction(1)})
                for size in range(1, n + 1) for t in enumerate_trees(size)]
     zero = TreeSeries(big, {})
-    for x in singles:
-        for y in singles:
-            if lie_bracket(x, y) != (-1) * lie_bracket(y, x):
-                return "antisymmetry"
-    for x in singles:
-        for y in singles:
-            for z in singles:
-                jac = (lie_bracket(x, lie_bracket(y, z))
-                       + lie_bracket(y, lie_bracket(z, x))
-                       + lie_bracket(z, lie_bracket(x, y)))
+    # each inner bracket once per ordered pair
+    inner = {(i, j): lie_bracket(x, y)
+             for i, x in enumerate(singles) for j, y in enumerate(singles)}
+    for (i, j), xy in inner.items():
+        if xy != (-1) * inner[j, i]:
+            return "antisymmetry"
+    # the Jacobi sum of (x, y, z) has the same three terms as the sums of its
+    # two rotations, so each rotation class is summed once, at its least
+    # rotation
+    for i, x in enumerate(singles):
+        for j, y in enumerate(singles):
+            for k, z in enumerate(singles):
+                if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
+                    continue
+                jac = (lie_bracket(x, inner[j, k])
+                       + lie_bracket(y, inner[k, i])
+                       + lie_bracket(z, inner[i, j]))
                 if jac != zero:
                     return "jacobi"
     return ""
@@ -1149,11 +1179,12 @@ def run_suite(suite: str, degree: int | None = None, seed: int = 0) -> SuiteRepo
     for s, name, fn in selected:
         rng = random.Random(seed)
         label = name if suite != "all" else f"{s}: {name}"
+        t0 = time.perf_counter()
         try:
             witness = fn(degree, rng)
         except Exception as exc:  # a crash is a failure with the error as witness
-            results.append(CheckResult(label, False, f"error: {exc}"))
-            continue
-        results.append(CheckResult(label, witness == "", witness))
+            witness = f"error: {exc}"
+        results.append(CheckResult(label, witness == "", witness,
+                                   (time.perf_counter() - t0) * 1000))
     elapsed = int((time.monotonic() - start) * 1000)
     return SuiteReport(suite, results, elapsed)

@@ -4,8 +4,9 @@ import sys
 import pytest
 
 from naphopf import cli
-from naphopf.cli import LABELED_N_LIMIT, SERIES_N_LIMIT, main
-from naphopf.trees import chain, parse_tree
+from naphopf.cli import INTERVAL_LIMIT, LABELED_N_LIMIT, SERIES_N_LIMIT, main
+from naphopf.posets import ideal_count
+from naphopf.trees import chain, corolla, parse_tree
 
 
 def run(capsys, *argv):
@@ -103,6 +104,30 @@ def test_deep_tree_exits_2_without_traceback(capsys, command):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_interval_of_a_300_vertex_chain_needs_no_recursion(capsys):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        code, out, err = run(capsys, "interval", chain(300).string)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["size"] == 300
+    assert data["elements"][-1] == {"ideal": [1], "forest": chain(300).string,
+                                    "theta": "()"}
+    assert len(data["covers"]) == 299
+
+
+@pytest.mark.parametrize("tree", [chain(1200), corolla(10)])
+def test_interval_above_the_size_limit_exits_2(capsys, tree):
+    m = ideal_count(tree)
+    assert m * (m + tree.size) > INTERVAL_LIMIT
+    code, out, err = run(capsys, "interval", tree.string)
+    assert (code, out) == (2, "")
+    assert "INTERVAL_LIMIT" in err
 
 
 def test_interval_json(capsys):
@@ -249,6 +274,21 @@ def test_verify_checks_sorted_by_name(capsys):
     report = json.loads(out)
     names = [c["description"] for c in report["checks"]]
     assert names == sorted(names)
+
+
+def test_verify_timings_only_on_request(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "mobius", "--degree", "3")
+    plain = json.loads(out)
+    assert code == 0 and "timings" not in plain and " ms  mobius: " not in err
+    code, out, err = run(capsys, "verify", "--suite", "mobius", "--degree", "3",
+                         "--timings")
+    timed = json.loads(out)
+    names = [c["description"] for c in timed["checks"]]
+    assert code == 0 and list(timed.pop("timings")) == names
+    timed.pop("elapsed_ms")
+    plain.pop("elapsed_ms")
+    assert timed == plain
+    assert all(f" ms  mobius: {name}" in err for name in names)
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -45,6 +45,7 @@ from naphopf.trees import (
 from naphopf.verify import (
     _coassociative,
     _hnap_coproduct_by_ideals,
+    admissible_triples,
     ck_antipode_closed_form,
     ck_coproduct_cuts,
     count_Ef_Eg,
@@ -221,6 +222,20 @@ def test_qgnap_coproduct_four_vertex_examples():
         (Forest((T200,)), Forest((T10,)), 1), (Forest((T3000,)), one, 1)])
 
 
+def test_qgnap_coproduct_is_g_with_the_units_dropped():
+    # the definition: every (beta, gamma) of g with the single vertices of
+    # both factors dropped, summed as fractions
+    for n in range(2, 9):
+        for t in enumerate_trees(n):
+            want: dict = {}
+            for (beta, gamma), g in g_structure_constants(t).items():
+                key = (beta.drop_units(), Forest((gamma,)).drop_units())
+                want[key] = want.get(key, Fraction(0)) + g
+            got = qgnap_coproduct(t).terms
+            assert list(got.items()) == list(want.items()), t.string
+            assert all(type(c) is Fraction for c in got.values())
+
+
 def test_g_structure_constants_full_keys():
     g = g_structure_constants(T2100)
     assert g[(Forest((T10, LEAF, LEAF)), T200)] == 2
@@ -253,6 +268,20 @@ def test_count_ef_eg_known_coefficients():
     assert f_coefficient(T2100, beta, T200) == 1
     assert aut_order(T2100) * aut0_order(beta) * 2 == 4
     assert forest_aut_order(beta) * aut_order(T200) * 1 == 4
+
+
+def test_count_ef_eg_meets_both_sides_at_five_vertices():
+    # one vertex past the verify cap, where the inner pools are filtered
+    # by alpha's edges before composing; a third of the trees, for time
+    triples = 0
+    for alpha in enumerate_trees(5)[::3]:
+        for beta, gamma in admissible_triples(alpha):
+            ef, eg = count_Ef_Eg(alpha, beta, gamma)
+            assert ef == eg == (forest_aut_order(beta) * aut_order(gamma)
+                                * f_coefficient(alpha, beta, gamma))
+            assert eg == aut_order(alpha) * aut0_order(beta) * g_coefficient(alpha, beta, gamma)
+            triples += 1
+    assert triples > 100
 
 
 def test_count_ef_eg_size_mismatch():

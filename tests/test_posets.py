@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from naphopf.posets import (
@@ -288,3 +290,45 @@ def test_interval_dot_output():
     assert dot.startswith("digraph interval {")
     assert dot.count("->") == 2
     assert '"((()))"' in dot and '"()"' in dot
+
+
+def _bounds_by_definition(poset):
+    # meet and join as the unique greatest lower and least upper bound, and
+    # the covers as the pairs with nothing strictly between them
+    n, leq = poset.n, poset.leq
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            glb = [k for k in lower if all(leq[m][k] for m in lower)]
+            meet[i][j] = glb[0] if len(glb) == 1 else None
+            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            lub = [k for k in upper if all(leq[k][m] for m in upper)]
+            join[i][j] = lub[0] if len(lub) == 1 else None
+            if i != j and leq[i][j] and not any(
+                    k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n)):
+                covers.append((i, j))
+    return meet, join, tuple(covers)
+
+
+def test_bitmask_bounds_and_covers_match_the_definition():
+    rng = random.Random(8)
+    posets = [pentagon_poset(), diamond_poset()]
+    posets += [interval_of(t).poset for n in range(1, 7) for t in enumerate_trees(n)]
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        posets.append(FinitePoset.from_covers(n, pairs))
+    lattices = 0
+    for p in posets:
+        meet, join, covers = _bounds_by_definition(p)
+        assert (p._bound_tables(), p.covers()) == ((meet, join), covers)
+        assert p.is_lattice() == all(None not in row for row in meet + join)
+        lattices += p.is_lattice()
+        distributive = p.is_lattice() and all(
+            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+            for x in range(p.n) for y in range(p.n) for z in range(p.n))
+        assert check_distributive_lattice(p) == distributive
+    assert 0 < lattices < len(posets)  # non-lattices are among them

@@ -435,3 +435,41 @@ def test_unit_axiom_via_instance():
         t = LabeledTree(1, parents)
         out = nap.compose(t, {v: singleton(v) for v in t.labels})
         assert out == t
+
+
+def _isomorphisms_by_relabeling(a, b, targets=None):
+    # the definition: every bijection onto b's labels (or targets) whose
+    # relabeled copy of a equals b, in permutation order
+    from itertools import permutations
+
+    source = list(a.labels)
+    image = list(b.labels) if targets is None else list(targets)
+    if len(source) != len(image):
+        return []
+    out = []
+    for perm in permutations(image):
+        mapping = dict(zip(source, perm))
+        if a.relabel(mapping) == b:
+            out.append(mapping)
+    return out
+
+
+def test_labeled_isomorphisms_match_the_relabeling_definition():
+    from naphopf.trees import labeled_isomorphisms
+
+    trees = labeled_trees([1, 2, 3, 4])
+    for a in trees:
+        for b in trees:
+            for targets in (None, [3, 1, 4, 2]):
+                assert (labeled_isomorphisms(a, b, targets)
+                        == _isomorphisms_by_relabeling(a, b, targets))
+    # a foreign label set, and trees of another size
+    rng = random.Random(4)
+    three = labeled_trees([1, 2, 3])
+    for a, b in [(rng.choice(trees), rng.choice(trees)) for _ in range(100)]:
+        assert (labeled_isomorphisms(a, b, "abcd")
+                == _isomorphisms_by_relabeling(a, b, "abcd") == [])
+        c = rng.choice(three)
+        assert labeled_isomorphisms(a, c) == _isomorphisms_by_relabeling(a, c) == []
+        assert (labeled_isomorphisms(c, a, [1, 2, 3])
+                == _isomorphisms_by_relabeling(c, a, [1, 2, 3]) == [])

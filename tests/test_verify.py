@@ -1,5 +1,6 @@
 import pytest
 
+from naphopf.series import lie_bracket
 from naphopf.verify import CheckResult, SuiteReport, run_suite, suite_names
 
 
@@ -41,3 +42,27 @@ def test_reports_reproducible_across_runs():
     a = run_suite("series", degree=3, seed=5).to_dict(include_elapsed=False)
     b = run_suite("series", degree=3, seed=5).to_dict(include_elapsed=False)
     assert a == b
+
+
+def test_jacobi_check_catches_an_antisymmetric_bracket(monkeypatch):
+    # [x, y] scaled by a weight symmetric in x and y: still antisymmetric
+    # and zero on x = y, but the three Jacobi terms get different weights
+    from naphopf import verify
+
+    def skewed(a, b):
+        return (1 + len(a.coeffs) + len(b.coeffs)) * lie_bracket(a, b)
+
+    assert verify._series_lie(None, None) == ""
+    monkeypatch.setattr(verify, "lie_bracket", skewed)
+    assert verify._series_lie(None, None) == "jacobi"
+
+
+def test_timings_stay_out_of_the_default_report():
+    report = run_suite("mobius", degree=3, seed=0)
+    assert "timings" not in report.to_dict()
+    timed = report.to_dict(include_timings=True)
+    assert list(timed["timings"]) == [c.name for c in report.checks]
+    assert all(ms >= 0 for ms in timed["timings"].values())
+    del timed["timings"]
+    assert timed == report.to_dict()
+    assert report.checks[0].name in report.render_timings()
