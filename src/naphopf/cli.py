@@ -28,7 +28,7 @@ from .series import (
     unit_series,
     zeta_series,
 )
-from .trees import enumerate_trees, labeled_trees, parse_tree
+from .trees import TREE_TABLE, enumerate_trees, labeled_trees, parse_tree
 from .verify import run_suite, suite_names
 
 NAMED_SERIES = {
@@ -169,6 +169,8 @@ def _cmd_verify(args) -> int:
     print(report.render_text(), file=sys.stderr)
     if args.timings:
         print(report.render_timings(), file=sys.stderr)
+        print("tree table: " + ", ".join(f"{n} {name}" for name, n in
+                                         TREE_TABLE.stats().items()), file=sys.stderr)
     _emit(report.to_dict(include_timings=args.timings))
     return 0 if report.passed else 1
 

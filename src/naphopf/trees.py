@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import groupby, permutations, product as cartesian
 from math import factorial
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Sequence
 
 Label = Hashable
 
@@ -106,34 +106,67 @@ def parse_tree(text: str) -> RootedTree:
 
     Leading and trailing whitespace is ignored; anything else malformed
     raises :class:`TreeSyntaxError` with the offending byte offset.
+
+    The tree is hash-consed through :data:`TREE_TABLE`: each vertex is
+    looked up by the ids of its children (:meth:`TreeTable.node`), so a
+    tree seen before constructs nothing, and every spelling of one tree
+    returns the same shared instance.  Trees must not be mutated.
     """
+    s = text.strip()
+    # a literal made of parentheses only, as many '(' as ')'; anything else
+    # goes to the validating loop below, which reports the error
+    if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
+        table = TREE_TABLE
+        hit, node = table.by_kids.get, table.node
+        leaf = hit(())
+        # the child ids collected so far at each open vertex below the root,
+        # on an explicit stack: the depth is not bounded by the recursion limit
+        stack: list[list[int]] = []
+        kids: list[int] = []
+        for ch in s[1:-1].replace("()", "."):  # "." is a leaf
+            if ch == ".":
+                kids.append(leaf)
+            elif ch == "(":
+                stack.append(kids)
+                kids = []
+            elif stack:
+                key = tuple(sorted(kids))
+                i = hit(key)
+                kids = stack.pop()
+                kids.append(node(key) if i is None else i)
+            else:  # the root closed before the end
+                break
+        else:
+            return table.trees[node(kids)]
+    _raise_syntax_error(text)
+
+
+def _raise_syntax_error(text: str) -> NoReturn:
+    # the validating parse of a malformed literal: raises at the first error
     n = len(text)
     i = 0
     while i < n and text[i].isspace():
         i += 1
-    # the children collected so far at each open vertex: an explicit stack,
-    # so that the nesting depth is not bounded by the recursion limit
-    stack: list[list[RootedTree]] = []
+    depth = 0  # of open vertices: a counter, not a recursion
     while True:
         if i >= n:
-            raise TreeSyntaxError("unclosed '('" if stack else
+            raise TreeSyntaxError("unclosed '('" if depth else
                                   "unexpected end of input, expected '('", i)
         ch = text[i]
         i += 1
         if ch == "(":
-            stack.append([])
-        elif ch == ")" and stack:
-            tree = RootedTree(stack.pop())
-            if not stack:
+            depth += 1
+        elif ch == ")" and depth:
+            depth -= 1
+            if not depth:
                 break
-            stack[-1].append(tree)
         else:
             raise TreeSyntaxError(f"expected '(' but found {ch!r}", i - 1)
     while i < n and text[i].isspace():
         i += 1
     if i != n:
         raise TreeSyntaxError("trailing input after tree", i)
-    return tree
+    raise AssertionError(f"{text!r} is well formed")
 
 
 class Forest:
@@ -458,9 +491,14 @@ class TreeTable:
     A tree gets the next free id the first time it is seen, its children
     first, and the table keeps for every id its size, the ids of its
     children in canonical child order (``kids``) and its automorphism
-    order.  The graft map ``(i, j) -> id(s ◁ t)`` is filled on first use.
-    Nothing is enumerated in advance, so the table holds only the trees
-    that some computation reached.
+    order.  Trees are hash-consed: ``by_kids`` maps the sorted tuple of a
+    tree's child ids to its id, so :meth:`node` finds an interned tree from
+    its children's ids without building it, and ``trees[i]`` is the one
+    shared instance of tree i (:func:`parse_tree` returns it).  Every id is
+    made by :meth:`_add`, whether it comes from :meth:`id`, :meth:`node` or
+    :meth:`graft`.  The graft map ``(i, j) -> id(s ◁ t)`` is filled on
+    first use.  Nothing is enumerated in advance, so the table holds only
+    the trees that some computation reached; :meth:`stats` counts them.
 
     Substituting into a tree is the B-series recursion (Butcher 1972;
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
@@ -476,7 +514,8 @@ class TreeTable:
     :meth:`ideals`.
     """
 
-    __slots__ = ("trees", "sizes", "kids", "auts", "ids", "grafts", "ideal_table")
+    __slots__ = ("trees", "sizes", "kids", "auts", "ids", "by_kids", "grafts",
+                 "ideal_table")
 
     def __init__(self) -> None:
         self.trees: list[RootedTree] = []
@@ -484,11 +523,36 @@ class TreeTable:
         self.kids: list[list[int]] = []
         self.auts: list[int] = []
         self.ids: dict[RootedTree, int] = {}
+        self.by_kids: dict[tuple[int, ...], int] = {}
         self.grafts: dict[tuple[int, int], int] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
+        self.id(LEAF)  # id 0, so that a parsed "()" is LEAF
 
     def __len__(self) -> int:
         return len(self.trees)
+
+    def stats(self) -> dict[str, int]:
+        """Entry counts: interned trees, graft-map entries, rows of the
+        ideal table and child-id keys."""
+        return {"trees": len(self.trees), "grafts": len(self.grafts),
+                "ideal_rows": sum(map(len, self.ideal_table.values())),
+                "child_keys": len(self.by_kids)}
+
+    def _add(self, t: RootedTree, key: tuple[int, ...]) -> int:
+        # the one place a new id is made; t's children are interned and
+        # ``key`` is the sorted tuple of their ids
+        ids, auts = self.ids, self.auts
+        kids = [ids[c] for c in t.children]
+        aut = 1
+        for k, run in groupby(kids):  # equal children are adjacent
+            m = len(list(run))
+            aut *= factorial(m) * auts[k] ** m
+        i = ids[t] = self.by_kids[key] = len(self.trees)
+        self.trees.append(t)
+        self.sizes.append(t.size)
+        self.kids.append(kids)
+        auts.append(aut)
+        return i
 
     def id(self, t: RootedTree) -> int:
         """The id of t, assigned on first sight.
@@ -500,7 +564,6 @@ class TreeTable:
         i = ids.get(t)
         if i is not None:
             return i
-        auts = self.auts
         stack = [t]
         while stack:
             s = stack[-1]
@@ -509,25 +572,25 @@ class TreeTable:
                 stack.extend(c for c in s.children if c not in ids)
                 continue
             stack.pop()
-            if s in ids:
-                continue
-            aut = 1
-            for k, run in groupby(kids):  # equal children are adjacent
-                m = len(list(run))
-                aut *= factorial(m) * auts[k] ** m
-            ids[s] = len(self.trees)
-            self.trees.append(s)
-            self.sizes.append(s.size)
-            self.kids.append(kids)
-            auts.append(aut)
+            if s not in ids:
+                self._add(s, tuple(sorted(kids)))
         return ids[t]
+
+    def node(self, kids: Iterable[int]) -> int:
+        """The id of the tree whose root has the children with ids ``kids``,
+        in any order; the tree is built only if it is new."""
+        key = tuple(sorted(kids))
+        i = self.by_kids.get(key)
+        if i is None:
+            trees = self.trees
+            i = self._add(RootedTree([trees[k] for k in key]), key)
+        return i
 
     def graft(self, i: int, j: int) -> int:
         """The id of s ◁ t, where i and j are the ids of s and t."""
         g = self.grafts.get((i, j))
         if g is None:
-            g = self.id(RootedTree(self.trees[i].children + (self.trees[j],)))
-            self.grafts[(i, j)] = g
+            g = self.grafts[(i, j)] = self.node(self.kids[i] + [j])
         return g
 
     def ideals(self, i: int) -> dict:

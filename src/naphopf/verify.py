@@ -170,9 +170,7 @@ def _check(suite: str, name: str):
 
 def _bound(degree: int | None, default: int, cap: int | None = None) -> int:
     d = default if degree is None else degree
-    if cap is not None:
-        d = min(d, cap)
-    return max(d, 1)
+    return d if cap is None else min(d, cap)
 
 
 def _mono(algebra: str, key) -> HopfElement:
@@ -1171,6 +1169,8 @@ def run_suite(suite: str, degree: int | None = None, seed: int = 0) -> SuiteRepo
     """
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {suite_names()}")
+    if degree is not None and degree < 1:
+        raise ValueError(f"degree must be >= 1, not {degree}")
     selected = [(s, name, fn) for (s, name, fn) in _REGISTRY
                 if suite == "all" or s == suite]
     selected.sort(key=lambda row: (row[0], row[1]))

@@ -6,7 +6,7 @@ import pytest
 from naphopf import cli
 from naphopf.cli import INTERVAL_LIMIT, LABELED_N_LIMIT, SERIES_N_LIMIT, main
 from naphopf.posets import ideal_count
-from naphopf.trees import chain, corolla, parse_tree
+from naphopf.trees import TREE_TABLE, chain, corolla, parse_tree
 
 
 def run(capsys, *argv):
@@ -289,6 +289,30 @@ def test_verify_timings_only_on_request(capsys):
     plain.pop("elapsed_ms")
     assert timed == plain
     assert all(f" ms  mobius: {name}" in err for name in names)
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_verify_degree_below_one_exits_2(capsys, degree):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--degree", degree)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: degree must be >= 1, not {degree}"]
+
+
+def test_verify_timings_end_with_the_tree_table_stats(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "ck-iso", "--degree", "3",
+                         "--timings")
+    report = json.loads(out)
+    assert code == 0 and set(report) == {"suite", "passed", "checks", "elapsed_ms",
+                                         "timings"}
+    lines = err.splitlines()
+    assert sum(" ms  ck-iso: " in line for line in lines) == len(report["checks"])
+    stats = TREE_TABLE.stats()
+    assert lines[-1] == (f"tree table: {stats['trees']} trees, {stats['grafts']} grafts, "
+                         f"{stats['ideal_rows']} ideal_rows, "
+                         f"{stats['child_keys']} child_keys")
+    assert stats["trees"] == stats["child_keys"] > 1 and stats["ideal_rows"] > 0
+    code, _, err = run(capsys, "verify", "--suite", "ck-iso", "--degree", "3")
+    assert code == 0 and "tree table:" not in err
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter, defaultdict
 from itertools import product as cartesian
 from math import factorial
@@ -12,6 +13,7 @@ from naphopf.trees import (
     LabeledTree,
     RootedTree,
     TreeSyntaxError,
+    TreeTable,
     aut0_order,
     aut_order,
     canonical_representative,
@@ -33,6 +35,7 @@ from naphopf.trees import (
     parse_tree,
     singleton,
 )
+from naphopf import trees as trees_module
 from naphopf.verify import _compose_labeled
 
 
@@ -64,18 +67,104 @@ def test_parse_canonicalizes_child_order():
     assert parse_tree("((())())") == parse_tree("(()(()))")
 
 
-@pytest.mark.parametrize("text,offset", [
-    ("", 0),
-    ("x", 0),
-    ("(()", 3),
-    ("(())x", 4),
-    (")", 0),
-    ("(() ())", 3),
-])
-def test_parse_errors_report_byte_offsets(text, offset):
+# (text, byte offset, message); the ids are "<text>-<offset>"
+PARSE_ERRORS = [
+    ("", 0, "unexpected end of input, expected '('"),
+    (" ", 1, "unexpected end of input, expected '('"),
+    ("x", 0, "expected '(' but found 'x'"),
+    ("(()", 3, "unclosed '('"),
+    ("((", 2, "unclosed '('"),
+    ("(())x", 4, "trailing input after tree"),
+    ("()  x", 4, "trailing input after tree"),
+    (")", 0, "expected '(' but found ')'"),
+    ("(() ())", 3, "expected '(' but found ' '"),
+    ("()()", 2, "trailing input after tree"),
+    (")(", 0, "expected '(' but found ')'"),
+    ("( ())", 1, "expected '(' but found ' '"),
+    ("(x)", 1, "expected '(' but found 'x'"),
+]
+
+
+@pytest.mark.parametrize("text,offset,message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in PARSE_ERRORS])
+def test_parse_errors_report_byte_offsets(text, offset, message):
     with pytest.raises(TreeSyntaxError) as err:
         parse_tree(text)
     assert err.value.offset == offset
+    assert str(err.value) == f"{message} (byte {offset})"
+
+
+def _spelling(rng: random.Random, t: RootedTree) -> str:
+    # t written with the children of every vertex in a seeded order
+    kids = [_spelling(rng, c) for c in t.children]
+    rng.shuffle(kids)
+    return "(" + "".join(kids) + ")"
+
+
+def _built(text: str) -> RootedTree:
+    # recursive descent with the RootedTree constructor, no TreeTable
+    def tree(i: int) -> tuple[RootedTree, int]:
+        kids, i = [], i + 1
+        while text[i] == "(":
+            kid, i = tree(i)
+            kids.append(kid)
+        return RootedTree(kids), i + 1
+
+    return tree(0)[0]
+
+
+def test_parsing_oracle_every_spelling_is_one_shared_tree():
+    rng = random.Random(2024)
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            parsed = parse_tree(t.string)
+            assert parsed == t and parsed.string == t.string
+            for _ in range(3):
+                text = _spelling(rng, t)
+                assert parse_tree(text) is parsed
+                assert parse_tree(" %s\n" % text) is parsed
+                assert _built(text) == parsed
+    assert parse_tree("()") is LEAF
+
+
+def test_reparsing_builds_nothing(monkeypatch):
+    # a guard on work, not on time: once parsed, no spelling of a tree
+    # constructs a RootedTree or adds a table entry
+    rng = random.Random(7)
+    texts = [_spelling(rng, t) for n in range(1, 7) for t in enumerate_trees(n)]
+    distinct = len(texts) - 1
+    table = TreeTable()
+    monkeypatch.setattr(trees_module, "TREE_TABLE", table)
+    built = []
+    init = RootedTree.__init__
+    monkeypatch.setattr(RootedTree, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    first = [parse_tree(text) for text in texts]
+    # one construction per tree with 2..6 vertices: each is new, and is
+    # built once however many trees it is a subtree of
+    assert len(built) == distinct
+    stats = table.stats()
+    assert stats["trees"] == stats["child_keys"] == distinct + 1
+    del built[:]
+    for text in texts + [_spelling(rng, t) for t in first]:
+        assert parse_tree(text) is parse_tree(text)
+    assert built == [] and table.stats() == stats
+
+
+def test_deep_chain_parses_without_recursion(monkeypatch):
+    text = "(" * 1200 + ")" * 1200
+    fresh = TreeTable()  # every vertex of the chain is new to it
+    monkeypatch.setattr(trees_module, "TREE_TABLE", fresh)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        t = parse_tree(text)
+        with pytest.raises(TreeSyntaxError) as err:
+            parse_tree(text[:-1])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t.size == 1200 and t.string == text and len(fresh) == 1200
+    assert err.value.offset == 2399
 
 
 @given(random_trees())
