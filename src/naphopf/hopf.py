@@ -13,14 +13,14 @@
   pruned-forest (x) trunk term per admissible cut, and the admissible cuts
   are the ideals: a cut prunes the branches of the ideal's components.
 
-All three coproducts and the ``hnap`` and ``ck`` antipodes are read off one
-table, the root-containing ideals of
-:meth:`naphopf.trees.TreeTable.ideals`, which works on interned tree ids
-with integer counts; the ``qgnap`` constants are its counts under the
-paper's main theorem.  Trees, forests and rational coefficients are built
-only when a result is handed out.  The oracles (ideal enumeration by
-:mod:`naphopf.posets`, admissible cuts over edge subsets, the labeled
-composition route and the brute-force orbit counts) live in ``verify``.
+All three coproducts and all three antipodes are read off one table, the
+root-containing ideals of :meth:`naphopf.trees.TreeTable.ideals`, which
+works on interned tree ids with integer counts; the ``qgnap`` constants are
+its counts under the paper's main theorem.  Trees, forests and rational
+coefficients are built only when a result is handed out.  The oracles
+(ideal enumeration by :mod:`naphopf.posets`, admissible cuts over edge
+subsets, the labeled composition route and the brute-force orbit counts)
+live in ``verify``.
 
 All coefficients of elements are exact rationals.
 """
@@ -235,15 +235,6 @@ def tensor_map(te: TensorElement, left: BasisMap, right: BasisMap) -> TensorElem
 # products and coproducts
 
 
-def _b_plus_id(forest: tuple[int, ...]) -> int:
-    # the id of B+ of a forest of tree ids: each component grafted onto a leaf
-    table = TREE_TABLE
-    i = table.id(LEAF)
-    for k in forest:
-        i = table.graft(i, k)
-    return i
-
-
 @lru_cache(maxsize=None)
 def hnap_coproduct(t: RootedTree) -> TensorElement:
     """Coproduct of F_[t]: sum over ideals of branch-forest (x) restriction.
@@ -283,20 +274,19 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
     table = TREE_TABLE
     trees, sizes = table.trees, table.sizes
     out: dict[tuple[Forest, RootedTree], int] = {}
-    for b, g, c in _g_rows(alpha):
+    for b, g, c in _g_rows(table.id(alpha)):
         beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
         out[(beta, trees[g])] = c
     return MappingProxyType(out)
 
 
-def _g_rows(alpha: RootedTree) -> list[tuple[tuple[int, ...], int, int]]:
+def _g_rows(i: int) -> list[tuple[tuple[int, ...], int, int]]:
     # (ids of the components of beta with >= 2 vertices, id of gamma, g) for
-    # each row of the ideal table, weighted by the main theorem
-    if alpha.size < 2:
-        raise ValueError("generators are attached to trees of size >= 2")
+    # each row of the ideal table of tree i, weighted by the main theorem
     table = TREE_TABLE
+    if table.sizes[i] < 2:
+        raise ValueError("generators are attached to trees of size >= 2")
     auts = table.auts
-    i = table.id(alpha)
     out = []
     for (b, g), f in table.ideals(i).items():
         for j in b:
@@ -305,15 +295,41 @@ def _g_rows(alpha: RootedTree) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
+# A row source gives the coproduct of tree j as rows (ids of the left
+# forest, id of the right tree or None for the unit, count).
+
+def _ck_rows(j: int) -> Iterable[tuple[list[int], int | None, int]]:
+    # t (x) 1, then pruned forest (x) trunk for every admissible cut: an
+    # ideal's cut prunes the branches of its components
+    kids = TREE_TABLE.kids
+    yield [j], None, 1
+    for (b, g), c in TREE_TABLE.ideals(j).items():
+        yield [k for v in b for k in kids[v]], g, c
+
+
+def _qgnap_rows(j: int) -> Iterable[tuple[tuple[int, ...], int | None, int]]:
+    # beta (x) gamma with single vertices, the units, dropped
+    leaf = TREE_TABLE.id(LEAF)
+    for b, g, c in _g_rows(j):
+        yield b, None if g == leaf else g, c
+
+
+def _rows_coproduct(algebra: str, rows: Callable, t: RootedTree) -> TensorElement:
+    # the rows of tree t as a read-only tensor of forests
+    table = TREE_TABLE
+    trees, unit = table.trees, Forest()
+    out: dict = {}
+    for a, r, c in rows(table.id(t)):
+        key = (Forest([trees[k] for k in a]), unit if r is None else Forest((trees[r],)))
+        out[key] = out.get(key, 0) + c
+    return _read_only(TensorElement(algebra, out))
+
+
 @lru_cache(maxsize=None)
 def qgnap_coproduct(alpha: RootedTree) -> TensorElement:
     """Coproduct of the generator G_alpha in the function Hopf algebra:
     beta (x) gamma with single vertices, the units, dropped."""
-    trees, leaf = TREE_TABLE.trees, TREE_TABLE.id(LEAF)
-    unit = Forest()
-    return _read_only(TensorElement("qgnap", {
-        (Forest([trees[j] for j in b]), unit if g == leaf else Forest((trees[g],))): c
-        for b, g, c in _g_rows(alpha)}))
+    return _rows_coproduct("qgnap", _qgnap_rows, alpha)
 
 
 def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], TensorElement],
@@ -330,15 +346,7 @@ def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], Tenso
 
 @lru_cache(maxsize=None)
 def _ck_tree_coproduct(t: RootedTree) -> TensorElement:
-    # t (x) 1, then pruned forest (x) trunk for every admissible cut: an
-    # ideal's cut prunes the branches of its components
-    table = TREE_TABLE
-    trees, kids = table.trees, table.kids
-    out = {(Forest((t,)), Forest()): 1}
-    for (b, g), c in table.ideals(table.id(t)).items():
-        key = (Forest([trees[k] for j in b for k in kids[j]]), Forest((trees[g],)))
-        out[key] = out.get(key, 0) + c
-    return _read_only(TensorElement("ck", out))
+    return _rows_coproduct("ck", _ck_rows, t)
 
 
 def ck_coproduct(f: "Forest | RootedTree") -> TensorElement:
@@ -359,8 +367,8 @@ def b_plus(f: Forest) -> RootedTree:
 # ---------------------------------------------------------------------------
 # antipodes on tree ids
 
-# the Connes-Kreimer antipode of each tree id, as {sorted id tuple: int}
-_TREE_ANTIPODES: dict[int, dict[tuple[int, ...], int]] = {}
+# per row source, the antipode of each tree id as {sorted id tuple: int}
+_TREE_ANTIPODES: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
 
 
 def _id_product(factors: Iterable[dict]) -> dict:
@@ -376,27 +384,25 @@ def _id_product(factors: Iterable[dict]) -> dict:
     return out
 
 
-def _tree_antipode(i: int) -> dict:
-    # S(t) = -t - sum c S(a) r over the ideals (beta, r) other than t
-    # itself, where a is the forest of the branches of beta's components.
-    # Those are smaller than t, so they are done first, on an explicit stack.
-    memo = _TREE_ANTIPODES
-    kids = TREE_TABLE.kids
+def _tree_antipode(i: int, rows: Callable) -> dict:
+    # S(t) = -t - sum c S(a) r over the rows a (x) r of t with neither side
+    # the unit.  The trees of a are smaller than t, so they are done first,
+    # on an explicit stack.
+    memo = _TREE_ANTIPODES.setdefault(rows, {})
     stack = [i]
     while stack:
         j = stack[-1]
         if j in memo:
             stack.pop()
             continue
-        rows = [([k for v in b for k in kids[v]], r, c)
-                for (b, r), c in TREE_TABLE.ideals(j).items() if b]
-        todo = [k for k in dict.fromkeys(k for a, _, _ in rows for k in a) if k not in memo]
+        reduced = [(a, r, c) for a, r, c in rows(j) if a and r is not None]
+        todo = [k for k in dict.fromkeys(k for a, _, _ in reduced for k in a) if k not in memo]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
         out = {(j,): -1}
-        for a, r, c in rows:
+        for a, r, c in reduced:
             for u, cu in _id_product(memo[k] for k in a).items():
                 k = tuple(sorted(u + (r,)))
                 out[k] = out.get(k, 0) - c * cu
@@ -404,33 +410,19 @@ def _tree_antipode(i: int) -> dict:
     return memo[i]
 
 
-def _ck_antipode(f: Forest) -> HopfElement:
+def _forest_antipode(algebra: str, rows: Callable, f: Forest) -> HopfElement:
     # the antipode is multiplicative: the product of the trees' antipodes
     trees = TREE_TABLE.trees
-    s = _id_product(_tree_antipode(TREE_TABLE.id(t)) for t in f.components)
-    return HopfElement("ck", {Forest(trees[k] for k in u): c for u, c in s.items()})
+    s = _id_product(_tree_antipode(TREE_TABLE.id(t), rows) for t in f.components)
+    return HopfElement(algebra, {Forest(trees[k] for k in u): c for u, c in s.items()})
 
 
 def _hnap_antipode(t: RootedTree) -> HopfElement:
-    # the ck antipode of the branch forest, carried back by B+
+    # the ck antipode of the branch forest, carried back by B+: the tree
+    # whose root has the children u
     table = TREE_TABLE
-    s = _id_product(_tree_antipode(k) for k in table.kids[table.id(t)])
-    return HopfElement("hnap", {table.trees[_b_plus_id(u)]: c for u, c in s.items()})
-
-
-def _graded_antipode(algebra: str, key) -> HopfElement:
-    # the graded-connected recursion S(x) = -x - sum S(x') x'' over the
-    # reduced coproduct
-    alg = ALGEBRAS[algebra]
-    x = HopfElement.monomial(algebra, key)
-    if alg.degree(key) == 0:
-        return x
-    out = -x
-    for (a, b), c in alg.coproduct(key).terms.items():
-        if a == alg.unit or b == alg.unit:
-            continue
-        out = out - c * (antipode_monomial(algebra, a) * HopfElement.monomial(algebra, b))
-    return out
+    s = _id_product(_tree_antipode(k, _ck_rows) for k in table.kids[table.id(t)])
+    return HopfElement("hnap", {table.trees[table.node(u)]: c for u, c in s.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +435,6 @@ class Algebra:
 
     unit: object                                  # the key of 1
     is_key: Callable[[object], bool]              # tells the monomial keys
-    degree: Callable[[object], int]               # the grading
     multiply: Callable[[object, object], object]  # the product of two keys
     coproduct: Callable[[object], TensorElement]  # the coproduct of one key
     antipode: Callable[[object], HopfElement]     # the antipode of one key, uncached
@@ -461,10 +452,9 @@ class _AlgebraTable(dict):
 _CK = Algebra(
     unit=Forest(),
     is_key=lambda k: isinstance(k, Forest),
-    degree=lambda f: f.size,
     multiply=lambda a, b: Forest(a.components + b.components),
     coproduct=ck_coproduct,
-    antipode=_ck_antipode,
+    antipode=partial(_forest_antipode, "ck", _ck_rows),
     render=lambda f: f.render() or "1",
     sort_key=Forest.sort_key,
     tree_key=lambda t: Forest((t,)))
@@ -474,7 +464,6 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
     hnap=Algebra(
         unit=LEAF,
         is_key=lambda k: isinstance(k, RootedTree),
-        degree=lambda t: t.size - 1,
         multiply=lambda a, b: RootedTree(a.children + b.children),
         coproduct=hnap_coproduct,
         antipode=_hnap_antipode,
@@ -486,9 +475,8 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
     qgnap=replace(
         _CK,
         is_key=lambda k: isinstance(k, Forest) and all(t.size > 1 for t in k.components),
-        degree=lambda f: f.size - len(f),
         coproduct=partial(_forest_coproduct, "qgnap", qgnap_coproduct),
-        antipode=partial(_graded_antipode, "qgnap"),
+        antipode=partial(_forest_antipode, "qgnap", _qgnap_rows),
         tree_key=lambda t: Forest((t,)).drop_units()),
     ck=_CK,
 )
@@ -557,9 +545,10 @@ _ANTIPODE_CACHE: dict[tuple, HopfElement] = {}
 def antipode_monomial(algebra: str, key) -> HopfElement:
     """Antipode of one monomial, cached and read-only.
 
-    ``hnap`` and ``ck`` read it off the ideal table on tree ids,
-    ``qgnap`` uses the graded-connected recursion S(x) = -x - sum S(x') x''
-    over the reduced coproduct.
+    ``ck`` and ``qgnap`` take the product of the antipodes of the trees,
+    each from the recursion S(t) = -t - sum S(t') t'' over the reduced
+    coproduct, run on tree ids; ``hnap`` carries the ``ck`` antipode of
+    the branch forest back by B+.
     """
     cached = _ANTIPODE_CACHE.get((algebra, key))
     if cached is not None:

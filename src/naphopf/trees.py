@@ -22,7 +22,8 @@ Label = Hashable
 
 
 class TreeSyntaxError(ValueError):
-    """Malformed tree literal; ``offset`` is the byte position of the error."""
+    """Malformed tree literal; ``offset`` is the position of the error in
+    the UTF-8 bytes of the literal."""
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (byte {offset})")
@@ -143,6 +144,10 @@ def parse_tree(text: str) -> RootedTree:
 
 def _raise_syntax_error(text: str) -> NoReturn:
     # the validating parse of a malformed literal: raises at the first error
+    def fail(message: str, i: int) -> NoReturn:
+        # text[:i] is parentheses and whitespace, so it always encodes
+        raise TreeSyntaxError(message, len(text[:i].encode("utf-8")))
+
     n = len(text)
     i = 0
     while i < n and text[i].isspace():
@@ -150,8 +155,7 @@ def _raise_syntax_error(text: str) -> NoReturn:
     depth = 0  # of open vertices: a counter, not a recursion
     while True:
         if i >= n:
-            raise TreeSyntaxError("unclosed '('" if depth else
-                                  "unexpected end of input, expected '('", i)
+            fail("unclosed '('" if depth else "unexpected end of input, expected '('", i)
         ch = text[i]
         i += 1
         if ch == "(":
@@ -161,11 +165,11 @@ def _raise_syntax_error(text: str) -> NoReturn:
             if not depth:
                 break
         else:
-            raise TreeSyntaxError(f"expected '(' but found {ch!r}", i - 1)
+            fail(f"expected '(' but found {ch!r}", i - 1)
     while i < n and text[i].isspace():
         i += 1
     if i != n:
-        raise TreeSyntaxError("trailing input after tree", i)
+        fail("trailing input after tree", i)
     raise AssertionError(f"{text!r} is well formed")
 
 

@@ -77,6 +77,14 @@ def test_coproduct_parse_error(capsys):
     assert "byte 3" in err
 
 
+def test_coproduct_parse_error_counts_utf8_bytes(capsys):
+    # a no-break space is two bytes in UTF-8, so the 'x' is at byte 4
+    code, out, err = run(capsys, "coproduct", "\u00a0()x")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: trailing input after tree (byte 4)"]
+
+
 DEEP_CHAIN = "(" * 1200 + ")" * 1200
 
 

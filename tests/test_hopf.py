@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,6 +29,7 @@ from naphopf.hopf import (
     tensor_map,
 )
 from naphopf.posets import brute_force_pi, f_structure_constants, interval_of
+from naphopf.series import random_group_element, series_inverse, zeta_series
 from naphopf.trees import (
     Forest,
     LEAF,
@@ -169,6 +171,25 @@ def test_hnap_coproduct_and_antipode_build_no_interval():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.split() == ["0", "85"]
+
+
+def test_qgnap_antipode_builds_no_coproduct_and_no_other_antipode():
+    # a fresh interpreter, so that no other test has filled the caches: the
+    # antipode reads the row source on tree ids, not the cached coproducts,
+    # and leaves in the antipode cache only the monomials asked for
+    code = (
+        "from naphopf.hopf import _ANTIPODE_CACHE, antipode_monomial, qgnap_coproduct\n"
+        "from naphopf.trees import Forest, enumerate_trees\n"
+        "asked = {('qgnap', Forest((t,))) for n in range(2, 8) for t in enumerate_trees(n)}\n"
+        "for _, key in asked:\n"
+        "    antipode_monomial('qgnap', key)\n"
+        "print(qgnap_coproduct.cache_info().currsize, len(asked), set(_ANTIPODE_CACHE) == asked)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "84", "True"]
 
 
 def test_ideal_table_counts_are_the_interval_constants():
@@ -366,6 +387,31 @@ def test_antipode_convolution_all_algebras():
         assert convolution_antipode_identity(x) == want
 
 
+def _evaluate(x: HopfElement, a) -> Fraction:
+    # a qgnap element as a function on the group: a forest monomial takes
+    # the product of the coefficients of a at its components
+    return sum((c * prod((a.coefficient(t) for t in f.components), start=Fraction(1))
+                for f, c in x.terms.items()), start=Fraction(0))
+
+
+def test_qgnap_antipode_is_the_group_inverse():
+    # S(G_t)(a) = G_t(a^-1): the antipode against series_inverse, which
+    # shares no code with the coproduct rows the antipode reads
+    rng = random.Random(11)
+    elements = [zeta_series(7), random_group_element(rng, 7), random_group_element(rng, 7)]
+    trees = [t for n in range(2, 8) for t in enumerate_trees(n)]
+    assert len(trees) == 84
+    wrong_at_a = 0
+    for a in elements:
+        inverse = series_inverse(a)
+        for t in trees:
+            s = antipode_monomial("qgnap", Forest((t,)))
+            assert _evaluate(s, a) == inverse.coefficient(t), t.string
+            # negative control: a in place of a^-1 must fail on some tree
+            wrong_at_a += _evaluate(s, a) != a.coefficient(t)
+    assert wrong_at_a > 0
+
+
 # --- Connes-Kreimer --------------------------------------------------------------------
 
 
@@ -509,7 +555,7 @@ def test_cached_results_are_read_only():
     with pytest.raises(TypeError):
         constants[(Forest((t,)), LEAF)] = 5
     for te in (hnap_coproduct(t), qgnap_coproduct(t), ck_coproduct(t),
-               antipode_monomial("hnap", t)):
+               antipode_monomial("hnap", t), antipode_monomial("qgnap", Forest((t,)))):
         with pytest.raises(AttributeError):
             te.terms.clear()
         with pytest.raises(TypeError):
@@ -568,8 +614,10 @@ def test_antipode_of_a_chain_needs_no_recursion():
     try:
         s_ck = antipode_monomial("ck", Forest((t,)))
         s_hnap = antipode_monomial("hnap", t)
+        s_qgnap = antipode_monomial("qgnap", Forest((t,)))
     finally:
         sys.setrecursionlimit(limit)
     # one forest of chains per partition of 25 (of 24 under B+), all signs agreeing
     assert len(s_ck.terms) == 1958
     assert len(s_hnap.terms) == 1575
+    assert len(s_qgnap.terms) == 1575

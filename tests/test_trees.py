@@ -82,6 +82,9 @@ PARSE_ERRORS = [
     (")(", 0, "expected '(' but found ')'"),
     ("( ())", 1, "expected '(' but found ' '"),
     ("(x)", 1, "expected '(' but found 'x'"),
+    ("\u00a0()x", 4, "trailing input after tree"),
+    ("\u3000(", 4, "unclosed '('"),
+    ("()\u2003x", 5, "trailing input after tree"),
 ]
 
 
