@@ -44,10 +44,12 @@ NAMED_SERIES = {
 # costs several times more one size up
 SERIES_N_LIMIT = 13
 LABELED_N_LIMIT = 7
-# interval builds an m x m order on the m ideals of an n-vertex tree and
-# lists up to n vertices per ideal, so it is refused when m * (m + n) is
-# above INTERVAL_LIMIT: chain(440) (387,200) takes ~2 s and ~100 MB, and
-# corolla(9) (267,264) ~0.2 s; the 1200-vertex chain would take ~27 s and 1 GB
+# interval lists up to n vertices for each of the m ideals of an n-vertex
+# tree and reads its covers off the ideal bitmasks.  It is refused when
+# m * (m + n) is above INTERVAL_LIMIT, a bound set when it also built an
+# m x m order: chain(440) (387,200) now takes ~0.5 s and ~37 MB, and
+# corolla(9) (267,264) ~0.03 s; the 1200-vertex chain would take ~4 s and
+# ~155 MB (CPU time after import and peak RSS, Python 3.11, 2-core host)
 INTERVAL_LIMIT = 400_000
 
 

@@ -3,7 +3,12 @@ brute-force poset of structured partitions that validates them.
 
 An interval [0,t] is stored on the lower ideals of a labeled copy of t:
 the full vertex set is the bottom element, the root alone is the top, and
-x <= y holds exactly when ideal(x) contains ideal(y).
+x <= y holds exactly when ideal(x) contains ideal(y).  Each ideal is also
+an int bitmask, so the order, the covers and the Mobius recursion are read
+off the masks, and its branch forest and restriction are built children
+first from the interned shapes of ``TREE_TABLE``.  The per-ideal functions
+:func:`forest_below` and :func:`theta_of` build the same shapes vertex by
+vertex and stay as their oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .trees import (
     LabeledTree,
     OperadInstance,
     RootedTree,
+    TREE_TABLE,
     canonical_representative,
     find_shape_isomorphism,
     set_partitions,
@@ -144,42 +150,98 @@ class IntervalPoset:
     """The interval [0,t] on the lower ideals of a labeled copy of t.
 
     ``elements[i]`` is a vertex set of ``representative`` (labels 1..n in BFS
-    order) containing the root and closed under taking parents.  The stored
-    orientation has the full vertex set at the bottom and {root} at the top;
-    each element carries the forest of branches hanging under its ideal and
-    the restriction of t to the ideal.
+    order) containing the root and closed under taking parents, and
+    ``masks[i]`` is the same set as an int with bit v - 1 set for label v.
+    The stored orientation has the full vertex set at the bottom and {root}
+    at the top, sorted by rank (vertices removed) and then by the sorted
+    labels; each element carries the forest of branches hanging under its
+    ideal and the restriction of t to the ideal.
+
+    The ideals are built children first: at each vertex v every child c is
+    either cut off or kept with one of c's own ideals.  Shapes are
+    ``TREE_TABLE`` ids until the end, so a restriction is ``node`` of the
+    kept children's restrictions and the branch component at v is ``node``
+    of the cut children's full shapes: a shape the table already holds is
+    looked up, never rebuilt.  Equal branch forests are one ``Forest``.
     """
 
-    __slots__ = ("representative", "elements", "bottom_index", "top_index",
+    __slots__ = ("representative", "elements", "masks", "bottom_index", "top_index",
                  "forests", "thetas")
 
     def __init__(self, tree: RootedTree) -> None:
         rep = canonical_representative(tree)
-        ideals = _ideals_of(rep)
-        n = tree.size
+        table = TREE_TABLE
+        node, trees = table.node, table.trees
+        # shape[v - 1] is the id of the subtree below label v: the labels
+        # number a BFS of t with children in canonical order, and so does
+        # this walk over the child ids
+        shape = [table.id(tree)]
+        for i in shape:
+            shape.extend(table.kids[i])
+        # the ideals of the subtree below v, as rows (restriction id, v, id
+        # of the branch component at v, rows of the kept children)
+        rows: dict = {}
+        for v in reversed(_bfs_order(rep)):
+            kids = rep.children(v)
+            out = []
+            for combo in cartesian(*[(None,) + rows.pop(c) for c in kids]):
+                kept = tuple(row for row in combo if row is not None)
+                cut = [shape[c - 1] for c, row in zip(kids, combo) if row is None]
+                out.append((node([row[0] for row in kept]), v, node(cut), kept))
+            rows[v] = tuple(out)
+        # each ideal's labels and branch components, read off its row tree
+        # on an explicit stack, so a deep tree needs no Python stack
+        bit = [0] + [1 << (v - 1) for v in range(1, len(shape) + 1)]  # bit[v]: label v
+        split = []
+        for row in rows[rep.root]:
+            labels, comps, stack = [], [], [row]
+            while stack:
+                _, u, comp, kept = stack.pop()
+                labels.append(u)
+                comps.append(comp)
+                stack.extend(kept)
+            labels.sort()
+            comps.sort()
+            split.append((-len(labels), labels, sum(map(bit.__getitem__, labels)),
+                          row[0], tuple(comps)))
         # bottom (rank 0) is the full vertex set; rank = vertices removed
-        ideals.sort(key=lambda s: (n - len(s), tuple(sorted(s))))
+        split.sort()
+        forests: dict = {}
+        for *_, comps in split:
+            if comps not in forests:
+                forests[comps] = Forest([trees[c] for c in comps])
         self.representative = rep
-        self.elements = tuple(ideals)
+        self.elements = tuple(frozenset(e[1]) for e in split)
+        self.masks = tuple(e[2] for e in split)
+        self.thetas = tuple(trees[e[3]] for e in split)
+        self.forests = tuple(forests[e[4]] for e in split)
         self.bottom_index = 0
-        self.top_index = len(ideals) - 1
-        full = _subtree_shapes(rep)
-        pairs = [_ideal_split(rep, full, s) for s in ideals]
-        self.forests = tuple(p[0] for p in pairs)
-        self.thetas = tuple(p[1] for p in pairs)
+        self.top_index = len(split) - 1
 
     def __len__(self) -> int:
         return len(self.elements)
 
     @property
     def poset(self) -> FinitePoset:
-        """The order x <= y iff ideal(x) contains ideal(y), built on each
-        call; the interval itself stores no order matrix."""
-        ideals = self.elements
-        return FinitePoset([[s2 <= s1 for s2 in ideals] for s1 in ideals], check=False)
+        """The order x <= y iff ideal(x) contains ideal(y), built from the
+        masks on each call; the interval itself stores no order matrix."""
+        masks = self.masks
+        return FinitePoset([[m2 & m1 == m2 for m2 in masks] for m1 in masks], check=False)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        return self.poset.covers()
+        """All pairs (i, j) with j covering i, sorted: ideal j is ideal i
+        less one vertex that has no child in ideal i."""
+        rep = self.representative
+        child_masks = dict.fromkeys(rep.labels, 0)
+        for c, p in rep.parents.items():
+            child_masks[p] |= 1 << (c - 1)
+        index = {m: i for i, m in enumerate(self.masks)}
+        out = []
+        for i, (ideal, m) in enumerate(zip(self.elements, self.masks)):
+            ups = sorted(index[m ^ (1 << (v - 1))] for v in ideal
+                         if v != rep.root and not child_masks[v] & m)
+            out.extend((i, j) for j in ups)
+        return tuple(out)
 
 
 # The ideal algorithms below run children first over an explicit BFS order
@@ -201,16 +263,6 @@ def _subtree_shapes(rep: LabeledTree, keep: "frozenset | None" = None) -> dict:
     for v in reversed(_bfs_order(rep, keep)):
         shapes[v] = RootedTree(shapes[c] for c in rep.children(v) if c in shapes)
     return shapes
-
-
-def _ideals_of(rep: LabeledTree) -> list[frozenset]:
-    # Lower ideals containing the root; one ideal per choice of an ideal (or
-    # nothing) in each branch of a vertex, children first.
-    below: dict = {}
-    for v in reversed(_bfs_order(rep)):
-        pools = [[frozenset()] + below.pop(c) for c in rep.children(v)]
-        below[v] = [frozenset({v}.union(*combo)) for combo in cartesian(*pools)]
-    return below[rep.root]
 
 
 def _ideal_split(rep: LabeledTree, full: dict, ideal: frozenset) -> tuple[Forest, RootedTree]:
@@ -267,9 +319,16 @@ def theta_of(t: RootedTree, ideal: "frozenset | Iterable") -> RootedTree:
 
 @lru_cache(maxsize=None)
 def mobius(t: RootedTree) -> int:
-    """mu(0,1) of the interval of t, by the defining recursion."""
-    ip = interval_of(t)
-    return ip.poset.mobius_from_bottom()[ip.top_index]
+    """mu(0,1) of the interval of t, by the defining recursion
+    mu(0,x) = -sum of mu(0,y) over y < x, on the ideal masks: y < x is
+    ideal(y) strictly containing ideal(x), so every such y comes earlier in
+    the rank order, and the y with mu(0,y) = 0 are left out of the sum."""
+    nonzero: list = []  # (mask of y, mu(0,y)) for the earlier y
+    for mx in interval_of(t).masks:  # the bottom first, the top last
+        mu = -sum(m for my, m in nonzero if my & mx == mx) if nonzero else 1
+        if mu:
+            nonzero.append((mx, mu))
+    return mu
 
 
 def mobius_closed_form(t: RootedTree) -> int:
@@ -279,15 +338,10 @@ def mobius_closed_form(t: RootedTree) -> int:
     return 0
 
 
-def _as_poset(p: "FinitePoset | IntervalPoset") -> FinitePoset:
-    return p.poset if isinstance(p, IntervalPoset) else p
-
-
 def check_total_semimodularity(p: "FinitePoset | IntervalPoset") -> bool:
     """True iff any two elements covering a common element share a cover."""
-    poset = _as_poset(p)
     above: dict[int, list[int]] = {}
-    for a, b in poset.covers():
+    for a, b in p.covers():
         above.setdefault(a, []).append(b)
     for ups in above.values():
         for i, x in enumerate(ups):
@@ -303,7 +357,7 @@ def check_distributive_lattice(p: "FinitePoset | IntervalPoset") -> bool:
     For an interval poset the meet and join are additionally required to
     coincide with ideal union and ideal intersection.
     """
-    poset = _as_poset(p)
+    poset = p.poset if isinstance(p, IntervalPoset) else p
     if not poset.is_lattice():
         return False
     meet, join = poset._bound_tables()

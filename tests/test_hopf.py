@@ -572,6 +572,8 @@ def test_cached_results_are_read_only():
         ip.poset.leq[0] = ()
     with pytest.raises(TypeError):
         ip.representative.parents[2] = 3
+    with pytest.raises(TypeError):
+        ip.masks[0] = 0
     assert len(g_structure_constants(t)) == 3
     assert len(hnap_coproduct(t).terms) == 3
     assert len(interval_of(t)) == 3

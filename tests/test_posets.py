@@ -1,10 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from naphopf.hopf import HopfElement, antipode, hnap_coproduct
 from naphopf.posets import (
     FinitePoset,
     brute_force_pi,
+    ideal_count,
     check_distributive_lattice,
     check_interval_factorization,
     check_maximal_interval_model,
@@ -87,6 +93,59 @@ def test_cover_relations_remove_one_leaf():
                            for v in large)
 
 
+# root -> {a 30-vertex path ending in three leaves, a small mixed branch, a leaf}
+DEEP_MIXED = parse_tree("(" + "(" * 30 + "()()()" + ")" * 30 + "(()(()))" + "()" + ")")
+
+
+def test_interval_rows_match_the_per_ideal_oracle():
+    # forest_below and theta_of rebuild each ideal's shapes vertex by vertex
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)] + [chain(60), DEEP_MIXED]
+    for t in trees:
+        ip = interval_of(t)
+        assert len(ip) == ideal_count(t)
+        for ideal, mask, forest, theta in zip(ip.elements, ip.masks, ip.forests, ip.thetas):
+            assert type(ideal) is frozenset
+            assert forest == forest_below(t, ideal), (t.string, sorted(ideal))
+            assert theta == theta_of(t, ideal), (t.string, sorted(ideal))
+            assert mask == sum(1 << (v - 1) for v in ideal)
+
+
+def test_interval_covers_match_the_order_matrix():
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            ip = interval_of(t)
+            assert ip.covers() == ip.poset.covers(), t.string
+
+
+def test_interval_construction_builds_no_tree_the_table_holds():
+    # RootedTree constructions, counted by a profile hook in a fresh
+    # interpreter: once every tree with at most 8 vertices is interned,
+    # every restriction and branch of their intervals is a table lookup
+    code = (
+        "import json, sys\n"
+        "from naphopf.posets import interval_of\n"
+        "from naphopf.trees import TREE_TABLE, RootedTree, enumerate_trees\n"
+        "trees = [t for n in range(1, 9) for t in enumerate_trees(n)]\n"
+        "for t in trees:\n"
+        "    TREE_TABLE.id(t)\n"
+        "watched = RootedTree.__init__.__code__\n"
+        "calls = 0\n"
+        "def count(frame, event, arg):\n"
+        "    global calls\n"
+        "    if event == 'call' and frame.f_code is watched:\n"
+        "        calls += 1\n"
+        "sys.setprofile(count)\n"
+        "ideals = sum(len(interval_of(t)) for t in trees if t.size >= 2)\n"
+        "sys.setprofile(None)\n"
+        "print(json.dumps([sum(t.size >= 2 for t in trees), ideals, calls]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert json.loads(out.stdout) == [199, 5181, 0]
+
+
 def test_forest_below_and_theta_examples():
     full = frozenset({1, 2, 3, 4})
     assert forest_below(T1200, full) == Forest((LEAF,) * 4)
@@ -144,6 +203,24 @@ def test_mobius_matches_closed_form():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             assert mobius(t) == mobius_closed_form(t)
+
+
+def test_mobius_matches_the_generic_recursion_and_the_antipode():
+    # mobius runs on the ideal masks; FinitePoset.mobius_from_bottom runs the
+    # same recursion on the order matrix, and Schmitt (Incidence Hopf
+    # algebras, JPAA 96, 1994) gives mu = zeta o S: the coefficients of the
+    # antipode of F_[t] sum to mu(0,1)
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    assert len(trees) == 200
+    coproduct_sums_differ = False
+    for t in trees:
+        ip = interval_of(t)
+        mu = mobius(t)
+        assert mu == ip.poset.mobius_from_bottom()[ip.top_index], t.string
+        assert mu == sum(antipode(HopfElement.hnap_basis(t)).terms.values()), t.string
+        coproduct_sums_differ |= mu != sum(hnap_coproduct(t).terms.values())
+    # negative control: zeta of the coproduct is no Mobius function
+    assert coproduct_sums_differ
 
 
 def test_mobius_sums_to_zero_over_intervals():
