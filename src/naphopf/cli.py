@@ -45,12 +45,16 @@ NAMED_SERIES = {
 SERIES_N_LIMIT = 13
 LABELED_N_LIMIT = 7
 # interval lists up to n vertices for each of the m ideals of an n-vertex
-# tree and reads its covers off the ideal bitmasks.  It is refused when
-# m * (m + n) is above INTERVAL_LIMIT, a bound set when it also built an
-# m x m order: chain(440) (387,200) now takes ~0.5 s and ~37 MB, and
-# corolla(9) (267,264) ~0.03 s; the 1200-vertex chain would take ~4 s and
-# ~155 MB (CPU time after import and peak RSS, Python 3.11, 2-core host)
-INTERVAL_LIMIT = 400_000
+# tree and reads its covers off the ideal bitmasks, so its cost follows m * n;
+# it is refused when m * n is above INTERVAL_LIMIT.  Wide trees hold more
+# memory per unit of m * n than chains.  Just under the limit chain(447)
+# takes ~0.4-0.7 s and ~38 MB, a 10-vertex path below corolla(13) (196,848)
+# ~0.6 s and ~70 MB, and corolla(12) with a 2-vertex path at its root
+# (184,320) ~0.6 s and ~80 MB; below it corolla(13) (114,688) takes ~0.3-0.7 s
+# and ~58 MB and corolla(12) (53,248) ~0.3 s; above it corolla(14) (245,760)
+# would take ~1.4 s and ~103 MB and chain(1200) ~5.7 s and ~156 MB (CPU time
+# after import and peak RSS, Python 3.11, 2-core host)
+INTERVAL_LIMIT = 200_000
 
 
 def _emit(obj) -> None:
@@ -93,9 +97,9 @@ def _cmd_coproduct(args) -> int:
 def _cmd_interval(args) -> int:
     tree = parse_tree(args.tree)
     m = ideal_count(tree)
-    if m * (m + tree.size) > INTERVAL_LIMIT:
+    if m * tree.size > INTERVAL_LIMIT:
         raise ValueError(f"the interval of a {tree.size}-vertex tree has {m} ideals; "
-                         f"m * (m + n) is above INTERVAL_LIMIT = {INTERVAL_LIMIT}")
+                         f"m * n is above INTERVAL_LIMIT = {INTERVAL_LIMIT}")
     ip = interval_of(tree)
     if args.emit_dot:
         print(interval_dot(ip))

@@ -50,6 +50,11 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
     return RootedTree(branches)
 
 
+# the coefficient of every monomial built with coefficient 1, shared:
+# Fractions are immutable, and antipode() tells such a monomial by identity
+_ONE = Fraction(1)
+
+
 class _Combination:
     """Finite rational combination of keys, tagged with its algebra; the
     vector-space operations shared by elements and tensors."""
@@ -122,7 +127,7 @@ class HopfElement(_Combination):
 
     @classmethod
     def unit(cls, algebra: str) -> "HopfElement":
-        return cls(algebra, {ALGEBRAS[algebra].unit: 1})
+        return cls.monomial(algebra, ALGEBRAS[algebra].unit)
 
     @classmethod
     def zero(cls, algebra: str) -> "HopfElement":
@@ -130,7 +135,16 @@ class HopfElement(_Combination):
 
     @classmethod
     def monomial(cls, algebra: str, key, coeff=1) -> "HopfElement":
-        return cls(algebra, {key: coeff})
+        """coeff * key; with coefficient 1 the key is checked once and the
+        coefficient is the shared ``Fraction(1)``."""
+        if coeff != 1:
+            return cls(algebra, {key: coeff})
+        if not ALGEBRAS[algebra].is_key(key):
+            raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
+        x = object.__new__(cls)
+        x.algebra = algebra
+        x.terms = {key: _ONE}
+        return x
 
     @classmethod
     def hnap_basis(cls, t: RootedTree) -> "HopfElement":
@@ -563,7 +577,7 @@ def antipode(x: HopfElement) -> HopfElement:
     coefficient 1 gets the cached, read-only monomial antipode."""
     if len(x.terms) == 1:
         (key, c), = x.terms.items()
-        if c == 1:
+        if c is _ONE or c == 1:
             return antipode_monomial(x.algebra, key)
     out = HopfElement.zero(x.algebra)
     for key, c in x.terms.items():

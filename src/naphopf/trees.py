@@ -111,13 +111,24 @@ def parse_tree(text: str) -> RootedTree:
     The tree is hash-consed through :data:`TREE_TABLE`: each vertex is
     looked up by the ids of its children (:meth:`TreeTable.node`), so a
     tree seen before constructs nothing, and every spelling of one tree
-    returns the same shared instance.  Trees must not be mutated.
+    returns the same shared instance.  The exact text of each successful
+    parse is memoized in ``TREE_TABLE.by_text``, so a spelling seen before
+    costs one dict lookup; malformed text is never stored and raises on
+    every call.  Trees must not be mutated.
     """
+    table = TREE_TABLE
+    i = table.by_text.get(text)
+    if i is None:
+        i = table.by_text[text] = _parse_id(table, text)
+    return table.trees[i]
+
+
+def _parse_id(table: "TreeTable", text: str) -> int:
+    # the id of the tree spelled by text, interned in table
     s = text.strip()
     # a literal made of parentheses only, as many '(' as ')'; anything else
-    # goes to the validating loop below, which reports the error
+    # goes to the validating loop of _raise_syntax_error, which reports the error
     if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
-        table = TREE_TABLE
         hit, node = table.by_kids.get, table.node
         leaf = hit(())
         # the child ids collected so far at each open vertex below the root,
@@ -138,7 +149,7 @@ def parse_tree(text: str) -> RootedTree:
             else:  # the root closed before the end
                 break
         else:
-            return table.trees[node(kids)]
+            return node(kids)
     _raise_syntax_error(text)
 
 
@@ -504,6 +515,11 @@ class TreeTable:
     first use.  Nothing is enumerated in advance, so the table holds only
     the trees that some computation reached; :meth:`stats` counts them.
 
+    ``by_text`` memoizes :func:`parse_tree`: it maps the exact text of each
+    successful parse, whitespace included, to the tree's id.  It lives and
+    dies with the table, so a fresh table starts with it empty, and it
+    grows by one entry per distinct well-formed spelling parsed.
+
     Substituting into a tree is the B-series recursion (Butcher 1972;
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
     a tree x at the root of B(t_1..t_k) and composing each branch gives
@@ -518,8 +534,8 @@ class TreeTable:
     :meth:`ideals`.
     """
 
-    __slots__ = ("trees", "sizes", "kids", "auts", "ids", "by_kids", "grafts",
-                 "ideal_table")
+    __slots__ = ("trees", "sizes", "kids", "auts", "ids", "by_kids", "by_text",
+                 "grafts", "ideal_table")
 
     def __init__(self) -> None:
         self.trees: list[RootedTree] = []
@@ -528,6 +544,7 @@ class TreeTable:
         self.auts: list[int] = []
         self.ids: dict[RootedTree, int] = {}
         self.by_kids: dict[tuple[int, ...], int] = {}
+        self.by_text: dict[str, int] = {}
         self.grafts: dict[tuple[int, int], int] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
         self.id(LEAF)  # id 0, so that a parsed "()" is LEAF

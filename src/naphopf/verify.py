@@ -105,6 +105,11 @@ SUITE_NAMES = ("poset", "mobius", "hopf", "main-theorem", "ck-iso",
                "series", "projections")
 
 BRUTE_CAP = 4  # structured-partition search is exponential in the ground set
+# the labeled composition oracles enumerate ordered tuples of trees, about 4x
+# more per vertex: at 8 vertices labeled_g_structure_constants takes ~0.6 s
+# and _multiply_labeled of zeta and mobius ~0.4 s (CPU, Python 3.11, 2-core host)
+LABELED_G_LIMIT = 8
+LABELED_PRODUCT_LIMIT = 8
 
 
 @dataclass
@@ -113,11 +118,16 @@ class CheckResult:
     passed: bool
     witness: str = ""
     elapsed_ms: float = 0.0  # wall time of the check; not part of to_dict
+    # the degree the check ran at, when its cap held it below the one asked
+    checked_degree: int | None = None
 
     def to_dict(self) -> dict:
-        return {"description": self.name,
-                "status": "pass" if self.passed else "fail",
-                "witness": self.witness}
+        out = {"description": self.name,
+               "status": "pass" if self.passed else "fail",
+               "witness": self.witness}
+        if self.checked_degree is not None:
+            out["checked_degree"] = self.checked_degree
+        return out
 
 
 @dataclass
@@ -145,6 +155,8 @@ class SuiteReport:
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
             extra = f" [{c.witness}]" if c.witness else ""
+            if c.checked_degree is not None:
+                extra += f" (checked to degree {c.checked_degree})"
             lines.append(f"[{mark}] {self.suite}: {c.name}{extra}")
         lines.append(f"suite {self.suite}: "
                      f"{'pass' if self.passed else 'FAIL'} "
@@ -158,19 +170,22 @@ class SuiteReport:
 
 
 _REGISTRY: list[tuple[str, str, object]] = []
+# the highest degree each capped check runs at, whatever degree is asked
+_CAPS: dict = {}
 
 
-def _check(suite: str, name: str):
+def _check(suite: str, name: str, cap: int | None = None):
     def wrap(fn):
         _REGISTRY.append((suite, name, fn))
+        if cap is not None:
+            _CAPS[fn] = cap
         return fn
 
     return wrap
 
 
-def _bound(degree: int | None, default: int, cap: int | None = None) -> int:
-    d = default if degree is None else degree
-    return d if cap is None else min(d, cap)
+def _bound(degree: int | None, default: int) -> int:
+    return default if degree is None else degree
 
 
 def _mono(algebra: str, key) -> HopfElement:
@@ -181,20 +196,20 @@ def _mono(algebra: str, key) -> HopfElement:
 # poset suite
 
 
-@_check("poset", "brute-force element counts equal (n+1)^(n-1)")
+@_check("poset", "brute-force element counts equal (n+1)^(n-1)", cap=BRUTE_CAP)
 def _poset_counts(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4, BRUTE_CAP) + 1):
+    for n in range(1, _bound(degree, 4) + 1):
         bp = brute_force_pi(nap, n)
         if len(bp) != (n + 1) ** (n - 1):
             return f"n={n}: {len(bp)} elements"
     return ""
 
 
-@_check("poset", "brute-force relations are posets with a unique bottom")
+@_check("poset", "brute-force relations are posets with a unique bottom", cap=BRUTE_CAP)
 def _poset_axioms(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4, BRUTE_CAP) + 1):
+    for n in range(1, _bound(degree, 4) + 1):
         bp = brute_force_pi(nap, n)
         try:
             bp.poset.validate()
@@ -222,10 +237,10 @@ def _poset_comm(degree, rng):
     return ""
 
 
-@_check("poset", "up-sets are isomorphic to part posets via theta")
+@_check("poset", "up-sets are isomorphic to part posets via theta", cap=BRUTE_CAP)
 def _poset_upsets(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4, BRUTE_CAP) + 1):
+    for n in range(1, _bound(degree, 4) + 1):
         bp = brute_force_pi(nap, n)
         for i in range(len(bp)):
             if not check_upset_isomorphism(bp, i):
@@ -233,10 +248,10 @@ def _poset_upsets(degree, rng):
     return ""
 
 
-@_check("poset", "intervals factor over the parts of the top element")
+@_check("poset", "intervals factor over the parts of the top element", cap=BRUTE_CAP)
 def _poset_intervals(degree, rng):
     nap = nap_instance()
-    n = _bound(degree, 4, BRUTE_CAP)
+    n = _bound(degree, 4)
     bp = brute_force_pi(nap, n)
     for i in range(len(bp)):
         for j in range(len(bp)):
@@ -245,10 +260,10 @@ def _poset_intervals(degree, rng):
     return ""
 
 
-@_check("poset", "maximal intervals realize the ideal-lattice model")
+@_check("poset", "maximal intervals realize the ideal-lattice model", cap=BRUTE_CAP)
 def _poset_models(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4, BRUTE_CAP) + 1):
+    for n in range(1, _bound(degree, 4) + 1):
         bp = brute_force_pi(nap, n)
         for i in bp.poset.maximal_elements():
             if not check_maximal_interval_model(bp, i):
@@ -603,7 +618,10 @@ def labeled_g_structure_constants(n: int) -> dict:
     {alpha: {(beta, gamma): count}}, by the labeled route: each ordered
     tuple of trees of total size n composed into the representative of each
     gamma counts once for the class it lands in.  Independent of the ideal
-    table behind ``hopf.g_structure_constants``."""
+    table behind ``hopf.g_structure_constants``.  The enumeration is
+    exponential; n above ``LABELED_G_LIMIT`` is refused."""
+    if n > LABELED_G_LIMIT:
+        raise ValueError(f"{n} vertices exceeds LABELED_G_LIMIT = {LABELED_G_LIMIT}")
     pool = [(t, 1) for k in range(1, n + 1) for t in enumerate_trees(k)]
     out: dict = defaultdict(Counter)
     for k in range(1, n + 1):
@@ -615,7 +633,8 @@ def labeled_g_structure_constants(n: int) -> dict:
     return out
 
 
-@_check("main-theorem", "aut-weighted identity between the two coproducts")
+@_check("main-theorem", "aut-weighted identity between the two coproducts",
+        cap=LABELED_G_LIMIT)
 def _main_identity(degree, rng):
     # both sides as weighted dicts, compared over the union of their supports
     d = _bound(degree, 5)
@@ -635,9 +654,9 @@ def _main_identity(degree, rng):
     return ""
 
 
-@_check("main-theorem", "brute-force orbit counts match both sides")
+@_check("main-theorem", "brute-force orbit counts match both sides", cap=BRUTE_CAP)
 def _main_counts(degree, rng):
-    d = _bound(degree, 4, BRUTE_CAP)
+    d = _bound(degree, 4)
     for n in range(2, d + 1):
         for alpha in enumerate_trees(n):
             for beta, gamma in admissible_triples(alpha):
@@ -863,8 +882,12 @@ def _assignments(slots: int, budget: int, pool: list):
 
 def _multiply_labeled(a: TreeSeries, b: TreeSeries, representative) -> TreeSeries:
     """The series product summed over every assignment of b's support to
-    the vertices of the chosen representative of each tree of a."""
+    the vertices of the chosen representative of each tree of a.  The sum
+    is exponential; a truncation above ``LABELED_PRODUCT_LIMIT`` is refused."""
     n = min(a.truncation, b.truncation)
+    if n > LABELED_PRODUCT_LIMIT:
+        raise ValueError(f"truncation {n} exceeds LABELED_PRODUCT_LIMIT = "
+                         f"{LABELED_PRODUCT_LIMIT}")
     pool = list(b.coeffs.items())
     out: dict = {}
     for t, at in a.coeffs.items():
@@ -874,7 +897,8 @@ def _multiply_labeled(a: TreeSeries, b: TreeSeries, representative) -> TreeSerie
     return TreeSeries(n, out)
 
 
-@_check("series", "product is independent of the representative labeling")
+@_check("series", "product is independent of the representative labeling",
+        cap=LABELED_PRODUCT_LIMIT)
 def _series_representatives(degree, rng):
     n = _bound(degree, 5)
     a = random_group_element(rng, n)
@@ -936,9 +960,9 @@ def _series_graft_distributes(degree, rng):
     return "" if lhs == rhs else "distributivity"
 
 
-@_check("series", "lie bracket is antisymmetric and satisfies jacobi")
+@_check("series", "lie bracket is antisymmetric and satisfies jacobi", cap=5)
 def _series_lie(degree, rng):
-    n = _bound(degree, 4, cap=5)
+    n = _bound(degree, 4)
     zero = TreeSeries(2 * n, {})
     singles = [TreeSeries(2 * n, {t: Fraction(1)})
                for size in range(1, n + 1) for t in enumerate_trees(size)]
@@ -1179,12 +1203,15 @@ def run_suite(suite: str, degree: int | None = None, seed: int = 0) -> SuiteRepo
     for s, name, fn in selected:
         rng = random.Random(seed)
         label = name if suite != "all" else f"{s}: {name}"
+        cap = _CAPS.get(fn)
+        checked = degree if cap is None or degree is None else min(degree, cap)
         t0 = time.perf_counter()
         try:
-            witness = fn(degree, rng)
+            witness = fn(checked, rng)
         except Exception as exc:  # a crash is a failure with the error as witness
             witness = f"error: {exc}"
         results.append(CheckResult(label, witness == "", witness,
-                                   (time.perf_counter() - t0) * 1000))
+                                   (time.perf_counter() - t0) * 1000,
+                                   None if checked == degree else checked))
     elapsed = int((time.monotonic() - start) * 1000)
     return SuiteReport(suite, results, elapsed)

@@ -129,13 +129,25 @@ def test_interval_of_a_300_vertex_chain_needs_no_recursion(capsys):
     assert len(data["covers"]) == 299
 
 
-@pytest.mark.parametrize("tree", [chain(1200), corolla(10)])
+@pytest.mark.parametrize("tree", [chain(1200), corolla(14)])
 def test_interval_above_the_size_limit_exits_2(capsys, tree):
     m = ideal_count(tree)
-    assert m * (m + tree.size) > INTERVAL_LIMIT
+    assert m * tree.size > INTERVAL_LIMIT
     code, out, err = run(capsys, "interval", tree.string)
     assert (code, out) == (2, "")
     assert "INTERVAL_LIMIT" in err
+
+
+def test_interval_of_a_wide_corolla_is_admitted(capsys):
+    # 4,096 ideals of 13 vertices: the limit bounds the m * n vertices
+    # listed, not the m * m pairs of ideals no step compares any more
+    tree = corolla(12)
+    assert ideal_count(tree) * tree.size <= INTERVAL_LIMIT
+    code, out, err = run(capsys, "interval", tree.string)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["size"] == 4096
+    assert len(data["covers"]) == 12 * 2048
 
 
 def test_interval_json(capsys):

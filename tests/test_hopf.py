@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -623,3 +624,65 @@ def test_antipode_of_a_chain_needs_no_recursion():
     assert len(s_ck.terms) == 1958
     assert len(s_hnap.terms) == 1575
     assert len(s_qgnap.terms) == 1575
+
+
+def test_unit_monomials_check_the_key_and_share_one_coefficient():
+    t = parse_tree("(()(()))")
+    for alg, key in (("hnap", t), ("ck", Forest((t, LEAF))), ("qgnap", Forest((t,)))):
+        x = HopfElement.monomial(alg, key)
+        assert x == HopfElement(alg, {key: 1}) and type(x.terms[key]) is Fraction
+        assert x.terms[key] is HopfElement.monomial(alg, key).terms[key]
+    assert F(t) == HopfElement.monomial("hnap", t)
+    assert HopfElement.monomial("hnap", t, 0) == HopfElement.zero("hnap")
+    assert HopfElement.monomial("hnap", t, Fraction(3, 2)).terms == {t: Fraction(3, 2)}
+    assert HopfElement.unit("qgnap") == HopfElement("qgnap", {Forest(): 1})
+    for alg, key in (("hnap", Forest((t,))), ("ck", t), ("qgnap", Forest((LEAF,))),
+                     ("nope", t)):
+        with pytest.raises(ValueError):
+            HopfElement.monomial(alg, key)
+    with pytest.raises(ValueError):
+        HopfElement.hnap_basis(Forest((t,)))
+
+
+def test_warm_queries_build_nothing():
+    # a guard on work, not on time, in a fresh interpreter: once each of the
+    # six kinds of query has been answered for every tree with 2..6
+    # vertices, asking again from the same strings parses nothing (no
+    # TreeTable.node lookup of a root), interns nothing and makes or compares
+    # no Fraction, counted by a profile hook
+    code = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from naphopf import hopf, posets, trees\n"
+        "kinds = [hopf.hnap_coproduct, hopf.qgnap_coproduct, hopf.ck_coproduct,\n"
+        "         lambda t: hopf.antipode(hopf.HopfElement.hnap_basis(t)),\n"
+        "         posets.mobius, posets.interval_of]\n"
+        "texts = [t.string for n in range(2, 7) for t in trees.enumerate_trees(n)]\n"
+        "def ask():\n"
+        "    return [kind(trees.parse_tree(s)) for kind in kinds for s in texts]\n"
+        "first = ask()\n"
+        "watched = {f.__code__: f.__qualname__ for f in (\n"
+        "    trees.RootedTree.__init__, trees.TreeTable._add, trees.TreeTable.node,\n"
+        "    trees._raise_syntax_error,\n"
+        "    Fraction.__new__, Fraction.__eq__)}\n"
+        "calls = dict.fromkeys(watched.values(), 0)\n"
+        "def count(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code in watched:\n"
+        "        calls[watched[frame.f_code]] += 1\n"
+        "sys.setprofile(count)\n"
+        "again = ask()\n"
+        "sys.setprofile(None)\n"
+        "same = sum(a is b for a, b in zip(first, again))\n"
+        "print(json.dumps([len(texts), len(again), same, calls]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    trees_asked, answers, same, calls = json.loads(out.stdout)
+    assert trees_asked == 36 and answers == 6 * 36
+    # each repeat hands out the very object of its first answer
+    assert same == answers
+    assert calls == {"RootedTree.__init__": 0, "TreeTable._add": 0, "TreeTable.node": 0,
+                     "_raise_syntax_error": 0, "Fraction.__new__": 0,
+                     "Fraction.__eq__": 0}

@@ -223,6 +223,34 @@ def test_mobius_matches_the_generic_recursion_and_the_antipode():
     assert coproduct_sums_differ
 
 
+def test_mobius_is_the_antichain_rule_of_the_ideal_lattice():
+    # the interval is a distributive lattice J(P) of ideals, so (Stanley,
+    # EC1 §3.9) mu(bottom, y) is (-1)^|R| when the removed vertices
+    # R = full - ideal(y) are an antichain in the tree order, and 0 otherwise
+    def ancestors(parents, v):
+        while v in parents:
+            v = parents[v]
+            yield v
+
+    values = 0
+    for t in [t for n in range(1, 9) for t in enumerate_trees(n)]:
+        ip = interval_of(t)
+        parents = ip.representative.parents
+        full = ip.elements[ip.bottom_index]
+        rule = []
+        for ideal in ip.elements:
+            removed = full - ideal
+            antichain = not any(u in removed for v in removed for u in ancestors(parents, v))
+            rule.append((-1) ** len(removed) if antichain else 0)
+        assert rule == ip.poset.mobius_from_bottom(), t.string
+        assert rule[ip.top_index] == mobius(t), t.string
+        values += len(rule)
+    assert values == 5182
+    # negative control: the sign alone, antichain or not, is no Mobius function
+    ip = interval_of(chain(3))
+    assert [(-1) ** (3 - len(e)) for e in ip.elements] != ip.poset.mobius_from_bottom()
+
+
 def test_mobius_sums_to_zero_over_intervals():
     for n in range(2, 7):
         for t in enumerate_trees(n):

@@ -170,6 +170,34 @@ def test_deep_chain_parses_without_recursion(monkeypatch):
     assert err.value.offset == 2399
 
 
+def test_spelling_memo_lives_and_dies_with_its_table(monkeypatch):
+    text = "((())(()()))"
+    old = TreeTable()
+    monkeypatch.setattr(trees_module, "TREE_TABLE", old)
+    first = parse_tree(text)
+    assert parse_tree(text) is first and text in old.by_text
+    # whitespace-padded spellings are memoized apart, as the same tree
+    for padded in (" " + text, text + "\n", "\t %s \r\n" % text):
+        assert parse_tree(padded) is first
+        assert parse_tree(padded) is first
+    # a fresh table starts with an empty memo: it hands out its own instance
+    fresh = TreeTable()
+    monkeypatch.setattr(trees_module, "TREE_TABLE", fresh)
+    assert fresh.by_text == {} and len(fresh) == 1
+    again = parse_tree(text)
+    assert again is not first and again == first
+    assert again is fresh.trees[fresh.ids[again]] and len(fresh) == 4
+    assert parse_tree(text) is again
+    # malformed text is never stored and raises the same error every call
+    for bad, offset in (("((())", 5), ("(()))", 4), (" (x)", 2)):
+        for _ in range(3):
+            with pytest.raises(TreeSyntaxError) as err:
+                parse_tree(bad)
+            assert err.value.offset == offset
+        assert bad not in fresh.by_text
+    assert len(fresh) == 4
+
+
 @given(random_trees())
 @settings(max_examples=60, deadline=None)
 def test_canonical_roundtrip(t):

@@ -1,7 +1,18 @@
 import pytest
 
-from naphopf.series import lie_bracket
-from naphopf.verify import CheckResult, SuiteReport, run_suite, suite_names
+from naphopf.series import lie_bracket, mobius_series, zeta_series
+from naphopf.trees import canonical_representative
+from naphopf.verify import (
+    BRUTE_CAP,
+    LABELED_G_LIMIT,
+    LABELED_PRODUCT_LIMIT,
+    CheckResult,
+    SuiteReport,
+    _multiply_labeled,
+    labeled_g_structure_constants,
+    run_suite,
+    suite_names,
+)
 
 
 def test_suite_names():
@@ -66,3 +77,37 @@ def test_timings_stay_out_of_the_default_report():
     del timed["timings"]
     assert timed == report.to_dict()
     assert report.checks[0].name in report.render_timings()
+
+
+def test_labeled_g_oracle_refuses_trees_above_its_limit():
+    # verify --degree 7 reaches 7 vertices; the refusal comes before any work
+    assert LABELED_G_LIMIT >= 7
+    with pytest.raises(ValueError, match=f"LABELED_G_LIMIT = {LABELED_G_LIMIT}"):
+        labeled_g_structure_constants(LABELED_G_LIMIT + 1)
+    assert len(labeled_g_structure_constants(3)) == 2  # the two 3-vertex trees
+
+
+def test_labeled_product_oracle_refuses_truncations_above_its_limit():
+    assert LABELED_PRODUCT_LIMIT >= 7
+    big = zeta_series(LABELED_PRODUCT_LIMIT + 1)
+    with pytest.raises(ValueError, match=f"LABELED_PRODUCT_LIMIT = {LABELED_PRODUCT_LIMIT}"):
+        _multiply_labeled(big, big, canonical_representative)
+    # the truncation is the smaller one of the two factors
+    assert (_multiply_labeled(big, mobius_series(3), canonical_representative)
+            == _multiply_labeled(zeta_series(3), mobius_series(3), canonical_representative))
+
+
+def test_a_capped_check_reports_the_degree_it_ran_at():
+    # the brute-force poset checks stop at BRUTE_CAP; the others run as asked
+    report = run_suite("poset", degree=BRUTE_CAP + 1, seed=0)
+    assert report.passed
+    capped = [c for c in report.checks if c.checked_degree is not None]
+    assert capped and all(c.checked_degree == BRUTE_CAP for c in capped)
+    assert len(capped) < len(report.checks)
+    rows = report.to_dict()["checks"]
+    assert [r.get("checked_degree") for r in rows] == [c.checked_degree for c in report.checks]
+    assert report.render_text().count(f"(checked to degree {BRUTE_CAP})") == len(capped)
+    # at or below the cap nothing is noted
+    plain = run_suite("poset", degree=BRUTE_CAP, seed=0)
+    assert all("checked_degree" not in r for r in plain.to_dict()["checks"])
+    assert "checked to degree" not in plain.render_text()
