@@ -40,10 +40,12 @@ NAMED_SERIES = {
 }
 
 # the largest inputs that take seconds: zeta*zeta at N = 13 takes ~3 s and
-# ~100 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, and each
-# costs several times more one size up
+# ~100 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, the trees
+# on 16 vertices ~4 s and ~210 MB (15: ~1.4 s and ~90 MB), and each costs
+# several times more one size up
 SERIES_N_LIMIT = 13
 LABELED_N_LIMIT = 7
+ENUMERATE_N_LIMIT = 16
 # interval lists up to n vertices for each of the m ideals of an n-vertex
 # tree and reads its covers off the ideal bitmasks, so its cost follows m * n;
 # it is refused when m * n is above INTERVAL_LIMIT.  Wide trees hold more
@@ -69,6 +71,10 @@ def _cmd_enumerate(args) -> int:
     if args.labeled and n > LABELED_N_LIMIT:
         print(f"error: enumerate --labeled lists n^(n-1) trees; n = {n} is above "
               f"LABELED_N_LIMIT = {LABELED_N_LIMIT}", file=sys.stderr)
+        return 2
+    if n > ENUMERATE_N_LIMIT:
+        print(f"error: the number of trees grows about 3x per vertex; n = {n} is above "
+              f"ENUMERATE_N_LIMIT = {ENUMERATE_N_LIMIT}", file=sys.stderr)
         return 2
     if args.labeled:
         items = [t.render() for t in labeled_trees([str(i) for i in range(1, n + 1)])]

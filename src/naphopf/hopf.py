@@ -22,6 +22,9 @@ coefficients are built only when a result is handed out.  The oracles
 subsets, the labeled composition route and the brute-force orbit counts)
 live in ``verify``.
 
+A memo keyed by values is an ``lru_cache``; one keyed by tree ids, such as
+the per-tree antipodes, is a field of ``TREE_TABLE`` and dies with its ids.
+
 All coefficients of elements are exact rationals.
 """
 
@@ -381,10 +384,6 @@ def b_plus(f: Forest) -> RootedTree:
 # ---------------------------------------------------------------------------
 # antipodes on tree ids
 
-# per row source, the antipode of each tree id as {sorted id tuple: int}
-_TREE_ANTIPODES: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
-
-
 def _id_product(factors: Iterable[dict]) -> dict:
     # the product of combinations of forests given as sorted id tuples
     out: dict = {(): 1}
@@ -402,7 +401,7 @@ def _tree_antipode(i: int, rows: Callable) -> dict:
     # S(t) = -t - sum c S(a) r over the rows a (x) r of t with neither side
     # the unit.  The trees of a are smaller than t, so they are done first,
     # on an explicit stack.
-    memo = _TREE_ANTIPODES.setdefault(rows, {})
+    memo = TREE_TABLE.antipodes.setdefault(rows, {})
     stack = [i]
     while stack:
         j = stack[-1]
@@ -553,9 +552,7 @@ rho = BasisMap("qgnap", "hnap", forest_as_tree_monomial,
 # ---------------------------------------------------------------------------
 # antipode
 
-_ANTIPODE_CACHE: dict[tuple, HopfElement] = {}
-
-
+@lru_cache(maxsize=None)
 def antipode_monomial(algebra: str, key) -> HopfElement:
     """Antipode of one monomial, cached and read-only.
 
@@ -564,12 +561,8 @@ def antipode_monomial(algebra: str, key) -> HopfElement:
     coproduct, run on tree ids; ``hnap`` carries the ``ck`` antipode of
     the branch forest back by B+.
     """
-    cached = _ANTIPODE_CACHE.get((algebra, key))
-    if cached is not None:
-        return cached
-    HopfElement.monomial(algebra, key)  # checks the key
-    out = _ANTIPODE_CACHE[(algebra, key)] = _read_only(ALGEBRAS[algebra].antipode(key))
-    return out
+    HopfElement.monomial(algebra, key)  # checks the key; an error is not cached
+    return _read_only(ALGEBRAS[algebra].antipode(key))
 
 
 def antipode(x: HopfElement) -> HopfElement:

@@ -398,24 +398,16 @@ def _part_key(part: frozenset):
     return tuple(sorted(_label_key(x) for x in part))
 
 
-_PI_ELEMENTS_CACHE: dict[tuple, list[frozenset]] = {}
-
-
-def pi_elements(instance: OperadInstance, labels: Sequence[Label]) -> list[frozenset]:
+@lru_cache(maxsize=None)
+def pi_elements(instance: OperadInstance, labels: tuple[Label, ...]) -> tuple[frozenset, ...]:
     """All structured partitions of the ground set: a set partition together
     with one labeled structure of the operad on each block."""
-    labels = tuple(labels)
-    key = (instance.name, labels)
-    hit = _PI_ELEMENTS_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = []
     for blocks in set_partitions(list(labels)):
         pools = [instance.labeled_structures(tuple(block)) for block in blocks]
         for combo in cartesian(*pools):
             out.append(frozenset(combo))
-    _PI_ELEMENTS_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
 def element_parts(instance: OperadInstance, element: frozenset) -> tuple[frozenset, ...]:
@@ -445,7 +437,7 @@ class BruteForcePoset:
     def __init__(self, instance: OperadInstance, labels: Sequence[Label]) -> None:
         self.instance = instance
         self.labels = tuple(labels)
-        self.elements = tuple(pi_elements(instance, self.labels))
+        self.elements = pi_elements(instance, self.labels)
         # read-only, like theta below: brute_force_pi hands one cached poset
         # to every caller
         self.index = MappingProxyType({e: i for i, e in enumerate(self.elements)})
@@ -473,30 +465,30 @@ class BruteForcePoset:
         return self.poset.bottom()
 
 
-_PI_CACHE: dict[tuple, BruteForcePoset] = {}
-
 BRUTE_FORCE_LIMIT = 4
 
 
-def brute_force_pi(instance: OperadInstance, ground: "int | Sequence[Label]",
-                   limit: int = BRUTE_FORCE_LIMIT) -> BruteForcePoset:
+def brute_force_pi(instance: OperadInstance, ground: "int | Sequence[Label]") -> BruteForcePoset:
     """Poset of structured partitions on {1..n} (or an explicit label tuple).
 
-    The search is exponential; ground sets larger than ``limit`` are refused
-    unless the caller raises the limit explicitly.
+    The search is exponential; ground sets larger than ``BRUTE_FORCE_LIMIT``
+    are refused.  The poset is cached and shared by every caller.
     """
     if isinstance(ground, int):
         labels: tuple[Label, ...] = tuple(str(i) for i in range(1, ground + 1))
     else:
         labels = tuple(ground)
-    if len(labels) > limit:
-        raise ValueError(f"ground set of size {len(labels)} exceeds limit {limit}")
-    key = (instance.name, labels)
-    hit = _PI_CACHE.get(key)
-    if hit is None:
-        hit = BruteForcePoset(instance, labels)
-        _PI_CACHE[key] = hit
-    return hit
+    if len(labels) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"ground set of size {len(labels)} exceeds "
+                         f"BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT}")
+    return _structured_partitions(instance, labels)
+
+
+@lru_cache(maxsize=None)
+def _structured_partitions(instance: OperadInstance,
+                           labels: tuple[Label, ...]) -> BruteForcePoset:
+    # unguarded: the checks below reach it for parts of a poset already built
+    return BruteForcePoset(instance, labels)
 
 
 def f_structure_constants(alpha: RootedTree) -> dict[tuple[Forest, RootedTree], int]:
@@ -521,7 +513,7 @@ def _restrict_element(instance: OperadInstance, element: frozenset,
 def check_upset_isomorphism(bp: BruteForcePoset, i: int) -> bool:
     """The up-set of element i must be order-isomorphic to the poset of
     structured partitions of its parts, via the witnessing thetas."""
-    target = brute_force_pi(bp.instance, bp.parts[i], limit=len(bp.parts[i]))
+    target = _structured_partitions(bp.instance, bp.parts[i])
     upset = bp.poset.up_set(i)
     if len(upset) != len(target):
         return False
@@ -556,10 +548,9 @@ def check_interval_factorization(bp: BruteForcePoset, i: int, j: int) -> bool:
         x_u = _restrict_element(instance, x, u)
         y_u = _restrict_element(instance, y, u)
         ground_u = tuple(sorted(u, key=_label_key))
-        bp_u = brute_force_pi(instance, ground_u, limit=len(ground_u))
+        bp_u = _structured_partitions(instance, ground_u)
         xi = bp_u.index[x_u]
-        parts_xu = element_parts(instance, x_u)
-        sub = brute_force_pi(instance, parts_xu, limit=len(parts_xu))
+        sub = _structured_partitions(instance, element_parts(instance, x_u))
         theta_top = bp_u.theta.get((xi, bp_u.index[y_u]))
         if theta_top is None:
             return False

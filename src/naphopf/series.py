@@ -488,14 +488,13 @@ def faa_generators(n: int) -> HopfElement:
     return HopfElement("hnap", terms)
 
 
-def random_group_element(rng, n: int, denominator_bound: int = 3,
-                         numerator_bound: int = 3) -> TreeSeries:
-    """Seeded random group element with small rational coefficients."""
+def random_group_element(rng, n: int) -> TreeSeries:
+    """Seeded random group element with coefficients p/q, |p|, q <= 3."""
     out = {LEAF: Fraction(1)}
     for size in range(2, n + 1):
         for t in enumerate_trees(size):
-            num = rng.randint(-numerator_bound, numerator_bound)
-            den = rng.randint(1, denominator_bound)
+            num = rng.randint(-3, 3)
+            den = rng.randint(1, 3)
             if num:
                 out[t] = Fraction(num, den)
     return TreeSeries(n, out)

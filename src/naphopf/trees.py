@@ -516,9 +516,8 @@ class TreeTable:
     the trees that some computation reached; :meth:`stats` counts them.
 
     ``by_text`` memoizes :func:`parse_tree`: it maps the exact text of each
-    successful parse, whitespace included, to the tree's id.  It lives and
-    dies with the table, so a fresh table starts with it empty, and it
-    grows by one entry per distinct well-formed spelling parsed.
+    successful parse, whitespace included, to the tree's id, so it grows by
+    one entry per distinct well-formed spelling parsed.
 
     Substituting into a tree is the B-series recursion (Butcher 1972;
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
@@ -531,11 +530,14 @@ class TreeTable:
 
     The root-containing ideals of a tree, which give all three coproducts,
     are tabled the same way, by id and with integer counts: see
-    :meth:`ideals`.
+    :meth:`ideals`; ``antipodes`` holds the antipode of each id for each
+    row source of :mod:`naphopf.hopf`.  Every memo keyed by tree ids is a
+    field of the table, so a fresh table starts with all of them empty;
+    memos keyed by values are ``lru_cache``s on pure functions.
     """
 
     __slots__ = ("trees", "sizes", "kids", "auts", "ids", "by_kids", "by_text",
-                 "grafts", "ideal_table")
+                 "grafts", "ideal_table", "antipodes")
 
     def __init__(self) -> None:
         self.trees: list[RootedTree] = []
@@ -547,6 +549,7 @@ class TreeTable:
         self.by_text: dict[str, int] = {}
         self.grafts: dict[tuple[int, int], int] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
+        self.antipodes: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
         self.id(LEAF)  # id 0, so that a parsed "()" is LEAF
 
     def __len__(self) -> int:
@@ -930,8 +933,10 @@ class OperadInstance:
     label_set: Callable[[object], frozenset]
 
 
+@lru_cache(maxsize=None)
 def nap_instance() -> OperadInstance:
-    """The NAP operad: rooted trees with root-joining composition."""
+    """The NAP operad: rooted trees with root-joining composition; one shared
+    instance, as caches keyed by an instance compare its functions by identity."""
     return OperadInstance(
         name="nap",
         classes=enumerate_trees,
@@ -943,8 +948,10 @@ def nap_instance() -> OperadInstance:
     )
 
 
+@lru_cache(maxsize=None)
 def comm_instance() -> OperadInstance:
-    """The Comm operad: one structure per finite set, composition by union."""
+    """The Comm operad: one structure per finite set, composition by union;
+    one shared instance, as :func:`nap_instance`."""
 
     def compose(x: frozenset, subs: dict) -> frozenset:
         out: set = set()

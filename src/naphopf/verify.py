@@ -110,6 +110,8 @@ BRUTE_CAP = 4  # structured-partition search is exponential in the ground set
 # and _multiply_labeled of zeta and mobius ~0.4 s (CPU, Python 3.11, 2-core host)
 LABELED_G_LIMIT = 8
 LABELED_PRODUCT_LIMIT = 8
+# count_Ef_Eg enumerates labeled trees and partitions of the ground set
+ORBIT_COUNT_LIMIT = 6
 
 
 @dataclass
@@ -186,10 +188,6 @@ def _check(suite: str, name: str, cap: int | None = None):
 
 def _bound(degree: int | None, default: int) -> int:
     return default if degree is None else degree
-
-
-def _mono(algebra: str, key) -> HopfElement:
-    return HopfElement.monomial(algebra, key)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +451,7 @@ def _hopf_delta_multiplicative(degree, rng):
         for _ in range(10):
             a = rng.choice(keys)
             b = rng.choice(keys)
-            x, y = _mono(algebra, a), _mono(algebra, b)
+            x, y = HopfElement.monomial(algebra, a), HopfElement.monomial(algebra, b)
             if (x * y).coproduct() != x.coproduct() * y.coproduct():
                 return f"{algebra}: {a} * {b}"
     return ""
@@ -464,7 +462,7 @@ def _hopf_antipode(degree, rng):
     d = _bound(degree, 5)
     for algebra in ALGEBRAS:
         for key in _generator_keys(algebra, d):
-            x = _mono(algebra, key)
+            x = HopfElement.monomial(algebra, key)
             expected = HopfElement(algebra, {ALGEBRAS[algebra].unit: x.counit()})
             if convolution_antipode_identity(x) != expected:
                 return f"{algebra}: {ALGEBRAS[algebra].render(key)}"
@@ -510,8 +508,7 @@ def _hopf_rho(degree, rng):
 # orbit counts behind both
 
 
-def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree,
-                max_size: int = 6) -> tuple[int, int]:
+def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> tuple[int, int]:
     """Cardinalities of the two isomorphism-decorated composition sets.
 
     E_f ranges over partitions of {1..n} ordered by least element, labeled
@@ -527,8 +524,8 @@ def count_Ef_Eg(alpha: RootedTree, beta: Forest, gamma: RootedTree,
         raise ValueError("total size of beta must equal the size of alpha")
     if len(beta) != k:
         raise ValueError("beta must have one component per vertex of gamma")
-    if n > max_size:
-        raise ValueError(f"ground set of size {n} exceeds max_size {max_size}")
+    if n > ORBIT_COUNT_LIMIT:
+        raise ValueError(f"{n} vertices exceeds ORBIT_COUNT_LIMIT = {ORBIT_COUNT_LIMIT}")
 
     r_alpha = canonical_representative(alpha)
     r_gamma = canonical_representative(gamma)

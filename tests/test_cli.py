@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from naphopf import cli
-from naphopf.cli import INTERVAL_LIMIT, LABELED_N_LIMIT, SERIES_N_LIMIT, main
+from naphopf.cli import (ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT, SERIES_N_LIMIT,
+                         main)
 from naphopf.posets import ideal_count
 from naphopf.trees import TREE_TABLE, chain, corolla, parse_tree
 
@@ -263,6 +264,18 @@ def test_labeled_enumeration_above_the_size_limit_exits_2(capsys, monkeypatch):
     # the limit itself is still listed
     monkeypatch.setattr(cli, "labeled_trees", lambda labels: [])
     code, out, _ = run(capsys, "enumerate", str(LABELED_N_LIMIT), "--labeled", "--count-only")
+    assert (code, out) == (0, "0\n")
+
+
+def test_enumeration_above_the_size_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    code, out, err = run(capsys, "enumerate", str(ENUMERATE_N_LIMIT + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "ENUMERATE_N_LIMIT = 16" in err
+    # the limit itself is still listed
+    monkeypatch.setattr(cli, "enumerate_trees", lambda n: ())
+    code, out, _ = run(capsys, "enumerate", str(ENUMERATE_N_LIMIT), "--count-only")
     assert (code, out) == (0, "0\n")
 
 

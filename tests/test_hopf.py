@@ -29,7 +29,7 @@ from naphopf.hopf import (
     rho,
     tensor_map,
 )
-from naphopf.posets import brute_force_pi, f_structure_constants, interval_of
+from naphopf.posets import brute_force_pi, f_structure_constants, interval_of, pi_elements
 from naphopf.series import random_group_element, series_inverse, zeta_series
 from naphopf.trees import (
     Forest,
@@ -179,18 +179,43 @@ def test_qgnap_antipode_builds_no_coproduct_and_no_other_antipode():
     # antipode reads the row source on tree ids, not the cached coproducts,
     # and leaves in the antipode cache only the monomials asked for
     code = (
-        "from naphopf.hopf import _ANTIPODE_CACHE, antipode_monomial, qgnap_coproduct\n"
+        "from naphopf.hopf import antipode_monomial, qgnap_coproduct\n"
         "from naphopf.trees import Forest, enumerate_trees\n"
         "asked = {('qgnap', Forest((t,))) for n in range(2, 8) for t in enumerate_trees(n)}\n"
         "for _, key in asked:\n"
         "    antipode_monomial('qgnap', key)\n"
-        "print(qgnap_coproduct.cache_info().currsize, len(asked), set(_ANTIPODE_CACHE) == asked)\n"
+        "print(qgnap_coproduct.cache_info().currsize, len(asked),\n"
+        "      antipode_monomial.cache_info().currsize == 84)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.split() == ["0", "84", "True"]
+
+
+def test_tree_antipodes_live_and_die_with_their_table(monkeypatch):
+    # the per-tree antipode memo is keyed by table ids, so it must belong to
+    # the table: a fresh table whose ids are shifted gives the same antipodes
+    from naphopf import hopf, trees as trees_module
+
+    keys = [(algebra, ALGEBRAS[algebra].tree_key(t)) for algebra in ALGEBRAS
+            for n in range(2, 7) for t in enumerate_trees(n)]
+    assert len(keys) == 108
+    before = [antipode_monomial(*k) for k in keys]
+    fresh = trees_module.TreeTable()
+    fresh.id(chain(12))
+    fresh.id(corolla(9))
+    monkeypatch.setattr(hopf, "TREE_TABLE", fresh)
+    monkeypatch.setattr(trees_module, "TREE_TABLE", fresh)
+    antipode_monomial.cache_clear()
+    try:
+        assert fresh.antipodes == {}
+        assert [antipode_monomial(*k) for k in keys] == before
+        assert fresh.antipodes
+    finally:
+        # drop the results computed on the fresh table
+        antipode_monomial.cache_clear()
 
 
 def test_ideal_table_counts_are_the_interval_constants():
@@ -562,6 +587,9 @@ def test_cached_results_are_read_only():
         with pytest.raises(TypeError):
             te.terms[next(iter(te.terms))] = Fraction(7)
     bp = brute_force_pi(nap_instance(), 2)
+    assert brute_force_pi(nap_instance(), 2) is bp
+    assert isinstance(pi_elements(nap_instance(), ("1", "2")), tuple)
+    assert pi_elements(nap_instance(), ("1", "2")) == bp.elements
     with pytest.raises(TypeError):
         bp.index[next(iter(bp.index))] = 0
     with pytest.raises(AttributeError):

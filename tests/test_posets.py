@@ -25,6 +25,7 @@ from naphopf.posets import (
     mobius_closed_form,
     pentagon_poset,
     theta_of,
+    _structured_partitions,
 )
 from naphopf.trees import (
     Forest,
@@ -321,8 +322,31 @@ def test_brute_force_counts():
 def test_brute_force_limit():
     with pytest.raises(ValueError):
         brute_force_pi(nap_instance(), 5)
-    # explicit override is allowed (comm stays tiny)
-    assert len(brute_force_pi(comm_instance(), 5, limit=5)) == 52  # Bell(5)
+    # the guard is on outside input only: the cached builder behind it
+    # takes any ground set (comm stays tiny)
+    labels = tuple(str(i) for i in range(1, 6))
+    assert len(_structured_partitions(comm_instance(), labels)) == 52  # Bell(5)
+
+
+def test_operad_instances_are_shared_by_the_caches():
+    # a fresh interpreter, so that no other test has built a poset: the
+    # instances compare their functions by identity, so each must be one
+    # object for the caches keyed by it to hit
+    code = (
+        "from naphopf import posets\n"
+        "from naphopf.trees import comm_instance, nap_instance\n"
+        "from naphopf.verify import run_suite\n"
+        "built = []\n"
+        "init = posets.BruteForcePoset.__init__\n"
+        "posets.BruteForcePoset.__init__ = lambda self, *a: built.append(1) or init(self, *a)\n"
+        "assert run_suite('all').passed\n"
+        "print(nap_instance() is nap_instance(), comm_instance() is comm_instance(), len(built))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "True", "67"]
 
 
 def test_comm_is_the_partition_lattice():

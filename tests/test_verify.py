@@ -1,18 +1,25 @@
 import pytest
 
 from naphopf.series import lie_bracket, mobius_series, zeta_series
-from naphopf.trees import canonical_representative
+from naphopf import verify
+from naphopf.trees import LEAF, Forest, canonical_representative, chain
 from naphopf.verify import (
     BRUTE_CAP,
     LABELED_G_LIMIT,
     LABELED_PRODUCT_LIMIT,
+    ORBIT_COUNT_LIMIT,
     CheckResult,
     SuiteReport,
     _multiply_labeled,
+    count_Ef_Eg,
     labeled_g_structure_constants,
     run_suite,
     suite_names,
 )
+
+
+def refuse(*args):
+    raise AssertionError("work started above the size limit")
 
 
 def test_suite_names():
@@ -95,6 +102,20 @@ def test_labeled_product_oracle_refuses_truncations_above_its_limit():
     # the truncation is the smaller one of the two factors
     assert (_multiply_labeled(big, mobius_series(3), canonical_representative)
             == _multiply_labeled(zeta_series(3), mobius_series(3), canonical_representative))
+
+
+def test_orbit_counts_refuse_trees_above_their_limit(monkeypatch):
+    # the main-theorem check stops at BRUTE_CAP, below the limit
+    assert ORBIT_COUNT_LIMIT >= BRUTE_CAP
+    alpha = chain(ORBIT_COUNT_LIMIT + 1)
+    with monkeypatch.context() as m:
+        # the refusal comes before any work
+        m.setattr(verify, "canonical_representative", refuse)
+        m.setattr(verify, "_labeled_pools", refuse)
+        with pytest.raises(ValueError, match=f"ORBIT_COUNT_LIMIT = {ORBIT_COUNT_LIMIT}"):
+            count_Ef_Eg(alpha, Forest((alpha,)), LEAF)
+    t = chain(3)
+    assert count_Ef_Eg(t, Forest((t,)), LEAF) == (1, 1)
 
 
 def test_a_capped_check_reports_the_degree_it_ran_at():
