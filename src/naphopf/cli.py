@@ -13,7 +13,7 @@ import os
 import sys
 
 from .hopf import ALGEBRAS
-from .posets import ideal_count, interval_dot, interval_of
+from .posets import ideal_count, ideal_orbit_count, interval_dot, interval_of
 from .series import (
     TreeSeries,
     corolla_series,
@@ -57,6 +57,13 @@ ENUMERATE_N_LIMIT = 16
 # would take ~1.4 s and ~103 MB and chain(1200) ~5.7 s and ~156 MB (CPU time
 # after import and peak RSS, Python 3.11, 2-core host)
 INTERVAL_LIMIT = 200_000
+# the coproduct lists the ideals of every distinct subtree, one row per class
+# up to automorphism, so its cost follows posets.ideal_orbit_count: chain(1200)
+# (720,600) takes ~0.7 s and ~90 MB, a root over chains of 3..9 vertices
+# (604,845) ~4 s and ~190 MB, and one over chains of 2..9 (1,814,445)
+# would take ~13 s and ~450 MB (CPU time and peak RSS of hnap_coproduct,
+# Python 3.11, 2-core host)
+COPRODUCT_LIMIT = 750_000
 
 
 def _emit(obj) -> None:
@@ -96,7 +103,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_coproduct(args) -> int:
     alg = ALGEBRAS[args.algebra]
-    _emit(alg.coproduct(alg.tree_key(parse_tree(args.tree))).to_json())
+    tree = parse_tree(args.tree)
+    m = ideal_orbit_count(tree)
+    if m > COPRODUCT_LIMIT:
+        raise ValueError(f"the coproduct of this {tree.size}-vertex tree lists {m} ideal "
+                         f"classes; that is above COPRODUCT_LIMIT = {COPRODUCT_LIMIT}")
+    _emit(alg.coproduct(alg.tree_key(tree)).to_json())
     return 0
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product as cartesian
+from itertools import groupby, product as cartesian
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -285,6 +286,35 @@ def ideal_count(t: RootedTree) -> int:
             out *= 1 + count.pop(c)
         count[v] = out
     return count[rep.root]
+
+
+def ideal_orbit_count(t: RootedTree) -> int:
+    """The number of root-containing ideals up to automorphism, summed over
+    the distinct subtrees of t: a bound on the rows that
+    ``TreeTable.ideals`` stores for t, and equal to them on chains.
+
+    A subtree whose root has m equal branches of class c, each with o
+    ideal classes, takes one of C(o + m, m) multisets of "cut off or one of
+    the o" for them.  Computed children first on an explicit stack.
+    """
+    kids = TREE_TABLE.kids
+    orbits: dict = {}
+    stack = [TREE_TABLE.id(t)]
+    while stack:
+        j = stack.pop()
+        if j in orbits:
+            continue
+        todo = [k for k in kids[j] if k not in orbits]
+        if todo:
+            stack.append(j)
+            stack.extend(todo)
+            continue
+        out = 1
+        for k, run in groupby(kids[j]):  # equal children are adjacent
+            m = len(list(run))
+            out *= comb(orbits[k] + m, m)
+        orbits[j] = out
+    return sum(orbits.values())
 
 
 @lru_cache(maxsize=None)

@@ -456,27 +456,27 @@ def gcomm_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
         raise ValueError("composition-group element needs c0 = 0, c1 = 1")
     n = min(a.truncation, b.truncation)
     out = [Fraction(0)] * (n + 1)
-
-    def tuples(slots: int, budget: int):
-        if slots == 0:
-            if budget == 0:
-                yield Fraction(1)
-            return
-        for s in range(1, budget - (slots - 1) + 1):
-            cs = b.coefficient(s)
-            if not cs:
-                continue
-            for prod in tuples(slots - 1, budget - s):
-                yield cs * prod
-
+    pool = [(s, s, b.coefficient(s)) for s in range(1, n + 1) if b.coefficient(s)]
     for m in range(1, n + 1):
         am = a.coefficient(m)
-        if not am:
-            continue
-        for d in range(m, n + 1):
-            for prod in tuples(m, d):
+        if am:
+            for _, d, prod in ordered_tuples(m, n, pool):
                 out[d] += am * prod
     return PowerSeries(out)
+
+
+def ordered_tuples(slots: int, budget: int, pool: list):
+    """Every ordered ``slots``-tuple of items from ``pool``, a list of
+    ``(size, item, coeff)``, whose sizes sum to at most ``budget``; yields
+    ``(items, total size, product of the coefficients)``."""
+    if slots == 0:
+        yield (), 0, Fraction(1)
+        return
+    for size, item, c in pool:
+        if size > budget - (slots - 1):
+            continue
+        for rest, total, prod in ordered_tuples(slots - 1, budget - size, pool):
+            yield (item,) + rest, size + total, c * prod
 
 
 def faa_generators(n: int) -> HopfElement:

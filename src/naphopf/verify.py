@@ -1,6 +1,8 @@
 """Named verification suites bundling the library's defining identities.
 
-Each check is a pure function of (degree, rng); a suite report lists the
+Each check is a pure function of (degree, rng), registered with its suite
+and, when it uses the degree, the degree it runs at by default and the cap
+it never runs above; the runner resolves the degree.  A suite report lists the
 checks sorted by name with a pass/fail status and a witness string that is
 nonempty exactly on failure.  Randomized checks draw from a seeded RNG, so
 repeated runs with the same flags are byte-identical apart from timing.
@@ -59,6 +61,7 @@ from .series import (
     ladder_series,
     lie_bracket,
     mobius_series,
+    ordered_tuples,
     project_comm,
     project_corolla,
     project_ladder,
@@ -101,9 +104,6 @@ from .trees import (
     slot_compositions,
 )
 
-SUITE_NAMES = ("poset", "mobius", "hopf", "main-theorem", "ck-iso",
-               "series", "projections")
-
 BRUTE_CAP = 4  # structured-partition search is exponential in the ground set
 # the labeled composition oracles enumerate ordered tuples of trees, about 4x
 # more per vertex: at 8 vertices labeled_g_structure_constants takes ~0.6 s
@@ -142,12 +142,11 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self, include_elapsed: bool = True, include_timings: bool = False) -> dict:
+    def to_dict(self, include_timings: bool = False) -> dict:
         out = {"suite": self.suite,
                "passed": self.passed,
-               "checks": [c.to_dict() for c in self.checks]}
-        if include_elapsed:
-            out["elapsed_ms"] = self.elapsed_ms
+               "checks": [c.to_dict() for c in self.checks],
+               "elapsed_ms": self.elapsed_ms}
         if include_timings:
             out["timings"] = {c.name: round(c.elapsed_ms, 1) for c in self.checks}
         return out
@@ -172,42 +171,46 @@ class SuiteReport:
 
 
 _REGISTRY: list[tuple[str, str, object]] = []
-# the highest degree each capped check runs at, whatever degree is asked
-_CAPS: dict = {}
+# each check's (default degree, cap): the degree it runs at when none is
+# asked, and the highest it runs at whatever is asked; a check without a
+# default ignores the degree
+_DEGREES: dict = {}
 
 
-def _check(suite: str, name: str, cap: int | None = None):
+def _check(suite: str, name: str, degree: int | None = None, cap: int | None = None):
     def wrap(fn):
         _REGISTRY.append((suite, name, fn))
-        if cap is not None:
-            _CAPS[fn] = cap
+        _DEGREES[fn] = (degree, cap)
         return fn
 
     return wrap
 
 
-def _bound(degree: int | None, default: int) -> int:
-    return default if degree is None else degree
+def _trees(lo: int, hi: int):
+    """The trees of lo..hi vertices, smaller first."""
+    for n in range(lo, hi + 1):
+        yield from enumerate_trees(n)
 
 
 # ---------------------------------------------------------------------------
 # poset suite
 
 
-@_check("poset", "brute-force element counts equal (n+1)^(n-1)", cap=BRUTE_CAP)
+@_check("poset", "brute-force element counts equal (n+1)^(n-1)", degree=4, cap=BRUTE_CAP)
 def _poset_counts(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4) + 1):
+    for n in range(1, degree + 1):
         bp = brute_force_pi(nap, n)
         if len(bp) != (n + 1) ** (n - 1):
             return f"n={n}: {len(bp)} elements"
     return ""
 
 
-@_check("poset", "brute-force relations are posets with a unique bottom", cap=BRUTE_CAP)
+@_check("poset", "brute-force relations are posets with a unique bottom",
+        degree=4, cap=BRUTE_CAP)
 def _poset_axioms(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4) + 1):
+    for n in range(1, degree + 1):
         bp = brute_force_pi(nap, n)
         try:
             bp.poset.validate()
@@ -235,10 +238,10 @@ def _poset_comm(degree, rng):
     return ""
 
 
-@_check("poset", "up-sets are isomorphic to part posets via theta", cap=BRUTE_CAP)
+@_check("poset", "up-sets are isomorphic to part posets via theta", degree=4, cap=BRUTE_CAP)
 def _poset_upsets(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4) + 1):
+    for n in range(1, degree + 1):
         bp = brute_force_pi(nap, n)
         for i in range(len(bp)):
             if not check_upset_isomorphism(bp, i):
@@ -246,22 +249,21 @@ def _poset_upsets(degree, rng):
     return ""
 
 
-@_check("poset", "intervals factor over the parts of the top element", cap=BRUTE_CAP)
+@_check("poset", "intervals factor over the parts of the top element", degree=4, cap=BRUTE_CAP)
 def _poset_intervals(degree, rng):
     nap = nap_instance()
-    n = _bound(degree, 4)
-    bp = brute_force_pi(nap, n)
+    bp = brute_force_pi(nap, degree)
     for i in range(len(bp)):
         for j in range(len(bp)):
             if bp.poset.leq[i][j] and not check_interval_factorization(bp, i, j):
-                return f"pair ({i},{j}) at n={n}"
+                return f"pair ({i},{j}) at n={degree}"
     return ""
 
 
-@_check("poset", "maximal intervals realize the ideal-lattice model", cap=BRUTE_CAP)
+@_check("poset", "maximal intervals realize the ideal-lattice model", degree=4, cap=BRUTE_CAP)
 def _poset_models(degree, rng):
     nap = nap_instance()
-    for n in range(1, _bound(degree, 4) + 1):
+    for n in range(1, degree + 1):
         bp = brute_force_pi(nap, n)
         for i in bp.poset.maximal_elements():
             if not check_maximal_interval_model(bp, i):
@@ -269,27 +271,24 @@ def _poset_models(degree, rng):
     return ""
 
 
-@_check("poset", "mobius of branch products multiplies")
+@_check("poset", "mobius of branch products multiplies", degree=6)
 def _poset_mobius_products(degree, rng):
-    for n in range(2, _bound(degree, 6) + 1):
-        for t in enumerate_trees(n):
-            if t.root_valence < 2:
-                continue
-            prod = 1
-            for branch in t.children:
-                prod *= mobius(RootedTree((branch,)))
-            if mobius(t) != prod:
-                return t.string
+    for t in _trees(2, degree):
+        if t.root_valence < 2:
+            continue
+        prod = 1
+        for branch in t.children:
+            prod *= mobius(RootedTree((branch,)))
+        if mobius(t) != prod:
+            return t.string
     return ""
 
 
-@_check("poset", "mobius values over an interval sum to zero")
+@_check("poset", "mobius values over an interval sum to zero", degree=7)
 def _poset_mobius_sums(degree, rng):
-    for n in range(2, _bound(degree, 7) + 1):
-        for t in enumerate_trees(n):
-            ip = interval_of(t)
-            if sum(ip.poset.mobius_from_bottom()) != 0:
-                return t.string
+    for t in _trees(2, degree):
+        if sum(interval_of(t).poset.mobius_from_bottom()) != 0:
+            return t.string
     return ""
 
 
@@ -297,30 +296,27 @@ def _poset_mobius_sums(degree, rng):
 # mobius suite
 
 
-@_check("mobius", "recursive mobius equals the corolla closed form")
+@_check("mobius", "recursive mobius equals the corolla closed form", degree=7)
 def _mobius_closed(degree, rng):
-    for n in range(1, _bound(degree, 7) + 1):
-        for t in enumerate_trees(n):
-            if mobius(t) != mobius_closed_form(t):
-                return f"{t.string}: {mobius(t)} vs {mobius_closed_form(t)}"
+    for t in _trees(1, degree):
+        if mobius(t) != mobius_closed_form(t):
+            return f"{t.string}: {mobius(t)} vs {mobius_closed_form(t)}"
     return ""
 
 
-@_check("poset", "tree intervals are totally semimodular")
+@_check("poset", "tree intervals are totally semimodular", degree=6)
 def _lattice_semimodular(degree, rng):
-    for n in range(1, _bound(degree, 6) + 1):
-        for t in enumerate_trees(n):
-            if not check_total_semimodularity(interval_of(t)):
-                return t.string
+    for t in _trees(1, degree):
+        if not check_total_semimodularity(interval_of(t)):
+            return t.string
     return ""
 
 
-@_check("poset", "tree intervals are distributive lattices on ideals")
+@_check("poset", "tree intervals are distributive lattices on ideals", degree=6)
 def _lattice_distributive(degree, rng):
-    for n in range(1, _bound(degree, 6) + 1):
-        for t in enumerate_trees(n):
-            if not check_distributive_lattice(interval_of(t)):
-                return t.string
+    for t in _trees(1, degree):
+        if not check_distributive_lattice(interval_of(t)):
+            return t.string
     return ""
 
 
@@ -401,10 +397,7 @@ def _hopf_relation(degree, rng):
 
 def _generator_keys(algebra: str, max_degree: int):
     # the monomial attached to each tree of 1..max_degree vertices
-    tree_key = ALGEBRAS[algebra].tree_key
-    for n in range(1, max_degree + 1):
-        for t in enumerate_trees(n):
-            yield tree_key(t)
+    return map(ALGEBRAS[algebra].tree_key, _trees(1, max_degree))
 
 
 def _coassociative(algebra: str, key) -> bool:
@@ -424,29 +417,25 @@ def _coassociative(algebra: str, key) -> bool:
     return left == right
 
 
-@_check("hopf", "coassociativity of all three coproducts")
+@_check("hopf", "coassociativity of all three coproducts", degree=6)
 def _hopf_coassoc(degree, rng):
-    d = _bound(degree, 6)
     for algebra in ALGEBRAS:
-        for key in _generator_keys(algebra, d):
+        for key in _generator_keys(algebra, degree):
             if not _coassociative(algebra, key):
                 return f"{algebra}: {ALGEBRAS[algebra].render(key)}"
     return ""
 
 
-@_check("hopf", "coproducts are algebra morphisms")
+@_check("hopf", "coproducts are algebra morphisms", degree=6)
 def _hopf_delta_multiplicative(degree, rng):
-    d = _bound(degree, 6)
-    for n in range(1, d):
-        for s in enumerate_trees(n):
-            for m in range(1, d + 1 - n):
-                for t in enumerate_trees(m):
-                    x = HopfElement.hnap_basis(s)
-                    y = HopfElement.hnap_basis(t)
-                    if (x * y).coproduct() != x.coproduct() * y.coproduct():
-                        return f"hnap: {s.string} * {t.string}"
+    for s in _trees(1, degree - 1):
+        for t in _trees(1, degree - s.size):
+            x = HopfElement.hnap_basis(s)
+            y = HopfElement.hnap_basis(t)
+            if (x * y).coproduct() != x.coproduct() * y.coproduct():
+                return f"hnap: {s.string} * {t.string}"
     for algebra in ("qgnap", "ck"):
-        keys = [k for k in _generator_keys(algebra, max(2, d - 2))
+        keys = [k for k in _generator_keys(algebra, max(2, degree - 2))
                 if k != ALGEBRAS[algebra].unit]
         for _ in range(10):
             a = rng.choice(keys)
@@ -457,11 +446,10 @@ def _hopf_delta_multiplicative(degree, rng):
     return ""
 
 
-@_check("hopf", "antipode satisfies the convolution identity")
+@_check("hopf", "antipode satisfies the convolution identity", degree=5)
 def _hopf_antipode(degree, rng):
-    d = _bound(degree, 5)
     for algebra in ALGEBRAS:
-        for key in _generator_keys(algebra, d):
+        for key in _generator_keys(algebra, degree):
             x = HopfElement.monomial(algebra, key)
             expected = HopfElement(algebra, {ALGEBRAS[algebra].unit: x.counit()})
             if convolution_antipode_identity(x) != expected:
@@ -469,18 +457,17 @@ def _hopf_antipode(degree, rng):
     return ""
 
 
-@_check("hopf", "valence-one generators generate freely")
+@_check("hopf", "valence-one generators generate freely", degree=7)
 def _hopf_freeness(degree, rng):
-    d = _bound(degree, 7)
     seen: dict[RootedTree, Forest] = {}
-    for m in range(0, d):
+    for m in range(0, degree):
         for branches in enumerate_forests(m):
             generators = Forest(RootedTree((b,)) for b in branches)
             merged = RootedTree(branches.components)
             if merged in seen:
                 return f"collision at {merged.string}"
             seen[merged] = generators
-    expect = sum(len(enumerate_trees(n)) for n in range(1, d + 1))
+    expect = sum(len(enumerate_trees(n)) for n in range(1, degree + 1))
     if len(seen) != expect:
         return f"{len(seen)} products for {expect} trees"
     for t, generators in seen.items():
@@ -490,15 +477,12 @@ def _hopf_freeness(degree, rng):
     return ""
 
 
-@_check("hopf", "rho is a morphism of coalgebras")
+@_check("hopf", "rho is a morphism of coalgebras", degree=5)
 def _hopf_rho(degree, rng):
-    d = _bound(degree, 5)
-    for n in range(2, d + 1):
-        for alpha in enumerate_trees(n):
-            g = HopfElement.qg_generator(alpha)
-            lhs = tensor_map(g.coproduct(), rho, rho)
-            if lhs != rho(g).coproduct():
-                return alpha.string
+    for alpha in _trees(2, degree):
+        g = HopfElement.qg_generator(alpha)
+        if tensor_map(g.coproduct(), rho, rho) != rho(g).coproduct():
+            return alpha.string
     return ""
 
 
@@ -606,8 +590,8 @@ def g_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
 def admissible_triples(alpha: RootedTree) -> list[tuple[Forest, RootedTree]]:
     """All size-compatible (beta, gamma) pairs for the given alpha."""
     n = alpha.size
-    return [(beta, gamma) for k in range(1, n + 1) for gamma in enumerate_trees(k)
-            for beta in enumerate_forests_with_components(n, k)]
+    return [(beta, gamma) for gamma in _trees(1, n)
+            for beta in enumerate_forests_with_components(n, gamma.size)]
 
 
 def labeled_g_structure_constants(n: int) -> dict:
@@ -619,23 +603,21 @@ def labeled_g_structure_constants(n: int) -> dict:
     exponential; n above ``LABELED_G_LIMIT`` is refused."""
     if n > LABELED_G_LIMIT:
         raise ValueError(f"{n} vertices exceeds LABELED_G_LIMIT = {LABELED_G_LIMIT}")
-    pool = [(t, 1) for k in range(1, n + 1) for t in enumerate_trees(k)]
+    pool = [(t.size, t, 1) for t in _trees(1, n)]
     out: dict = defaultdict(Counter)
-    for k in range(1, n + 1):
-        for gamma in enumerate_trees(k):
-            for seq, _ in _assignments(k, n, pool):
-                if sum(t.size for t in seq) == n:
-                    alpha = _compose_labeled(gamma, seq, canonical_representative)
-                    out[alpha][(Forest(seq), gamma)] += 1
+    for gamma in _trees(1, n):
+        for seq, total, _ in ordered_tuples(gamma.size, n, pool):
+            if total == n:
+                alpha = _compose_labeled(gamma, seq, canonical_representative)
+                out[alpha][(Forest(seq), gamma)] += 1
     return out
 
 
 @_check("main-theorem", "aut-weighted identity between the two coproducts",
-        cap=LABELED_G_LIMIT)
+        degree=5, cap=LABELED_G_LIMIT)
 def _main_identity(degree, rng):
     # both sides as weighted dicts, compared over the union of their supports
-    d = _bound(degree, 5)
-    for n in range(2, d + 1):
+    for n in range(2, degree + 1):
         g_of = labeled_g_structure_constants(n)
         for alpha in enumerate_trees(n):
             lhs = {(beta, gamma): aut_order(alpha) * aut0_order(beta) * g
@@ -651,21 +633,20 @@ def _main_identity(degree, rng):
     return ""
 
 
-@_check("main-theorem", "brute-force orbit counts match both sides", cap=BRUTE_CAP)
+@_check("main-theorem", "brute-force orbit counts match both sides",
+        degree=4, cap=BRUTE_CAP)
 def _main_counts(degree, rng):
-    d = _bound(degree, 4)
-    for n in range(2, d + 1):
-        for alpha in enumerate_trees(n):
-            for beta, gamma in admissible_triples(alpha):
-                ef, eg = count_Ef_Eg(alpha, beta, gamma)
-                if ef != eg:
-                    return f"E_f={ef} E_g={eg} at {alpha.string}"
-                f = f_coefficient(alpha, beta, gamma)
-                g = g_coefficient(alpha, beta, gamma)
-                if ef != forest_aut_order(beta) * aut_order(gamma) * f:
-                    return f"E_f mismatch at {alpha.string}|{beta.render()}|{gamma.string}"
-                if eg != aut_order(alpha) * aut0_order(beta) * g:
-                    return f"E_g mismatch at {alpha.string}|{beta.render()}|{gamma.string}"
+    for alpha in _trees(2, degree):
+        for beta, gamma in admissible_triples(alpha):
+            ef, eg = count_Ef_Eg(alpha, beta, gamma)
+            if ef != eg:
+                return f"E_f={ef} E_g={eg} at {alpha.string}"
+            f = f_coefficient(alpha, beta, gamma)
+            g = g_coefficient(alpha, beta, gamma)
+            if ef != forest_aut_order(beta) * aut_order(gamma) * f:
+                return f"E_f mismatch at {alpha.string}|{beta.render()}|{gamma.string}"
+            if eg != aut_order(alpha) * aut0_order(beta) * g:
+                return f"E_g mismatch at {alpha.string}|{beta.render()}|{gamma.string}"
     return ""
 
 
@@ -673,21 +654,18 @@ def _main_counts(degree, rng):
 # ck-iso suite
 
 
-@_check("ck-iso", "inductive coproduct equals admissible-cut enumeration")
+@_check("ck-iso", "inductive coproduct equals admissible-cut enumeration", degree=5)
 def _ck_cuts(degree, rng):
-    d = _bound(degree, 5)
-    for n in range(1, d + 1):
-        for t in enumerate_trees(n):
-            if ck_coproduct(t) != ck_coproduct_cuts(t):
-                return t.string
+    for t in _trees(1, degree):
+        if ck_coproduct(t) != ck_coproduct_cuts(t):
+            return t.string
     return ""
 
 
-@_check("ck-iso", "graft operator satisfies the cocycle identity")
+@_check("ck-iso", "graft operator satisfies the cocycle identity", degree=5)
 def _ck_cocycle(degree, rng):
-    d = _bound(degree, 5)
     unitf = Forest()
-    for m in range(0, d + 1):
+    for m in range(0, degree + 1):
         for f in enumerate_forests(m):
             x = HopfElement.ck_forest(f)
             bx = b_plus_map(x)
@@ -698,15 +676,13 @@ def _ck_cocycle(degree, rng):
     return ""
 
 
-@_check("ck-iso", "basis isomorphism and its inverse compose to the identity")
+@_check("ck-iso", "basis isomorphism and its inverse compose to the identity", degree=5)
 def _ck_iso_inverse(degree, rng):
-    d = _bound(degree, 5)
-    for n in range(1, d + 1):
-        for t in enumerate_trees(n):
-            x = HopfElement.hnap_basis(t)
-            if iso_from_ck(iso_to_ck(x)) != x:
-                return t.string
-    for m in range(0, d):
+    for t in _trees(1, degree):
+        x = HopfElement.hnap_basis(t)
+        if iso_from_ck(iso_to_ck(x)) != x:
+            return t.string
+    for m in range(0, degree):
         for f in enumerate_forests(m):
             y = HopfElement.ck_forest(f)
             if iso_to_ck(iso_from_ck(y)) != y:
@@ -790,27 +766,23 @@ def _hnap_coproduct_by_ideals(t: RootedTree) -> TensorElement:
     return TensorElement("hnap", out)
 
 
-@_check("ck-iso", "basis isomorphism intertwines the coproducts")
+@_check("ck-iso", "basis isomorphism intertwines the coproducts", degree=5)
 def _ck_iso_coproduct(degree, rng):
     # left: the ideal enumeration; right: the Connes-Kreimer coproduct
-    d = _bound(degree, 5)
-    for n in range(1, d + 1):
-        for t in enumerate_trees(n):
-            x = HopfElement.hnap_basis(t)
-            lhs = tensor_map(_hnap_coproduct_by_ideals(t), iso_to_ck, iso_to_ck)
-            if lhs != iso_to_ck(x).coproduct():
-                return t.string
+    for t in _trees(1, degree):
+        x = HopfElement.hnap_basis(t)
+        lhs = tensor_map(_hnap_coproduct_by_ideals(t), iso_to_ck, iso_to_ck)
+        if lhs != iso_to_ck(x).coproduct():
+            return t.string
     return ""
 
 
-@_check("ck-iso", "basis isomorphism intertwines the cocycles")
+@_check("ck-iso", "basis isomorphism intertwines the cocycles", degree=5)
 def _ck_iso_cocycle(degree, rng):
-    d = _bound(degree, 5)
-    for n in range(1, d + 1):
-        for t in enumerate_trees(n):
-            x = HopfElement.hnap_basis(t)
-            if iso_to_ck(l_nap(x)) != b_plus_map(iso_to_ck(x)):
-                return t.string
+    for t in _trees(1, degree):
+        x = HopfElement.hnap_basis(t)
+        if iso_to_ck(l_nap(x)) != b_plus_map(iso_to_ck(x)):
+            return t.string
     return ""
 
 
@@ -818,9 +790,8 @@ def _ck_iso_cocycle(degree, rng):
 # series suite
 
 
-@_check("series", "group laws hold on random elements")
-def _series_group_laws(degree, rng):
-    n = _bound(degree, 5)
+@_check("series", "group laws hold on random elements", degree=5)
+def _series_group_laws(n, rng):
     eps = unit_series(n)
     for trial in range(3):
         a = random_group_element(rng, n)
@@ -836,9 +807,8 @@ def _series_group_laws(degree, rng):
     return ""
 
 
-@_check("series", "product is linear in its left argument")
-def _series_left_linear(degree, rng):
-    n = _bound(degree, 5)
+@_check("series", "product is linear in its left argument", degree=5)
+def _series_left_linear(n, rng):
     eps = unit_series(n)
     a1 = random_group_element(rng, n)
     a2 = random_group_element(rng, n)
@@ -864,19 +834,6 @@ def _compose_labeled(outer: RootedTree, inner, representative) -> RootedTree:
     return nap_compose(representative(outer), subs).shape()
 
 
-def _assignments(slots: int, budget: int, pool: list):
-    # ordered `slots`-tuples drawn from the pool with total size <= budget,
-    # yielded with the product of their coefficients
-    if slots == 0:
-        yield (), Fraction(1)
-        return
-    for t, c in pool:
-        if t.size > budget - (slots - 1):
-            continue
-        for rest, prod in _assignments(slots - 1, budget - t.size, pool):
-            yield (t,) + rest, c * prod
-
-
 def _multiply_labeled(a: TreeSeries, b: TreeSeries, representative) -> TreeSeries:
     """The series product summed over every assignment of b's support to
     the vertices of the chosen representative of each tree of a.  The sum
@@ -885,19 +842,18 @@ def _multiply_labeled(a: TreeSeries, b: TreeSeries, representative) -> TreeSerie
     if n > LABELED_PRODUCT_LIMIT:
         raise ValueError(f"truncation {n} exceeds LABELED_PRODUCT_LIMIT = "
                          f"{LABELED_PRODUCT_LIMIT}")
-    pool = list(b.coeffs.items())
+    pool = [(t.size, t, c) for t, c in b.coeffs.items()]
     out: dict = {}
     for t, at in a.coeffs.items():
-        for assignment, prod in _assignments(t.size, n, pool):
+        for assignment, _, prod in ordered_tuples(t.size, n, pool):
             c = _compose_labeled(t, assignment, representative)
             out[c] = out.get(c, Fraction(0)) + at * prod
     return TreeSeries(n, out)
 
 
 @_check("series", "product is independent of the representative labeling",
-        cap=LABELED_PRODUCT_LIMIT)
-def _series_representatives(degree, rng):
-    n = _bound(degree, 5)
+        degree=5, cap=LABELED_PRODUCT_LIMIT)
+def _series_representatives(n, rng):
     a = random_group_element(rng, n)
     b = random_group_element(rng, n)
     for representative in (canonical_representative, dfs_representative):
@@ -910,9 +866,8 @@ def _series_representatives(degree, rng):
     return ""
 
 
-@_check("series", "zeta and mobius series are mutually inverse")
-def _series_zeta_mobius(degree, rng):
-    n = _bound(degree, 7)
+@_check("series", "zeta and mobius series are mutually inverse", degree=7)
+def _series_zeta_mobius(n, rng):
     z = zeta_series(n)
     m = mobius_series(n)
     eps = unit_series(n)
@@ -923,9 +878,8 @@ def _series_zeta_mobius(degree, rng):
     return ""
 
 
-@_check("series", "corolla and ladder series are mutually inverse")
-def _series_corolla_ladder(degree, rng):
-    n = _bound(degree, 8)
+@_check("series", "corolla and ladder series are mutually inverse", degree=8)
+def _series_corolla_ladder(n, rng):
     c = corolla_series(n)
     ell = ladder_series(n)
     eps = unit_series(n)
@@ -936,9 +890,8 @@ def _series_corolla_ladder(degree, rng):
     return ""
 
 
-@_check("series", "corolla series satisfies its graft fixed point")
-def _series_fixed_point(degree, rng):
-    n = _bound(degree, 8)
+@_check("series", "corolla series satisfies its graft fixed point", degree=8)
+def _series_fixed_point(n, rng):
     c = corolla_series(n)
     eps = unit_series(n)
     if eps + series_graft(c, eps) != c:
@@ -946,9 +899,8 @@ def _series_fixed_point(degree, rng):
     return ""
 
 
-@_check("series", "graft distributes over the product")
-def _series_graft_distributes(degree, rng):
-    n = _bound(degree, 5)
+@_check("series", "graft distributes over the product", degree=5)
+def _series_graft_distributes(n, rng):
     c = corolla_series(n)
     d = random_group_element(rng, n)
     e = random_group_element(rng, n)
@@ -957,12 +909,10 @@ def _series_graft_distributes(degree, rng):
     return "" if lhs == rhs else "distributivity"
 
 
-@_check("series", "lie bracket is antisymmetric and satisfies jacobi", cap=5)
-def _series_lie(degree, rng):
-    n = _bound(degree, 4)
+@_check("series", "lie bracket is antisymmetric and satisfies jacobi", degree=4, cap=5)
+def _series_lie(n, rng):
     zero = TreeSeries(2 * n, {})
-    singles = [TreeSeries(2 * n, {t: Fraction(1)})
-               for size in range(1, n + 1) for t in enumerate_trees(size)]
+    singles = [TreeSeries(2 * n, {t: Fraction(1)}) for t in _trees(1, n)]
     for x in singles:
         if lie_bracket(x, x) != zero.truncate(2 * n):
             return "bracket with itself"
@@ -970,8 +920,7 @@ def _series_lie(degree, rng):
     if pairs != {corolla(2): 1, chain(3): 1}:
         return "two-chain slot composition"
     big = 3 * n
-    singles = [TreeSeries(big, {t: Fraction(1)})
-               for size in range(1, n + 1) for t in enumerate_trees(size)]
+    singles = [TreeSeries(big, {t: Fraction(1)}) for t in _trees(1, n)]
     zero = TreeSeries(big, {})
     # each inner bracket once per ordered pair
     inner = {(i, j): lie_bracket(x, y)
@@ -995,10 +944,10 @@ def _series_lie(degree, rng):
     return ""
 
 
-@_check("series", "membership accepts zeta and rejects corolla and ladder")
+@_check("series", "membership accepts zeta and rejects corolla and ladder", degree=6)
 def _series_membership(degree, rng):
     # the first failing tree is the two-leaf corolla, so three vertices at least
-    n = max(_bound(degree, 6), 3)
+    n = max(degree, 3)
     ok, witness = spec_membership(zeta_series(n))
     if not ok:
         return f"zeta rejected at {witness.string}"
@@ -1011,9 +960,8 @@ def _series_membership(degree, rng):
     return ""
 
 
-@_check("series", "membership is stable under product and inverse")
-def _series_membership_stable(degree, rng):
-    n = _bound(degree, 6)
+@_check("series", "membership is stable under product and inverse", degree=6)
+def _series_membership_stable(n, rng):
     z = zeta_series(n)
     for name, s in [("zeta", z),
                     ("inverse", series_inverse(z)),
@@ -1024,10 +972,9 @@ def _series_membership_stable(degree, rng):
     return ""
 
 
-@_check("series", "member characters are multiplicative with matching convolution")
-def _series_characters(degree, rng):
-    n = _bound(degree, 5)
-
+@_check("series",
+        "member characters are multiplicative with matching convolution", degree=5)
+def _series_characters(n, rng):
     def character(a):
         return lambda t: aut_order(t) * a.coefficient(t)
 
@@ -1035,25 +982,22 @@ def _series_characters(degree, rng):
     m = mobius_series(n)
     for a in (z, m):
         lam = character(a)
-        for i in range(1, n):
-            for s in enumerate_trees(i):
-                for j in range(1, n + 1 - i + 1):
-                    for t in enumerate_trees(j):
-                        merged = RootedTree(s.children + t.children)
-                        if merged.size > n:
-                            continue
-                        if lam(merged) != lam(s) * lam(t):
-                            return f"not multiplicative at {s.string}*{t.string}"
+        for s in _trees(1, n - 1):
+            for t in _trees(1, n + 1 - s.size):
+                merged = RootedTree(s.children + t.children)
+                if merged.size > n:
+                    continue
+                if lam(merged) != lam(s) * lam(t):
+                    return f"not multiplicative at {s.string}*{t.string}"
     for a, b in [(z, z), (z, m)]:
         lam_a, lam_b = character(a), character(b)
         prod = series_multiply(a, b)
-        for size in range(1, n + 1):
-            for t in enumerate_trees(size):
-                conv = sum((c * lam_a(left) * lam_b(right)
-                            for (left, right), c in hopf.hnap_coproduct(t).terms.items()),
-                           Fraction(0))
-                if conv != aut_order(t) * prod.coefficient(t):
-                    return f"convolution differs at {t.string}"
+        for t in _trees(1, n):
+            conv = sum((c * lam_a(left) * lam_b(right)
+                        for (left, right), c in hopf.hnap_coproduct(t).terms.items()),
+                       Fraction(0))
+            if conv != aut_order(t) * prod.coefficient(t):
+                return f"convolution differs at {t.string}"
     return ""
 
 
@@ -1061,9 +1005,8 @@ def _series_characters(degree, rng):
 # projections suite
 
 
-@_check("projections", "comm projection of zeta matches the cayley numbers")
-def _proj_cayley(degree, rng):
-    n = _bound(degree, 8)
+@_check("projections", "comm projection of zeta matches the cayley numbers", degree=8)
+def _proj_cayley(n, rng):
     got = project_comm(zeta_series(n))
     want = PowerSeries([Fraction(0)] +
                        [Fraction(k ** (k - 1), factorial(k)) for k in range(1, n + 1)])
@@ -1074,9 +1017,9 @@ def _proj_cayley(degree, rng):
     return ""
 
 
-@_check("projections", "comm projections of corolla and ladder invert compositionally")
-def _proj_comm_cl(degree, rng):
-    n = _bound(degree, 8)
+@_check("projections",
+        "comm projections of corolla and ladder invert compositionally", degree=8)
+def _proj_comm_cl(n, rng):
     pc = project_comm(corolla_series(n))
     pl = project_comm(ladder_series(n))
     if ps_compose(pc, pl) != ps_x(n) or ps_compose(pl, pc) != ps_x(n):
@@ -1086,9 +1029,8 @@ def _proj_comm_cl(degree, rng):
     return ""
 
 
-@_check("projections", "corolla and ladder projections invert multiplicatively")
-def _proj_mult(degree, rng):
-    n = _bound(degree, 8)
+@_check("projections", "corolla and ladder projections invert multiplicatively", degree=8)
+def _proj_mult(n, rng):
     z, m = zeta_series(n), mobius_series(n)
     c, ell = corolla_series(n), ladder_series(n)
     for name, proj in [("corolla", project_corolla), ("ladder", project_ladder)]:
@@ -1105,9 +1047,8 @@ def _proj_mult(degree, rng):
     return ""
 
 
-@_check("projections", "projections are group morphisms")
-def _proj_morphisms(degree, rng):
-    n = _bound(degree, 6)
+@_check("projections", "projections are group morphisms", degree=6)
+def _proj_morphisms(n, rng):
     for trial in range(3):
         a = random_group_element(rng, n)
         b = random_group_element(rng, n)
@@ -1121,9 +1062,8 @@ def _proj_morphisms(degree, rng):
     return ""
 
 
-@_check("projections", "projected inverses are the inverses of projections")
-def _proj_inverses(degree, rng):
-    n = _bound(degree, 7)
+@_check("projections", "projected inverses are the inverses of projections", degree=7)
+def _proj_inverses(n, rng):
     z, m = zeta_series(n), mobius_series(n)
     c, ell = corolla_series(n), ladder_series(n)
     for s, s_inv in [(z, m), (c, ell)]:
@@ -1136,9 +1076,8 @@ def _proj_inverses(degree, rng):
     return ""
 
 
-@_check("projections", "gcomm product agrees with power-series composition")
-def _proj_gcomm(degree, rng):
-    n = _bound(degree, 8)
+@_check("projections", "gcomm product agrees with power-series composition", degree=8)
+def _proj_gcomm(n, rng):
     x = ps_x(n)
     if gcomm_product(x, x) != x:
         return "unit"
@@ -1178,6 +1117,10 @@ def _proj_faa(degree, rng):
 # runner
 
 
+# the suites in the order of their first registration
+SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in _REGISTRY))
+
+
 def suite_names() -> tuple[str, ...]:
     return SUITE_NAMES + ("all",)
 
@@ -1200,8 +1143,10 @@ def run_suite(suite: str, degree: int | None = None, seed: int = 0) -> SuiteRepo
     for s, name, fn in selected:
         rng = random.Random(seed)
         label = name if suite != "all" else f"{s}: {name}"
-        cap = _CAPS.get(fn)
-        checked = degree if cap is None or degree is None else min(degree, cap)
+        default, cap = _DEGREES[fn]
+        checked = default if degree is None else degree
+        if cap is not None:
+            checked = min(checked, cap)
         t0 = time.perf_counter()
         try:
             witness = fn(checked, rng)
@@ -1209,6 +1154,6 @@ def run_suite(suite: str, degree: int | None = None, seed: int = 0) -> SuiteRepo
             witness = f"error: {exc}"
         results.append(CheckResult(label, witness == "", witness,
                                    (time.perf_counter() - t0) * 1000,
-                                   None if checked == degree else checked))
+                                   None if degree is None or checked == degree else checked))
     elapsed = int((time.monotonic() - start) * 1000)
     return SuiteReport(suite, results, elapsed)

@@ -4,10 +4,10 @@ import sys
 import pytest
 
 from naphopf import cli
-from naphopf.cli import (ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT, SERIES_N_LIMIT,
-                         main)
-from naphopf.posets import ideal_count
-from naphopf.trees import TREE_TABLE, chain, corolla, parse_tree
+from naphopf.cli import (COPRODUCT_LIMIT, ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT,
+                         SERIES_N_LIMIT, main)
+from naphopf.posets import ideal_count, ideal_orbit_count
+from naphopf.trees import TREE_TABLE, RootedTree, TreeTable, chain, corolla, parse_tree
 
 
 def run(capsys, *argv):
@@ -104,6 +104,19 @@ def test_deep_chain_coproduct_needs_no_recursion(capsys, algebra, terms):
         sys.setrecursionlimit(limit)
     assert code == 0, err
     assert len(json.loads(out)) == terms
+
+
+@pytest.mark.parametrize("algebra", ["hnap", "qgnap", "ck"])
+def test_coproduct_above_the_size_limit_exits_2(capsys, monkeypatch, algebra):
+    # chains of 2..9 vertices under one root: 45 vertices, 1,814,445 ideal
+    # classes; the refusal comes before any ideal is listed
+    tree = RootedTree([chain(k) for k in range(2, 10)])
+    assert ideal_orbit_count(tree) > COPRODUCT_LIMIT >= ideal_orbit_count(chain(1200))
+    monkeypatch.setattr(TreeTable, "ideals", refuse)
+    code, out, err = run(capsys, "coproduct", tree.string, "--algebra", algebra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "COPRODUCT_LIMIT = 750000" in err
 
 
 @pytest.mark.parametrize("command", ["interval"])

@@ -11,6 +11,7 @@ from naphopf.posets import (
     FinitePoset,
     brute_force_pi,
     ideal_count,
+    ideal_orbit_count,
     check_distributive_lattice,
     check_interval_factorization,
     check_maximal_interval_model,
@@ -30,6 +31,8 @@ from naphopf.posets import (
 from naphopf.trees import (
     Forest,
     LEAF,
+    RootedTree,
+    TreeTable,
     canonical_representative,
     chain,
     comm_instance,
@@ -461,3 +464,19 @@ def test_bitmask_bounds_and_covers_match_the_definition():
             for x in range(p.n) for y in range(p.n) for z in range(p.n))
         assert check_distributive_lattice(p) == distributive
     assert 0 < lattices < len(posets)  # non-lattices are among them
+
+
+def test_ideal_orbit_count_bounds_the_stored_ideal_rows():
+    # equal on chains; automorphic ideals of a wide tree can share a row,
+    # and different ideal classes too, so there it is an upper bound
+    def stored_rows(t):
+        table = TreeTable()
+        table.ideals(table.id(t))
+        return table.stats()["ideal_rows"]
+
+    assert ideal_orbit_count(chain(50)) == stored_rows(chain(50)) == 50 * 51 // 2
+    for hi in range(2, 8):
+        t = RootedTree([chain(k) for k in range(2, hi + 1)])
+        assert ideal_orbit_count(t) >= stored_rows(t)
+    assert ideal_orbit_count(chain(1200)) == 720_600
+    assert ideal_orbit_count(corolla(40)) == 42  # corolla(40) and the leaf

@@ -22,6 +22,12 @@ def refuse(*args):
     raise AssertionError("work started above the size limit")
 
 
+def without_elapsed(report):
+    data = report.to_dict()
+    del data["elapsed_ms"]
+    return data
+
+
 def test_suite_names():
     names = suite_names()
     assert "all" in names
@@ -51,14 +57,14 @@ def test_report_rendering_and_failure_semantics():
     text = report.render_text()
     assert "[PASS] demo: a fine check" in text
     assert "[FAIL] demo: a broken check [why]" in text
-    data = report.to_dict(include_elapsed=False)
-    assert "elapsed_ms" not in data
+    data = report.to_dict()
+    assert data.pop("elapsed_ms") == 3
     assert data["checks"][1]["witness"] == "why"
 
 
 def test_reports_reproducible_across_runs():
-    a = run_suite("series", degree=3, seed=5).to_dict(include_elapsed=False)
-    b = run_suite("series", degree=3, seed=5).to_dict(include_elapsed=False)
+    a = without_elapsed(run_suite("series", degree=3, seed=5))
+    b = without_elapsed(run_suite("series", degree=3, seed=5))
     assert a == b
 
 
@@ -70,9 +76,9 @@ def test_jacobi_check_catches_an_antisymmetric_bracket(monkeypatch):
     def skewed(a, b):
         return (1 + len(a.coeffs) + len(b.coeffs)) * lie_bracket(a, b)
 
-    assert verify._series_lie(None, None) == ""
+    assert verify._series_lie(4, None) == ""
     monkeypatch.setattr(verify, "lie_bracket", skewed)
-    assert verify._series_lie(None, None) == "jacobi"
+    assert verify._series_lie(4, None) == "jacobi"
 
 
 def test_timings_stay_out_of_the_default_report():
@@ -132,3 +138,62 @@ def test_a_capped_check_reports_the_degree_it_ran_at():
     plain = run_suite("poset", degree=BRUTE_CAP, seed=0)
     assert all("checked_degree" not in r for r in plain.to_dict()["checks"])
     assert "checked to degree" not in plain.render_text()
+
+
+# the degree each check runs at when none is asked; None for the six checks
+# that ignore the degree
+DEFAULT_DEGREES = {
+    None: ["_poset_comm", "_lattice_controls", "_hopf_reference_f", "_hopf_reference_g",
+           "_hopf_relation", "_proj_faa"],
+    4: ["_poset_counts", "_poset_axioms", "_poset_upsets", "_poset_intervals",
+        "_poset_models", "_main_counts", "_series_lie"],
+    5: ["_ck_cuts", "_ck_cocycle", "_ck_iso_inverse", "_ck_iso_coproduct",
+        "_ck_iso_cocycle", "_hopf_antipode", "_hopf_rho", "_main_identity",
+        "_series_group_laws", "_series_left_linear", "_series_representatives",
+        "_series_graft_distributes", "_series_characters"],
+    6: ["_poset_mobius_products", "_lattice_semimodular", "_lattice_distributive",
+        "_hopf_coassoc", "_hopf_delta_multiplicative", "_series_membership",
+        "_series_membership_stable", "_proj_morphisms"],
+    7: ["_poset_mobius_sums", "_mobius_closed", "_hopf_freeness",
+        "_series_zeta_mobius", "_proj_inverses"],
+    8: ["_series_corolla_ladder", "_series_fixed_point", "_proj_cayley",
+        "_proj_comm_cl", "_proj_mult", "_proj_gcomm"],
+}
+# the checks held below --degree 6 by their caps
+CAPPED_AT_6 = {"_poset_counts": BRUTE_CAP, "_poset_axioms": BRUTE_CAP,
+               "_poset_upsets": BRUTE_CAP, "_poset_intervals": BRUTE_CAP,
+               "_poset_models": BRUTE_CAP, "_main_counts": BRUTE_CAP, "_series_lie": 5}
+
+
+def test_each_check_receives_its_registered_degree(monkeypatch):
+    # recorders stand in for the checks, so no check runs
+    received = {}
+
+    def recorder(fn):
+        def record(degree, rng):
+            received[fn.__name__] = degree
+            return ""
+        return record
+
+    registry = [(suite, name, recorder(fn)) for suite, name, fn in verify._REGISTRY]
+    degrees = {rec: verify._DEGREES[fn]
+               for (_, _, rec), (_, _, fn) in zip(registry, verify._REGISTRY)}
+    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    monkeypatch.setattr(verify, "_DEGREES", degrees)
+
+    assert len(run_suite("all").checks) == 45
+    assert received == {name: d for d, names in DEFAULT_DEGREES.items() for name in names}
+    report = run_suite("all", degree=6)
+    assert received == {name: CAPPED_AT_6.get(name, 6)
+                        for names in DEFAULT_DEGREES.values() for name in names}
+    assert sum(c.checked_degree is not None for c in report.checks) == len(CAPPED_AT_6)
+    # the suites in the order of their first registration
+    assert suite_names() == ("poset", "mobius", "hopf", "main-theorem", "ck-iso",
+                             "series", "projections", "all")
+
+
+def test_all_suite_passes_at_the_default_degrees():
+    report = run_suite("all")
+    assert len(report.checks) == 45
+    assert [c.name for c in report.checks if not c.passed] == []
+    assert all(c.checked_degree is None for c in report.checks)
