@@ -17,7 +17,8 @@ All three coproducts and all three antipodes are read off one table, the
 root-containing ideals of :meth:`naphopf.trees.TreeTable.ideals`, which
 works on interned tree ids with integer counts; the ``qgnap`` constants are
 its counts under the paper's main theorem.  Trees, forests and rational
-coefficients are built only when a result is handed out.  The oracles
+coefficients are built only when a result is handed out, and every
+coefficient of one value is one shared ``Fraction``.  The oracles
 (ideal enumeration by :mod:`naphopf.posets`, admissible cuts over edge
 subsets, the labeled composition route and the brute-force orbit counts)
 live in ``verify``.
@@ -53,9 +54,16 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
     return RootedTree(branches)
 
 
+@lru_cache(maxsize=None)
+def _fraction(n: int) -> Fraction:
+    # the one Fraction of the int n: results built from the engine's counts
+    # share their coefficients, as Fractions are immutable
+    return Fraction(n)
+
+
 # the coefficient of every monomial built with coefficient 1, shared:
-# Fractions are immutable, and antipode() tells such a monomial by identity
-_ONE = Fraction(1)
+# antipode() tells such a monomial by identity
+_ONE = _fraction(1)
 
 
 class _Combination:
@@ -79,6 +87,16 @@ class _Combination:
         x = object.__new__(type(self))
         x.algebra = self.algebra
         x.terms = {k: c for k, c in terms.items() if c}
+        return x
+
+    @classmethod
+    def _from_counts(cls, algebra: str, counts: dict):
+        # a result built from the engine's int counts, cached and shared by
+        # every caller: its keys are monomials by construction, so they are
+        # not checked again, and its terms are read-only
+        x = object.__new__(cls)
+        x.algebra = algebra
+        x.terms = MappingProxyType({k: _fraction(c) for k, c in counts.items() if c})
         return x
 
     def _require_same(self, other: "_Combination") -> None:
@@ -230,12 +248,6 @@ class TensorElement(_Combination):
         return f"TensorElement({self.algebra!r}, {' + '.join(bits) or '0'})"
 
 
-def _read_only(x):
-    # a cached result is shared by every caller, so its terms are frozen
-    x.terms = MappingProxyType(x.terms)
-    return x
-
-
 def tensor_map(te: TensorElement, left: BasisMap, right: BasisMap) -> TensorElement:
     """left (x) right applied to a tensor, key by key."""
     if left.source != te.algebra or right.source != te.algebra or left.target != right.target:
@@ -272,7 +284,7 @@ def hnap_coproduct(t: RootedTree) -> TensorElement:
                 m = graft(m, k)
         key = (trees[m], trees[g])
         out[key] = out.get(key, 0) + c
-    return _read_only(TensorElement("hnap", out))
+    return TensorElement._from_counts("hnap", out)
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +351,7 @@ def _rows_coproduct(algebra: str, rows: Callable, t: RootedTree) -> TensorElemen
     for a, r, c in rows(table.id(t)):
         key = (Forest([trees[k] for k in a]), unit if r is None else Forest((trees[r],)))
         out[key] = out.get(key, 0) + c
-    return _read_only(TensorElement(algebra, out))
+    return TensorElement._from_counts(algebra, out)
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +439,8 @@ def _forest_antipode(algebra: str, rows: Callable, f: Forest) -> HopfElement:
     # the antipode is multiplicative: the product of the trees' antipodes
     trees = TREE_TABLE.trees
     s = _id_product(_tree_antipode(TREE_TABLE.id(t), rows) for t in f.components)
-    return HopfElement(algebra, {Forest(trees[k] for k in u): c for u, c in s.items()})
+    return HopfElement._from_counts(algebra, {Forest(trees[k] for k in u): c
+                                              for u, c in s.items()})
 
 
 def _hnap_antipode(t: RootedTree) -> HopfElement:
@@ -435,7 +448,8 @@ def _hnap_antipode(t: RootedTree) -> HopfElement:
     # whose root has the children u
     table = TREE_TABLE
     s = _id_product(_tree_antipode(k, _ck_rows) for k in table.kids[table.id(t)])
-    return HopfElement("hnap", {table.trees[table.node(u)]: c for u, c in s.items()})
+    return HopfElement._from_counts("hnap", {table.trees[table.node(u)]: c
+                                             for u, c in s.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +464,7 @@ class Algebra:
     is_key: Callable[[object], bool]              # tells the monomial keys
     multiply: Callable[[object, object], object]  # the product of two keys
     coproduct: Callable[[object], TensorElement]  # the coproduct of one key
-    antipode: Callable[[object], HopfElement]     # the antipode of one key, uncached
+    antipode: Callable[[object], HopfElement]     # the read-only antipode of one key, uncached
     render: Callable[[object], str]               # how a key prints
     sort_key: Callable[[object], tuple]           # the order keys print in
     tree_key: Callable[[RootedTree], object]      # the monomial of one tree
@@ -562,7 +576,7 @@ def antipode_monomial(algebra: str, key) -> HopfElement:
     the branch forest back by B+.
     """
     HopfElement.monomial(algebra, key)  # checks the key; an error is not cached
-    return _read_only(ALGEBRAS[algebra].antipode(key))
+    return ALGEBRAS[algebra].antipode(key)
 
 
 def antipode(x: HopfElement) -> HopfElement:

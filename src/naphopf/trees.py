@@ -1,10 +1,13 @@
 """Canonical rooted trees and forests, plus the NAP and Comm set-operads.
 
-Trees are immutable canonical values: children are kept sorted by
-(size, canonical string), so structural equality coincides with equality of
-canonical strings and multisets deduplicate by sorting.  Labeled trees are
-root + parent-map data with arbitrary hashable labels; the standard ground
-set is the strings "1".."n".
+Trees and forests are hash-consed (Filliâtre-Conchon, "Type-safe modular
+hash-consing", 2006): children and components are kept sorted by (size,
+canonical string), and constructing one returns the single instance of its
+shape from a process-wide intern dict.  So structural equality is identity,
+equality and hashing are the object defaults, and multisets deduplicate by
+sorting.  Interned trees and forests live for the whole process.  Labeled
+trees are root + parent-map data with arbitrary hashable labels; the
+standard ground set is the strings "1".."n".
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, permutations, product as cartesian
 from math import factorial
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Sequence
 
@@ -30,34 +34,48 @@ class TreeSyntaxError(ValueError):
         self.offset = offset
 
 
-def _key(t: "RootedTree") -> tuple[int, str]:
-    return (t.size, t.string)
+# the canonical order of children and components: (size, string)
+_key: Callable[["RootedTree"], tuple[int, str]] = attrgetter("size", "string")
 
 
-class RootedTree:
+class _Interned:
+    """Base of the hash-consed values: each has one instance per value, so
+    a copy is the instance itself (``__reduce__`` makes unpickling return
+    it too)."""
+
+    __slots__ = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo: dict):
+        return self
+
+
+# every tree built in this process, by its sorted child tuple
+_TREES: dict[tuple["RootedTree", ...], "RootedTree"] = {}
+
+
+class RootedTree(_Interned):
     """Unlabeled rooted tree in canonical form.
 
     The canonical string is ``"(" + children + ")"`` with children sorted
-    ascending by (size, string); two trees are equal exactly when their
-    canonical strings are equal.
+    ascending by (size, string).  ``RootedTree(children)`` returns the one
+    instance of its shape, so two trees are equal, and the same object,
+    exactly when their canonical strings are equal.  Trees live for the
+    whole process and must not be mutated.
     """
 
-    __slots__ = ("children", "size", "string", "_hash")
+    __slots__ = ("children", "size", "string")
 
-    def __init__(self, children: Iterable["RootedTree"] = ()) -> None:
+    def __new__(cls, children: Iterable["RootedTree"] = ()) -> "RootedTree":
         kids = tuple(sorted(children, key=_key))
-        self.children = kids
-        self.size = 1 + sum(c.size for c in kids)
-        self.string = "(%s)" % "".join(c.string for c in kids)
-        self._hash = hash(self.string)
+        t = _TREES.get(kids)
+        return _new_tree(kids) if t is None else t
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, RootedTree) and self.string == other.string
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # parsing is not recursive, so deep trees pickle too
+        return parse_tree, (self.string,)
 
     def __lt__(self, other: "RootedTree") -> bool:
         return _key(self) < _key(other)
@@ -75,6 +93,16 @@ class RootedTree:
     def is_corolla(self) -> bool:
         """True iff every non-root vertex is a child of the root."""
         return all(c.size == 1 for c in self.children)
+
+
+def _new_tree(kids: tuple[RootedTree, ...]) -> RootedTree:
+    # the miss branch of RootedTree(): the first instance of the tree with
+    # these sorted children (setdefault keeps one even if two threads race)
+    t = object.__new__(RootedTree)
+    t.children = kids
+    t.size = 1 + sum(c.size for c in kids)
+    t.string = "(%s)" % "".join(c.string for c in kids)
+    return _TREES.setdefault(kids, t)
 
 
 LEAF = RootedTree()
@@ -108,13 +136,13 @@ def parse_tree(text: str) -> RootedTree:
     Leading and trailing whitespace is ignored; anything else malformed
     raises :class:`TreeSyntaxError` with the offending byte offset.
 
-    The tree is hash-consed through :data:`TREE_TABLE`: each vertex is
-    looked up by the ids of its children (:meth:`TreeTable.node`), so a
-    tree seen before constructs nothing, and every spelling of one tree
-    returns the same shared instance.  The exact text of each successful
-    parse is memoized in ``TREE_TABLE.by_text``, so a spelling seen before
-    costs one dict lookup; malformed text is never stored and raises on
-    every call.  Trees must not be mutated.
+    Every spelling of one tree returns its one instance, as every
+    construction does.  Each vertex is looked up in :data:`TREE_TABLE` by
+    the ids of its children (:meth:`TreeTable.node`), so a tree the table
+    holds is neither sorted nor constructed again.  The exact text of each
+    successful parse is memoized in ``TREE_TABLE.by_text``, so a spelling
+    seen before costs one dict lookup; malformed text is never stored and
+    raises on every call.
     """
     table = TREE_TABLE
     i = table.by_text.get(text)
@@ -184,26 +212,33 @@ def _raise_syntax_error(text: str) -> NoReturn:
     raise AssertionError(f"{text!r} is well formed")
 
 
-class Forest:
+# every forest built in this process, by its sorted component tuple
+_FORESTS: dict[tuple[RootedTree, ...], "Forest"] = {}
+
+
+class Forest(_Interned):
     """Canonical multiset of rooted trees, sorted like tree children.
 
-    The empty forest is allowed; it is the unit monomial in the Hopf-algebra
+    Hash-consed like :class:`RootedTree`: ``Forest(components)`` returns the
+    one instance of its multiset, so equal forests are the same object.  The
+    empty forest is allowed; it is the unit monomial in the Hopf-algebra
     modules.
     """
 
-    __slots__ = ("components", "size", "_hash")
+    __slots__ = ("components", "size")
 
-    def __init__(self, components: Iterable[RootedTree] = ()) -> None:
+    def __new__(cls, components: Iterable[RootedTree] = ()) -> "Forest":
         comps = tuple(sorted(components, key=_key))
-        self.components = comps
-        self.size = sum(t.size for t in comps)
-        self._hash = hash(tuple(t.string for t in comps))
+        f = _FORESTS.get(comps)
+        if f is None:
+            f = object.__new__(Forest)
+            f.components = comps
+            f.size = sum(t.size for t in comps)
+            f = _FORESTS.setdefault(comps, f)
+        return f
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Forest) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Forest, (self.components,)
 
     def __lt__(self, other: "Forest") -> bool:
         return self.sort_key() < other.sort_key()
@@ -506,14 +541,17 @@ class TreeTable:
     A tree gets the next free id the first time it is seen, its children
     first, and the table keeps for every id its size, the ids of its
     children in canonical child order (``kids``) and its automorphism
-    order.  Trees are hash-consed: ``by_kids`` maps the sorted tuple of a
-    tree's child ids to its id, so :meth:`node` finds an interned tree from
-    its children's ids without building it, and ``trees[i]`` is the one
-    shared instance of tree i (:func:`parse_tree` returns it).  Every id is
+    order.  ``trees[i]`` is the one instance of tree i (trees are
+    hash-consed process-wide, see :class:`RootedTree`), and ``ids`` maps it
+    back to i by identity.  ``by_kids`` maps the sorted tuple of a tree's
+    child ids to its id, so :meth:`node` finds a tree the table holds from
+    its children's ids without sorting or constructing it.  Every id is
     made by :meth:`_add`, whether it comes from :meth:`id`, :meth:`node` or
     :meth:`graft`.  The graft map ``(i, j) -> id(s ◁ t)`` is filled on
     first use.  Nothing is enumerated in advance, so the table holds only
     the trees that some computation reached; :meth:`stats` counts them.
+    The ids belong to the table: a fresh table numbers the same instances
+    anew, in the order it meets them.
 
     ``by_text`` memoizes :func:`parse_tree`: it maps the exact text of each
     successful parse, whitespace included, to the tree's id, so it grows by
@@ -550,20 +588,24 @@ class TreeTable:
         self.grafts: dict[tuple[int, int], int] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
         self.antipodes: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
-        self.id(LEAF)  # id 0, so that a parsed "()" is LEAF
+        self.id(LEAF)  # id 0: the parser reads every "()" as this id
 
     def __len__(self) -> int:
         return len(self.trees)
 
     def stats(self) -> dict[str, int]:
-        """Entry counts: interned trees, graft-map entries, rows of the
-        ideal table and child-id keys."""
+        """Entry counts: trees with an id, graft-map entries, rows of the
+        ideal table, child-id keys, tree instances built in the process
+        (held by any table or none), per-tree antipodes and memoized
+        spellings."""
         return {"trees": len(self.trees), "grafts": len(self.grafts),
                 "ideal_rows": sum(map(len, self.ideal_table.values())),
-                "child_keys": len(self.by_kids)}
+                "child_keys": len(self.by_kids), "interned": len(_TREES),
+                "antipodes": sum(map(len, self.antipodes.values())),
+                "spellings": len(self.by_text)}
 
     def _add(self, t: RootedTree, key: tuple[int, ...]) -> int:
-        # the one place a new id is made; t's children are interned and
+        # the one place a new id is made; t's children have ids and
         # ``key`` is the sorted tuple of their ids
         ids, auts = self.ids, self.auts
         kids = [ids[c] for c in t.children]
@@ -602,7 +644,7 @@ class TreeTable:
 
     def node(self, kids: Iterable[int]) -> int:
         """The id of the tree whose root has the children with ids ``kids``,
-        in any order; the tree is built only if it is new."""
+        in any order; the tree is constructed only if the table lacks it."""
         key = tuple(sorted(kids))
         i = self.by_kids.get(key)
         if i is None:

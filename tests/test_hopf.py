@@ -194,28 +194,20 @@ def test_qgnap_antipode_builds_no_coproduct_and_no_other_antipode():
     assert out.stdout.split() == ["0", "84", "True"]
 
 
-def test_tree_antipodes_live_and_die_with_their_table(monkeypatch):
+def test_tree_antipodes_live_and_die_with_their_table(fresh_table):
     # the per-tree antipode memo is keyed by table ids, so it must belong to
     # the table: a fresh table whose ids are shifted gives the same antipodes
-    from naphopf import hopf, trees as trees_module
-
     keys = [(algebra, ALGEBRAS[algebra].tree_key(t)) for algebra in ALGEBRAS
             for n in range(2, 7) for t in enumerate_trees(n)]
     assert len(keys) == 108
     before = [antipode_monomial(*k) for k in keys]
-    fresh = trees_module.TreeTable()
+    antipode_monomial.cache_clear()
+    fresh = fresh_table()
     fresh.id(chain(12))
     fresh.id(corolla(9))
-    monkeypatch.setattr(hopf, "TREE_TABLE", fresh)
-    monkeypatch.setattr(trees_module, "TREE_TABLE", fresh)
-    antipode_monomial.cache_clear()
-    try:
-        assert fresh.antipodes == {}
-        assert [antipode_monomial(*k) for k in keys] == before
-        assert fresh.antipodes
-    finally:
-        # drop the results computed on the fresh table
-        antipode_monomial.cache_clear()
+    assert fresh.antipodes == {}
+    assert [antipode_monomial(*k) for k in keys] == before
+    assert fresh.antipodes
 
 
 def test_ideal_table_counts_are_the_interval_constants():
@@ -676,8 +668,9 @@ def test_warm_queries_build_nothing():
     # a guard on work, not on time, in a fresh interpreter: once each of the
     # six kinds of query has been answered for every tree with 2..6
     # vertices, asking again from the same strings parses nothing (no
-    # TreeTable.node lookup of a root), interns nothing and makes or compares
-    # no Fraction, counted by a profile hook
+    # TreeTable.node lookup of a root), constructs no tree (not even one
+    # already built), adds no table entry and makes or compares no Fraction,
+    # counted by a profile hook
     code = (
         "import json, sys\n"
         "from fractions import Fraction\n"
@@ -690,7 +683,8 @@ def test_warm_queries_build_nothing():
         "    return [kind(trees.parse_tree(s)) for kind in kinds for s in texts]\n"
         "first = ask()\n"
         "watched = {f.__code__: f.__qualname__ for f in (\n"
-        "    trees.RootedTree.__init__, trees.TreeTable._add, trees.TreeTable.node,\n"
+        "    trees.RootedTree.__new__, trees._new_tree, trees.TreeTable._add,\n"
+        "    trees.TreeTable.node,\n"
         "    trees._raise_syntax_error,\n"
         "    Fraction.__new__, Fraction.__eq__)}\n"
         "calls = dict.fromkeys(watched.values(), 0)\n"
@@ -711,6 +705,56 @@ def test_warm_queries_build_nothing():
     assert trees_asked == 36 and answers == 6 * 36
     # each repeat hands out the very object of its first answer
     assert same == answers
-    assert calls == {"RootedTree.__init__": 0, "TreeTable._add": 0, "TreeTable.node": 0,
-                     "_raise_syntax_error": 0, "Fraction.__new__": 0,
-                     "Fraction.__eq__": 0}
+    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "TreeTable._add": 0,
+                     "TreeTable.node": 0, "_raise_syntax_error": 0,
+                     "Fraction.__new__": 0, "Fraction.__eq__": 0}
+
+
+def test_cold_results_share_fractions_and_hash_in_c():
+    # a guard on work, not on time, in a fresh interpreter: the cold
+    # coproducts of the three algebras and the antipodes of every tree with
+    # 1..7 vertices make at most one Fraction per distinct coefficient value
+    # and run no Python-level __hash__ or __eq__, counted by a profile hook
+    code = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from types import MappingProxyType\n"
+        "from naphopf import hopf, trees\n"
+        "ts = [t for n in range(1, 8) for t in trees.enumerate_trees(n)]\n"
+        "gens = [t for t in ts if t.size > 1]\n"
+        "keys = [(a, hopf.ALGEBRAS[a].tree_key(t)) for a in hopf.ALGEBRAS for t in gens]\n"
+        "def ask():\n"
+        "    return ([hopf.hnap_coproduct(t) for t in ts]\n"
+        "            + [hopf.ck_coproduct(t) for t in ts]\n"
+        "            + [hopf.qgnap_coproduct(t) for t in gens]\n"
+        "            + [hopf.antipode(hopf.HopfElement.monomial(a, k)) for a, k in keys])\n"
+        "new = Fraction.__new__.__code__\n"
+        "calls = {'Fraction.__new__': 0, '__hash__': 0, '__eq__': 0}\n"
+        "def count(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        code = frame.f_code\n"
+        "        if code is new:\n"
+        "            calls['Fraction.__new__'] += 1\n"
+        "        elif code.co_name in ('__hash__', '__eq__'):\n"
+        "            calls[code.co_name] += 1\n"
+        "sys.setprofile(count)\n"
+        "results = ask()\n"
+        "sys.setprofile(None)\n"
+        "coeffs = [c for r in results for c in r.terms.values()]\n"
+        "print(json.dumps([len(results), len(coeffs), len(set(coeffs)),\n"
+        "                  len(set(map(id, coeffs))), calls,\n"
+        "                  all(type(c) is Fraction for c in coeffs),\n"
+        "                  all(type(r.terms) is MappingProxyType for r in results)]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    results, terms, values, objects, calls, fractions, read_only = json.loads(out.stdout)
+    # 85 trees in hnap and ck, 84 generators in qgnap, 3 * 84 antipodes
+    assert results == 85 + 85 + 84 + 3 * 84 and terms > 10 * results
+    # every coefficient of one value is one shared object
+    assert objects == values
+    assert calls["Fraction.__new__"] <= values
+    assert calls["__hash__"] == calls["__eq__"] == 0
+    assert fractions and read_only

@@ -122,21 +122,23 @@ def test_interval_covers_match_the_order_matrix():
 
 
 def test_interval_construction_builds_no_tree_the_table_holds():
-    # RootedTree constructions, counted by a profile hook in a fresh
-    # interpreter: once every tree with at most 8 vertices is interned,
+    # tree constructions (hits of the intern dict too), new tree instances
+    # and new table entries, counted by a profile hook in a fresh
+    # interpreter: once every tree with at most 8 vertices is in the table,
     # every restriction and branch of their intervals is a table lookup
     code = (
         "import json, sys\n"
         "from naphopf.posets import interval_of\n"
-        "from naphopf.trees import TREE_TABLE, RootedTree, enumerate_trees\n"
+        "from naphopf.trees import (TREE_TABLE, RootedTree, TreeTable, _new_tree,\n"
+        "                           enumerate_trees)\n"
         "trees = [t for n in range(1, 9) for t in enumerate_trees(n)]\n"
         "for t in trees:\n"
         "    TREE_TABLE.id(t)\n"
-        "watched = RootedTree.__init__.__code__\n"
+        "watched = {f.__code__ for f in (RootedTree.__new__, _new_tree, TreeTable._add)}\n"
         "calls = 0\n"
         "def count(frame, event, arg):\n"
         "    global calls\n"
-        "    if event == 'call' and frame.f_code is watched:\n"
+        "    if event == 'call' and frame.f_code in watched:\n"
         "        calls += 1\n"
         "sys.setprofile(count)\n"
         "ideals = sum(len(interval_of(t)) for t in trees if t.size >= 2)\n"

@@ -1,7 +1,9 @@
+import copy
+import pickle
 import random
 import sys
 from collections import Counter, defaultdict
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 from math import factorial
 
 import pytest
@@ -130,34 +132,37 @@ def test_parsing_oracle_every_spelling_is_one_shared_tree():
     assert parse_tree("()") is LEAF
 
 
-def test_reparsing_builds_nothing(monkeypatch):
+def test_reparsing_builds_nothing(monkeypatch, fresh_table):
     # a guard on work, not on time: once parsed, no spelling of a tree
-    # constructs a RootedTree or adds a table entry
+    # builds a new tree instance or adds a table entry
     rng = random.Random(7)
     texts = [_spelling(rng, t) for n in range(1, 7) for t in enumerate_trees(n)]
     distinct = len(texts) - 1
-    table = TreeTable()
-    monkeypatch.setattr(trees_module, "TREE_TABLE", table)
-    built = []
-    init = RootedTree.__init__
-    monkeypatch.setattr(RootedTree, "__init__",
-                        lambda self, *args: built.append(1) or init(self, *args))
+    table = fresh_table()
+    built, added = [], []
+    new_tree, add = trees_module._new_tree, TreeTable._add
+    monkeypatch.setattr(trees_module, "_new_tree",
+                        lambda kids: built.append(kids) or new_tree(kids))
+    monkeypatch.setattr(TreeTable, "_add",
+                        lambda self, t, key: added.append(t) or add(self, t, key))
     first = [parse_tree(text) for text in texts]
-    # one construction per tree with 2..6 vertices: each is new, and is
-    # built once however many trees it is a subtree of
-    assert len(built) == distinct
+    # enumerate_trees built every instance; the fresh table adds one entry
+    # per tree with 2..6 vertices, once however many trees it is a subtree of
+    assert built == [] and len(added) == len(set(added)) == distinct
     stats = table.stats()
     assert stats["trees"] == stats["child_keys"] == distinct + 1
-    del built[:]
+    del added[:]
     for text in texts + [_spelling(rng, t) for t in first]:
         assert parse_tree(text) is parse_tree(text)
-    assert built == [] and table.stats() == stats
+    assert built == added == []
+    # only the spelling memo grows, by the new spellings
+    after = table.stats()
+    assert after.pop("spellings") > stats.pop("spellings") and after == stats
 
 
-def test_deep_chain_parses_without_recursion(monkeypatch):
+def test_deep_chain_parses_without_recursion(fresh_table):
     text = "(" * 1200 + ")" * 1200
-    fresh = TreeTable()  # every vertex of the chain is new to it
-    monkeypatch.setattr(trees_module, "TREE_TABLE", fresh)
+    fresh = fresh_table()  # every vertex of the chain is new to it
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -170,23 +175,25 @@ def test_deep_chain_parses_without_recursion(monkeypatch):
     assert err.value.offset == 2399
 
 
-def test_spelling_memo_lives_and_dies_with_its_table(monkeypatch):
+def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
     text = "((())(()()))"
-    old = TreeTable()
-    monkeypatch.setattr(trees_module, "TREE_TABLE", old)
+    old = fresh_table()
     first = parse_tree(text)
     assert parse_tree(text) is first and text in old.by_text
     # whitespace-padded spellings are memoized apart, as the same tree
     for padded in (" " + text, text + "\n", "\t %s \r\n" % text):
         assert parse_tree(padded) is first
         assert parse_tree(padded) is first
-    # a fresh table starts with an empty memo: it hands out its own instance
-    fresh = TreeTable()
-    monkeypatch.setattr(trees_module, "TREE_TABLE", fresh)
-    assert fresh.by_text == {} and len(fresh) == 1
+    # a fresh table starts with empty memos and numbers trees in the order
+    # it meets them; the tree it hands out is still the one instance
+    fresh = fresh_table()
+    assert len(fresh) == 1 and not (fresh.by_text or fresh.grafts
+                                    or fresh.ideal_table or fresh.antipodes)
+    fresh.id(chain(3))
     again = parse_tree(text)
-    assert again is not first and again == first
-    assert again is fresh.trees[fresh.ids[again]] and len(fresh) == 4
+    assert again is first and text in fresh.by_text
+    assert old.ids[first] == 3 and fresh.ids[again] == 4
+    assert again is fresh.trees[4] and len(fresh) == 5
     assert parse_tree(text) is again
     # malformed text is never stored and raises the same error every call
     for bad, offset in (("((())", 5), ("(()))", 4), (" (x)", 2)):
@@ -195,7 +202,97 @@ def test_spelling_memo_lives_and_dies_with_its_table(monkeypatch):
                 parse_tree(bad)
             assert err.value.offset == offset
         assert bad not in fresh.by_text
-    assert len(fresh) == 4
+    assert len(fresh) == 5
+
+
+# --- one instance per shape --------------------------------------------------
+
+
+def _spellings(t: RootedTree) -> set[str]:
+    # every way to write t: each vertex lists its children in any order
+    out = set()
+    for order in set(permutations(t.children)):
+        for parts in cartesian(*(sorted(_spellings(c)) for c in order)):
+            out.add("(" + "".join(parts) + ")")
+    return out
+
+
+def test_identity_oracle_every_construction_is_the_one_instance(fresh_table):
+    fresh_table()  # the spellings parsed here fill a table of their own
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            for order in permutations(t.children):
+                assert RootedTree(order) is t
+            for text in _spellings(t):
+                assert parse_tree(text) is t and _built(text) is t
+
+
+def test_identity_oracle_same_object_exactly_when_same_string():
+    rng = random.Random(11)
+    once = [t for n in range(1, 7) for t in enumerate_trees(n)]
+    # each tree twice: as enumerated and rebuilt from a shuffled spelling
+    pool = once + [_built(_spelling(rng, t)) for t in once]
+    for a in pool:
+        for b in pool:
+            same = a.string == b.string
+            assert (a is b) == same and (a == b) == same
+            assert not same or hash(a) == hash(b)
+
+
+def test_forest_identity_agrees_with_sorted_strings():
+    rng = random.Random(12)
+    forests = [f for k in range(7) for f in enumerate_forests(k)]
+    rebuilt = []
+    for f in forests:
+        comps = [_built(_spelling(rng, t)) for t in f.components]
+        rng.shuffle(comps)
+        rebuilt.append(Forest(comps))
+    pool = forests + rebuilt
+    for f in pool:
+        for g in pool:
+            same = sorted(t.string for t in f) == sorted(t.string for t in g)
+            assert (f == g) == same and (f is g) == same
+            assert not same or hash(f) == hash(g)
+    assert len(set(pool)) == len(forests)
+
+
+def _copy_samples() -> list:
+    deep = chain(1500)  # deeper than the recursion limit
+    trees = [LEAF, chain(2), corolla(4), parse_tree("((())(()()))"), deep]
+    return trees + [Forest(), Forest((LEAF,)), Forest(trees), Forest((deep, deep))]
+
+
+def _assert_unit_values_intact():
+    # a copy made through the constructor with no arguments would get LEAF
+    # (or the empty forest) back and overwrite its fields
+    assert LEAF.children == () and LEAF.size == 1 and LEAF.string == "()"
+    assert RootedTree() is LEAF and parse_tree("()") is LEAF
+    assert Forest().components == () and Forest().size == 0 and len(Forest()) == 0
+
+
+def test_copy_returns_the_one_instance():
+    for x in _copy_samples():
+        assert copy.copy(x) is x
+    _assert_unit_values_intact()
+
+
+def test_deepcopy_returns_the_one_instance():
+    samples = _copy_samples()
+    for x in samples:
+        assert copy.deepcopy(x) is x
+    nested = copy.deepcopy({"trees": samples, "keys": {t: 1 for t in samples}})
+    assert all(a is b for a, b in zip(nested["trees"], samples))
+    assert all(a is b for a, b in zip(nested["keys"], samples))
+    _assert_unit_values_intact()
+
+
+def test_pickle_round_trip_returns_the_one_instance():
+    samples = _copy_samples()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for x in samples:
+            assert pickle.loads(pickle.dumps(x, protocol)) is x
+        assert pickle.loads(pickle.dumps(samples, protocol)) == samples
+    _assert_unit_values_intact()
 
 
 @given(random_trees())
