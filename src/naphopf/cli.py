@@ -7,7 +7,6 @@ command exits 0 exactly when every check passes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -28,7 +27,7 @@ from .series import (
     unit_series,
     zeta_series,
 )
-from .trees import TREE_TABLE, enumerate_trees, labeled_trees, parse_tree
+from .trees import TREE_TABLE, enumerate_trees, parse_tree
 from .verify import run_suite, suite_names
 
 NAMED_SERIES = {
@@ -84,6 +83,8 @@ def _cmd_enumerate(args) -> int:
               f"ENUMERATE_N_LIMIT = {ENUMERATE_N_LIMIT}", file=sys.stderr)
         return 2
     if args.labeled:
+        from .oracles import labeled_trees
+
         items = [t.render() for t in labeled_trees([str(i) for i in range(1, n + 1)])]
         items.sort()
     else:
@@ -199,7 +200,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The command line's ``argparse.ArgumentParser``; argparse is imported
+    here, so importing this module does not load it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="naphopf",
         description="Exact computations in the NAP-operad Hopf algebras and "

@@ -21,7 +21,7 @@ coefficients are built only when a result is handed out, and every
 coefficient of one value is one shared ``Fraction``.  The oracles
 (ideal enumeration by :mod:`naphopf.posets`, admissible cuts over edge
 subsets, the labeled composition route and the brute-force orbit counts)
-live in ``verify``.
+live in :mod:`naphopf.oracles`.
 
 A memo keyed by values is an ``lru_cache``; one keyed by tree ids, such as
 the per-tree antipodes, is a field of ``TREE_TABLE`` and dies with its ids.
@@ -31,12 +31,12 @@ All coefficients of elements are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
 from .trees import Forest, LEAF, TREE_TABLE, RootedTree, aut_order
 
@@ -274,14 +274,15 @@ def hnap_coproduct(t: RootedTree) -> TensorElement:
     branches grafted on (the unit F_[•] when beta is all single vertices).
     """
     table = TREE_TABLE
-    trees, kids, graft = table.trees, table.kids, table.graft
+    trees, kids, grafts, graft = table.trees, table.kids, table.grafts, table.graft
     leaf = table.id(LEAF)
     out: dict = {}
     for (b, g), c in table.ideals(table.id(t)).items():
         m = b[0] if b else leaf
         for j in b[1:]:
             for k in kids[j]:
-                m = graft(m, k)
+                r = grafts.get((m, k))
+                m = graft(m, k) if r is None else r
         key = (trees[m], trees[g])
         out[key] = out.get(key, 0) + c
     return TensorElement._from_counts("hnap", out)
@@ -456,18 +457,21 @@ def _hnap_antipode(t: RootedTree) -> HopfElement:
 # the three algebras
 
 
-@dataclass(frozen=True)
-class Algebra:
-    """What sets one of the three Hopf algebras apart."""
+class Algebra(namedtuple("Algebra", "unit is_key multiply coproduct antipode render "
+                                    "sort_key tree_key")):
+    """What sets one of the three Hopf algebras apart:
 
-    unit: object                                  # the key of 1
-    is_key: Callable[[object], bool]              # tells the monomial keys
-    multiply: Callable[[object, object], object]  # the product of two keys
-    coproduct: Callable[[object], TensorElement]  # the coproduct of one key
-    antipode: Callable[[object], HopfElement]     # the read-only antipode of one key, uncached
-    render: Callable[[object], str]               # how a key prints
-    sort_key: Callable[[object], tuple]           # the order keys print in
-    tree_key: Callable[[RootedTree], object]      # the monomial of one tree
+    * ``unit``: the key of 1;
+    * ``is_key(k)``: whether k is a monomial key;
+    * ``multiply(a, b)``: the product of two keys;
+    * ``coproduct(k)``: the coproduct of one key;
+    * ``antipode(k)``: the read-only antipode of one key, uncached;
+    * ``render(k)``: how a key prints;
+    * ``sort_key(k)``: the order keys print in;
+    * ``tree_key(t)``: the monomial of one tree.
+    """
+
+    __slots__ = ()
 
 
 class _AlgebraTable(dict):
@@ -499,8 +503,7 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
         tree_key=lambda t: t),
     # the function algebra: forests of the generators G_t, as CK but with
     # G_t of a single vertex t the unit
-    qgnap=replace(
-        _CK,
+    qgnap=_CK._replace(
         is_key=lambda k: isinstance(k, Forest) and all(t.size > 1 for t in k.components),
         coproduct=partial(_forest_coproduct, "qgnap", qgnap_coproduct),
         antipode=partial(_forest_antipode, "qgnap", _qgnap_rows),

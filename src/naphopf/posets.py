@@ -1,5 +1,6 @@
-"""Operad posets: tree-ideal interval lattices, Mobius functions, and the
-brute-force poset of structured partitions that validates them.
+"""Operad posets: tree-ideal interval lattices and their Mobius functions.
+The brute-force poset of structured partitions that validates them lives
+in :mod:`naphopf.oracles`.
 
 An interval [0,t] is stored on the lower ideals of a labeled copy of t:
 the full vertex set is the bottom element, the root alone is the top, and
@@ -13,23 +14,18 @@ vertex and stay as their oracle.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import groupby, product as cartesian
 from math import comb
-from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from .trees import (
     Forest,
     Label,
     LabeledTree,
-    OperadInstance,
     RootedTree,
     TREE_TABLE,
     canonical_representative,
-    find_shape_isomorphism,
-    set_partitions,
 )
 
 
@@ -416,245 +412,6 @@ def pentagon_poset() -> FinitePoset:
 def diamond_poset() -> FinitePoset:
     """M3: three incomparable atoms between bottom and top (not distributive)."""
     return FinitePoset.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-
-
-def _label_key(label: Label):
-    if isinstance(label, frozenset):
-        return ("set", tuple(sorted(_label_key(x) for x in label)))
-    return ("atom", str(label))
-
-
-def _part_key(part: frozenset):
-    return tuple(sorted(_label_key(x) for x in part))
-
-
-@lru_cache(maxsize=None)
-def pi_elements(instance: OperadInstance, labels: tuple[Label, ...]) -> tuple[frozenset, ...]:
-    """All structured partitions of the ground set: a set partition together
-    with one labeled structure of the operad on each block."""
-    out = []
-    for blocks in set_partitions(list(labels)):
-        pools = [instance.labeled_structures(tuple(block)) for block in blocks]
-        for combo in cartesian(*pools):
-            out.append(frozenset(combo))
-    return tuple(out)
-
-
-def element_parts(instance: OperadInstance, element: frozenset) -> tuple[frozenset, ...]:
-    """The partition induced by an element, as a deterministically sorted tuple."""
-    return tuple(sorted((instance.label_set(c) for c in element), key=_part_key))
-
-
-def compose_pi(instance: OperadInstance, theta: frozenset, x: frozenset) -> frozenset:
-    """Compose a structured partition of the parts of x into x itself."""
-    by_part = {instance.label_set(c): c for c in x}
-    out = []
-    for comp in theta:
-        subs = {part: by_part[part] for part in instance.label_set(comp)}
-        out.append(instance.compose(comp, subs))
-    return frozenset(out)
-
-
-class BruteForcePoset:
-    """The poset of structured partitions of a ground set, by exhaustive search.
-
-    The order is computed from the definition: x <= y iff some structured
-    partition theta of the parts of x composes x into y.  The witnessing
-    theta of every comparable pair is retained, and its uniqueness (the
-    `basic' property of the operad) is asserted during construction.
-    """
-
-    def __init__(self, instance: OperadInstance, labels: Sequence[Label]) -> None:
-        self.instance = instance
-        self.labels = tuple(labels)
-        self.elements = pi_elements(instance, self.labels)
-        # read-only, like theta below: brute_force_pi hands one cached poset
-        # to every caller
-        self.index = MappingProxyType({e: i for i, e in enumerate(self.elements)})
-        n = len(self.elements)
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        theta_witness: dict[tuple[int, int], frozenset] = {}
-        self.parts = tuple(element_parts(instance, e) for e in self.elements)
-        for i in range(n):
-            x = self.elements[i]
-            for theta in pi_elements(instance, self.parts[i]):
-                y = compose_pi(instance, theta, x)
-                j = self.index[y]
-                prior = theta_witness.get((i, j))
-                if prior is not None and prior != theta:
-                    raise ValueError("operad is not basic: theta is not unique")
-                theta_witness[(i, j)] = theta
-                leq[i][j] = True
-        self.poset = FinitePoset(leq)
-        self.theta = MappingProxyType(theta_witness)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def bottom_index(self) -> int | None:
-        return self.poset.bottom()
-
-
-BRUTE_FORCE_LIMIT = 4
-
-
-def brute_force_pi(instance: OperadInstance, ground: "int | Sequence[Label]") -> BruteForcePoset:
-    """Poset of structured partitions on {1..n} (or an explicit label tuple).
-
-    The search is exponential; ground sets larger than ``BRUTE_FORCE_LIMIT``
-    are refused.  The poset is cached and shared by every caller.
-    """
-    if isinstance(ground, int):
-        labels: tuple[Label, ...] = tuple(str(i) for i in range(1, ground + 1))
-    else:
-        labels = tuple(ground)
-    if len(labels) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"ground set of size {len(labels)} exceeds "
-                         f"BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT}")
-    return _structured_partitions(instance, labels)
-
-
-@lru_cache(maxsize=None)
-def _structured_partitions(instance: OperadInstance,
-                           labels: tuple[Label, ...]) -> BruteForcePoset:
-    # unguarded: the checks below reach it for parts of a poset already built
-    return BruteForcePoset(instance, labels)
-
-
-def f_structure_constants(alpha: RootedTree) -> dict[tuple[Forest, RootedTree], int]:
-    """Incidence-coproduct structure constants of a tree.
-
-    Each interval element contributes the pair (branch forest with
-    single-vertex components dropped, restriction class); the value counts
-    the ideals realizing the pair, so the values sum to the interval size.
-    """
-    ip = interval_of(alpha)
-    out: Counter[tuple[Forest, RootedTree]] = Counter()
-    for forest, theta in zip(ip.forests, ip.thetas):
-        out[(forest.drop_units(), theta)] += 1
-    return dict(out)
-
-
-def _restrict_element(instance: OperadInstance, element: frozenset,
-                      block: frozenset) -> frozenset:
-    return frozenset(c for c in element if instance.label_set(c) <= block)
-
-
-def check_upset_isomorphism(bp: BruteForcePoset, i: int) -> bool:
-    """The up-set of element i must be order-isomorphic to the poset of
-    structured partitions of its parts, via the witnessing thetas."""
-    target = _structured_partitions(bp.instance, bp.parts[i])
-    upset = bp.poset.up_set(i)
-    if len(upset) != len(target):
-        return False
-    image = {}
-    for j in upset:
-        theta = bp.theta.get((i, j))
-        if theta is None or theta not in target.index:
-            return False
-        image[j] = target.index[theta]
-    if sorted(image.values()) != list(range(len(target))):
-        return False
-    for a in upset:
-        for b in upset:
-            if bp.poset.leq[a][b] != target.poset.leq[image[a]][image[b]]:
-                return False
-    return True
-
-
-def check_interval_factorization(bp: BruteForcePoset, i: int, j: int) -> bool:
-    """[x,y] must factor as the product over the parts u of y of the
-    intervals [0, theta(x_u, y_u)], via componentwise thetas."""
-    instance = bp.instance
-    if not bp.poset.leq[i][j]:
-        raise ValueError("need x <= y")
-    x = bp.elements[i]
-    y = bp.elements[j]
-    interval = [k for k in range(len(bp))
-                if bp.poset.leq[i][k] and bp.poset.leq[k][j]]
-
-    factors = []
-    for u in element_parts(instance, y):
-        x_u = _restrict_element(instance, x, u)
-        y_u = _restrict_element(instance, y, u)
-        ground_u = tuple(sorted(u, key=_label_key))
-        bp_u = _structured_partitions(instance, ground_u)
-        xi = bp_u.index[x_u]
-        sub = _structured_partitions(instance, element_parts(instance, x_u))
-        theta_top = bp_u.theta.get((xi, bp_u.index[y_u]))
-        if theta_top is None:
-            return False
-        factors.append((u, bp_u, xi, sub, sub.index[theta_top]))
-
-    coords = {}
-    for k in interval:
-        z = bp.elements[k]
-        cs = []
-        for u, bp_u, xi, sub, top_idx in factors:
-            z_u = _restrict_element(instance, z, u)
-            theta = bp_u.theta.get((xi, bp_u.index[z_u]))
-            if theta is None:
-                return False
-            ci = sub.index[theta]
-            if not sub.poset.leq[ci][top_idx]:
-                return False
-            cs.append(ci)
-        coords[k] = tuple(cs)
-
-    down_sets = [[d for d in range(len(sub)) if sub.poset.leq[d][top_idx]]
-                 for (_, __, ___, sub, top_idx) in factors]
-    expected = set(cartesian(*down_sets))
-    if len(coords) != len(expected) or set(coords.values()) != expected:
-        return False
-    subs = [f[3] for f in factors]
-    for a in interval:
-        for b in interval:
-            componentwise = all(s.poset.leq[ca][cb]
-                                for s, ca, cb in zip(subs, coords[a], coords[b]))
-            if bp.poset.leq[a][b] != componentwise:
-                return False
-    return True
-
-
-def check_maximal_interval_model(bp: BruteForcePoset, i: int) -> bool:
-    """A maximal element's down-set must realize the ideal-lattice model.
-
-    Checks that the sets of component roots of the elements below a labeled
-    tree x are exactly the ideals of x ordered by reverse inclusion, that
-    branch forests match, and that a shape isomorphism transports everything
-    onto the interval of the unlabeled class.
-    """
-    element = bp.elements[i]
-    if len(element) != 1:
-        raise ValueError("element is not maximal (more than one component)")
-    tree = next(iter(element))
-    if not isinstance(tree, LabeledTree):
-        raise ValueError("model check applies to the NAP instance")
-    ip = interval_of(tree.shape())
-    down = bp.poset.down_set(i)
-    if len(down) != len(ip):
-        return False
-
-    roots = {j: frozenset(c.root for c in bp.elements[j]) for j in down}
-    if len(set(roots.values())) != len(down):
-        return False
-    for a in down:
-        for b in down:
-            if bp.poset.leq[a][b] != (roots[a] >= roots[b]):
-                return False
-
-    phi = find_shape_isomorphism(tree, ip.representative)
-    if phi is None:
-        return False
-    ideal_index = {s: k for k, s in enumerate(ip.elements)}
-    for j in down:
-        mapped = frozenset(phi[v] for v in roots[j])
-        k = ideal_index.get(mapped)
-        if k is None:
-            return False
-        if Forest(c.shape() for c in bp.elements[j]) != ip.forests[k]:
-            return False
-    return True
 
 
 def interval_dot(ip: IntervalPoset) -> str:

@@ -10,9 +10,9 @@ onto one-variable power series groups.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable
 
 from .hopf import HopfElement
 from .trees import (
@@ -353,9 +353,12 @@ def ps_x(n: int) -> PowerSeries:
 def ps_multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.truncation, b.truncation)
     out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            out[i + j] += a.coefficient(i) * b.coefficient(j)
+    bs = b.coeffs
+    for i, ai in enumerate(a.coeffs[:n + 1]):
+        if ai:
+            for j, bj in enumerate(bs[:n + 1 - i], i):
+                if bj:
+                    out[j] += ai * bj
     return PowerSeries(out)
 
 
@@ -381,13 +384,13 @@ def ps_compose(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.truncation, b.truncation)
     out = [Fraction(0)] * (n + 1)
     out[0] = a.coefficient(0)
-    power = ps_one(n)
-    for m in range(1, n + 1):
-        power = ps_multiply(power, b.truncate(n))
-        am = a.coefficient(m)
+    power, inner = ps_one(n), b.truncate(n)
+    for am in a.coeffs[1:n + 1]:
+        power = ps_multiply(power, inner)
         if am:
-            for i in range(n + 1):
-                out[i] += am * power.coefficient(i)
+            for i, p in enumerate(power.coeffs):
+                if p:
+                    out[i] += am * p
     return PowerSeries(out)
 
 

@@ -1,4 +1,5 @@
-"""Canonical rooted trees and forests, plus the NAP and Comm set-operads.
+"""Canonical rooted trees and forests, their labeled representatives, and
+the NAP composition engine on interned tree ids.
 
 Trees and forests are hash-consed (Filliâtre-Conchon, "Type-safe modular
 hash-consing", 2006): children and components are kept sorted by (size,
@@ -7,20 +8,20 @@ shape from a process-wide intern dict.  So structural equality is identity,
 equality and hashing are the object defaults, and multisets deduplicate by
 sorting.  Interned trees and forests live for the whole process.  Labeled
 trees are root + parent-map data with arbitrary hashable labels; the
-standard ground set is the strings "1".."n".
+standard ground set is the strings "1".."n".  Enumerating and composing
+labeled trees, and the two set-operads built on them, serve only as
+oracles and live in :mod:`naphopf.oracles`.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import lru_cache
-from itertools import groupby, permutations, product as cartesian
+from itertools import groupby
 from math import factorial
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Sequence
 
 Label = Hashable
 
@@ -181,9 +182,10 @@ def _parse_id(table: "TreeTable", text: str) -> int:
     _raise_syntax_error(text)
 
 
-def _raise_syntax_error(text: str) -> NoReturn:
+def _raise_syntax_error(text: str):
     # the validating parse of a malformed literal: raises at the first error
-    def fail(message: str, i: int) -> NoReturn:
+    # and never returns
+    def fail(message: str, i: int):
         # text[:i] is parentheses and whitespace, so it always encodes
         raise TreeSyntaxError(message, len(text[:i].encode("utf-8")))
 
@@ -435,70 +437,6 @@ class LabeledTree:
         return fmt(self.root)
 
 
-class LabeledForest:
-    """Set of labeled trees with pairwise-disjoint label sets."""
-
-    __slots__ = ("components", "labels", "_hash")
-
-    def __init__(self, components: Iterable[LabeledTree]) -> None:
-        comps = frozenset(components)
-        total = 0
-        labels: set[Label] = set()
-        for c in comps:
-            total += c.size
-            labels.update(c.labels)
-        if len(labels) != total:
-            raise ValueError("components must have disjoint label sets")
-        self.components = comps
-        self.labels = frozenset(labels)
-        self._hash = hash(comps)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LabeledForest) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self) -> Iterator[LabeledTree]:
-        return iter(self.components)
-
-    def partition(self) -> frozenset:
-        """The induced partition of the ground set: one block per component."""
-        return frozenset(c.labels for c in self.components)
-
-
-def nap_compose(t: LabeledTree, subs: dict[Label, LabeledTree]) -> LabeledTree:
-    """NAP composition: substitute subs[i] at each vertex i of t.
-
-    The result is the disjoint union of the substituted trees with one extra
-    edge root(subs[i]) -> root(subs[i']) for every edge i -> i' of t; its
-    root is the root of the tree substituted at the root of t.
-    """
-    missing = [v for v in t.labels if v not in subs]
-    if missing:
-        raise ValueError(f"missing substitution for vertices {missing!r}")
-    total = sum(subs[v].size for v in t.labels)
-    union: set[Label] = set()
-    for v in t.labels:
-        union.update(subs[v].labels)
-    if len(union) != total:
-        raise ValueError("label collision between substituted trees")
-    parents: dict[Label, Label] = {}
-    for v in t.labels:
-        parents.update(subs[v].parents)
-    for child, parent in t.parents.items():
-        parents[subs[child].root] = subs[parent].root
-    return LabeledTree(subs[t.root].root, parents)
-
-
-def singleton(label: Label) -> LabeledTree:
-    """The one-vertex labeled tree."""
-    return LabeledTree(label, {})
-
-
 def canonical_representative(t: RootedTree) -> LabeledTree:
     """Labeled copy of t with integer labels 1..n assigned in BFS order."""
     parents: dict[Label, Label] = {}
@@ -512,26 +450,6 @@ def canonical_representative(t: RootedTree) -> LabeledTree:
             parents[next_label] = lbl
             queue.append((child, next_label))
             next_label += 1
-    return LabeledTree(1, parents)
-
-
-def dfs_representative(t: RootedTree) -> LabeledTree:
-    """Labeled copy of t with labels 1..n assigned in preorder DFS.
-
-    Children are visited in reversed canonical order, so the labeling
-    genuinely differs from :func:`canonical_representative` on most trees.
-    """
-    parents: dict[Label, Label] = {}
-    counter = [1]
-
-    def visit(node: RootedTree, lbl: int) -> None:
-        for child in reversed(node.children):
-            counter[0] += 1
-            c_lbl = counter[0]
-            parents[c_lbl] = lbl
-            visit(child, c_lbl)
-
-    visit(t, 1)
     return LabeledTree(1, parents)
 
 
@@ -677,7 +595,7 @@ class TreeTable:
         rows = table.get(i)
         if rows is not None:
             return rows
-        graft, kids_of, leaf = self.graft, self.kids, self.id(LEAF)
+        grafts, graft, kids_of, leaf = self.grafts, self.graft, self.kids, self.id(LEAF)
         stack = [i]
         while stack:
             j = stack[-1]
@@ -695,11 +613,13 @@ class TreeTable:
             for k in kids:
                 below, grown = table[k], {}
                 for (b, rc, g), c in states.items():
-                    key = (b, graft(rc, k), g)
+                    r = grafts.get((rc, k))
+                    key = (b, graft(rc, k) if r is None else r, g)
                     grown[key] = grown.get(key, 0) + c
                     for (b2, g2), c2 in below.items():
+                        r = grafts.get((g, g2))
                         key = (tuple(sorted(b + b2)) if b and b2 else b or b2,
-                               rc, graft(g, g2))
+                               rc, graft(g, g2) if r is None else r)
                         grown[key] = grown.get(key, 0) + c * c2
                 states = grown
             rows = {}
@@ -785,228 +705,3 @@ class TreeTable:
 
 
 TREE_TABLE = TreeTable()
-
-
-def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree]) -> RootedTree:
-    """Class of the NAP composition of outer with the given inner trees.
-
-    ``inner[i]`` is substituted at the vertex labeled i+1 of the BFS
-    representative of ``outer`` (:func:`canonical_representative`).
-    """
-    inner = tuple(inner)
-    if len(inner) != outer.size:
-        raise ValueError("need one inner tree per vertex of the outer tree")
-    table = TREE_TABLE
-    # parent[v] is the BFS position of the parent of the vertex at position v
-    order, parent = [outer], [-1]
-    for v, node in enumerate(order):
-        for child in node.children:
-            order.append(child)
-            parent.append(v)
-    # a vertex follows its parent in BFS order, so walking backwards grafts
-    # each composed subtree only once it is complete
-    comp = [table.id(t) for t in inner]
-    for v in range(len(order) - 1, 0, -1):
-        comp[parent[v]] = table.graft(comp[parent[v]], comp[v])
-    return table.trees[comp[0]]
-
-
-def slot_compositions(s: RootedTree, t: RootedTree) -> tuple[tuple[RootedTree, int], ...]:
-    """The sum s ∘ t over single slots: substitute t at one vertex of s,
-    units elsewhere, and collect resulting classes with multiplicities."""
-    table = TREE_TABLE
-    pool = [(t.size, table.id(t), 1)]
-    combo = table.derive(table.id(s), pool, s.size + t.size - 1, {})
-    return tuple(sorted(((table.trees[u], m) for _, u, m in combo),
-                        key=lambda kv: _key(kv[0])))
-
-
-def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    # Decode a Prufer sequence over {0..n-1} into the n-1 edges of a tree.
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for s in seq:
-        v = heapq.heappop(leaves)
-        edges.append((v, s))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return edges
-
-
-def labeled_trees(labels: Sequence[Label]) -> list[LabeledTree]:
-    """All rooted labeled trees on the given labels (n^(n-1) of them).
-
-    Enumerated by decoding every Prufer sequence and rooting the resulting
-    free tree at every vertex; independent of the canonical-tree machinery.
-    """
-    labels = list(labels)
-    n = len(labels)
-    if n == 0:
-        raise ValueError("need at least one label")
-    if n == 1:
-        return [LabeledTree(labels[0], {})]
-    out = []
-    for seq in cartesian(range(n), repeat=n - 2):
-        edges = _prufer_edges(seq, n)
-        adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-        for a, b in edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        for root in range(n):
-            parents: dict[Label, Label] = {}
-            stack = [root]
-            seen = {root}
-            while stack:
-                w = stack.pop()
-                for nb in adjacency[w]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        parents[labels[nb]] = labels[w]
-                        stack.append(nb)
-            out.append(LabeledTree(labels[root], parents))
-    return out
-
-
-def set_partitions(items: Sequence[Label]) -> list[list[list[Label]]]:
-    """All partitions of the given sequence into nonempty unordered blocks."""
-    items = list(items)
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for partial in set_partitions(rest):
-        for i in range(len(partial)):
-            out.append(partial[:i] + [[first] + partial[i]] + partial[i + 1:])
-        out.append([[first]] + partial)
-    return out
-
-
-def labeled_forests(labels: Sequence[Label]) -> list[LabeledForest]:
-    """All labeled forests on the given ground set ((n+1)^(n-1) of them)."""
-    out = []
-    for blocks in set_partitions(labels):
-        pools = [labeled_trees(block) for block in blocks]
-        for combo in cartesian(*pools):
-            out.append(LabeledForest(combo))
-    return out
-
-
-def labeled_isomorphisms(a: LabeledTree, b: LabeledTree,
-                         targets: Sequence[Label] | None = None) -> list[dict]:
-    """All bijections from a's labels onto b's (or ``targets``) carrying a to b.
-
-    Exhaustive over permutations; intended for small ground sets only.  A
-    candidate is tested on the parent maps instead of being relabeled: the
-    root must go to b's root and every parent edge c -> p of a to the edge
-    of b at the image of c.
-    """
-    source = list(a.labels)
-    image = list(b.labels) if targets is None else list(targets)
-    if len(source) != len(image) or len(source) != b.size:
-        return []
-    at = {v: k for k, v in enumerate(source)}
-    root = at[a.root]
-    edges = [(at[c], at[p]) for c, p in a.parents.items()]
-    b_root, b_parents = b.root, b.parents
-    out = []
-    for perm in permutations(image):
-        if perm[root] != b_root:
-            continue
-        for c, p in edges:
-            w = perm[c]
-            if w not in b_parents or b_parents[w] != perm[p]:
-                break
-        else:
-            out.append(dict(zip(source, perm)))
-    return out
-
-
-def find_shape_isomorphism(a: LabeledTree, b: LabeledTree) -> dict | None:
-    """One label bijection carrying a onto b, or None if shapes differ.
-
-    Built recursively by matching children with equal shapes; linear-ish,
-    unlike the exhaustive :func:`labeled_isomorphisms`.
-    """
-    if a.shape() != b.shape():
-        return None
-
-    def shape_of(tree: LabeledTree, v: Label) -> RootedTree:
-        return RootedTree(shape_of(tree, c) for c in tree.children(v))
-
-    mapping: dict = {}
-
-    def match(va: Label, vb: Label) -> None:
-        mapping[va] = vb
-        by_shape: dict[RootedTree, list[Label]] = {}
-        for cb in b.children(vb):
-            by_shape.setdefault(shape_of(b, cb), []).append(cb)
-        for ca in a.children(va):
-            match(ca, by_shape[shape_of(a, ca)].pop())
-
-    match(a.root, b.root)
-    return mapping
-
-
-@dataclass(frozen=True)
-class OperadInstance:
-    """A set-operad given by enumerators and a labeled composition rule.
-
-    ``classes(n)`` lists the coinvariant classes of size n;
-    ``labeled_structures(labels)`` lists the structures on a label tuple;
-    ``compose(x, subs)`` substitutes a structure for every vertex/label of x;
-    ``class_of`` projects a labeled structure to its class; ``label_set``
-    returns the underlying ground set of a structure.
-    """
-
-    name: str
-    classes: Callable[[int], tuple]
-    class_size: Callable[[object], int]
-    labeled_structures: Callable[[Sequence[Label]], list]
-    compose: Callable[[object, dict], object]
-    class_of: Callable[[object], object]
-    label_set: Callable[[object], frozenset]
-
-
-@lru_cache(maxsize=None)
-def nap_instance() -> OperadInstance:
-    """The NAP operad: rooted trees with root-joining composition; one shared
-    instance, as caches keyed by an instance compare its functions by identity."""
-    return OperadInstance(
-        name="nap",
-        classes=enumerate_trees,
-        class_size=lambda t: t.size,
-        labeled_structures=labeled_trees,
-        compose=nap_compose,
-        class_of=lambda x: x.shape(),
-        label_set=lambda x: x.labels,
-    )
-
-
-@lru_cache(maxsize=None)
-def comm_instance() -> OperadInstance:
-    """The Comm operad: one structure per finite set, composition by union;
-    one shared instance, as :func:`nap_instance`."""
-
-    def compose(x: frozenset, subs: dict) -> frozenset:
-        out: set = set()
-        for i in x:
-            out.update(subs[i])
-        return frozenset(out)
-
-    return OperadInstance(
-        name="comm",
-        classes=lambda n: (n,),
-        class_size=lambda c: c,
-        labeled_structures=lambda labels: [frozenset(labels)],
-        compose=compose,
-        class_of=lambda x: len(x),
-        label_set=lambda x: x,
-    )

@@ -20,10 +20,19 @@ from naphopf.hopf import (
     qgnap_coproduct,
     tensor_map,
 )
-from naphopf.posets import (
+from naphopf.oracles import (
+    admissible_triples,
     brute_force_pi,
-    check_distributive_lattice,
     check_maximal_interval_model,
+    comm_instance,
+    count_Ef_Eg,
+    f_coefficient,
+    g_coefficient,
+    labeled_trees,
+    nap_instance,
+)
+from naphopf.posets import (
+    check_distributive_lattice,
     check_total_semimodularity,
     diamond_poset,
     interval_of,
@@ -56,15 +65,11 @@ from naphopf.trees import (
     aut0_order,
     aut_order,
     chain,
-    comm_instance,
     corolla,
     enumerate_trees,
     forest_aut_order,
-    labeled_trees,
-    nap_instance,
     parse_tree,
 )
-from naphopf.verify import admissible_triples, count_Ef_Eg, f_coefficient, g_coefficient
 
 EXPECTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115]
 

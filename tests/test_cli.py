@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from naphopf import cli
+from naphopf import cli, oracles
 from naphopf.cli import (COPRODUCT_LIMIT, ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT,
                          SERIES_N_LIMIT, main)
 from naphopf.posets import ideal_count, ideal_orbit_count
@@ -269,13 +269,13 @@ def test_series_above_the_size_limit_exits_2(capsys, monkeypatch, argv):
 
 
 def test_labeled_enumeration_above_the_size_limit_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "labeled_trees", refuse)
+    monkeypatch.setattr(oracles, "labeled_trees", refuse)
     code, out, err = run(capsys, "enumerate", str(LABELED_N_LIMIT + 1), "--labeled")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "LABELED_N_LIMIT = 7" in err
     # the limit itself is still listed
-    monkeypatch.setattr(cli, "labeled_trees", lambda labels: [])
+    monkeypatch.setattr(oracles, "labeled_trees", lambda labels: [])
     code, out, _ = run(capsys, "enumerate", str(LABELED_N_LIMIT), "--labeled", "--count-only")
     assert (code, out) == (0, "0\n")
 

@@ -1,6 +1,6 @@
 """The graft engine on interned tree ids against the labeled nap_compose route.
 
-The labeled route (``naphopf.verify._compose_labeled`` and friends)
+The labeled route (``naphopf.oracles._compose_labeled`` and friends)
 substitutes into a labeled representative and takes the shape; it shares
 no code with ``trees.TreeTable``.  Sizes stay at N <= 7, where it is cheap.
 """
@@ -26,17 +26,16 @@ from naphopf.series import (
     unit_series,
     zeta_series,
 )
-from naphopf.trees import (
-    LEAF,
-    canonical_representative,
-    chain,
+from naphopf.oracles import (
+    _compose_labeled,
+    _multiply_labeled,
     compose_shapes,
     dfs_representative,
-    enumerate_trees,
     find_shape_isomorphism,
+    labeled_g_structure_constants,
     slot_compositions,
 )
-from naphopf.verify import _compose_labeled, _multiply_labeled, labeled_g_structure_constants
+from naphopf.trees import LEAF, canonical_representative, chain, enumerate_trees
 
 REPRESENTATIVES = (canonical_representative, dfs_representative)
 

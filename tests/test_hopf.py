@@ -29,7 +29,20 @@ from naphopf.hopf import (
     rho,
     tensor_map,
 )
-from naphopf.posets import brute_force_pi, f_structure_constants, interval_of, pi_elements
+from naphopf.oracles import (
+    _hnap_coproduct_by_ideals,
+    admissible_triples,
+    brute_force_pi,
+    ck_antipode_closed_form,
+    ck_coproduct_cuts,
+    count_Ef_Eg,
+    f_coefficient,
+    f_structure_constants,
+    g_coefficient,
+    nap_instance,
+    pi_elements,
+)
+from naphopf.posets import interval_of
 from naphopf.series import random_group_element, series_inverse, zeta_series
 from naphopf.trees import (
     Forest,
@@ -42,19 +55,9 @@ from naphopf.trees import (
     enumerate_forests,
     enumerate_trees,
     forest_aut_order,
-    nap_instance,
     parse_tree,
 )
-from naphopf.verify import (
-    _coassociative,
-    _hnap_coproduct_by_ideals,
-    admissible_triples,
-    ck_antipode_closed_form,
-    ck_coproduct_cuts,
-    count_Ef_Eg,
-    f_coefficient,
-    g_coefficient,
-)
+from naphopf.checks import _coassociative
 
 T10 = chain(2)
 T110 = chain(3)

@@ -7,18 +7,24 @@ import sys
 import pytest
 
 from naphopf.hopf import HopfElement, antipode, hnap_coproduct
+from naphopf.oracles import (
+    _structured_partitions,
+    brute_force_pi,
+    check_interval_factorization,
+    check_maximal_interval_model,
+    check_upset_isomorphism,
+    comm_instance,
+    f_structure_constants,
+    nap_compose,
+    nap_instance,
+)
 from naphopf.posets import (
     FinitePoset,
-    brute_force_pi,
     ideal_count,
     ideal_orbit_count,
     check_distributive_lattice,
-    check_interval_factorization,
-    check_maximal_interval_model,
     check_total_semimodularity,
-    check_upset_isomorphism,
     diamond_poset,
-    f_structure_constants,
     forest_below,
     interval_dot,
     interval_of,
@@ -26,7 +32,6 @@ from naphopf.posets import (
     mobius_closed_form,
     pentagon_poset,
     theta_of,
-    _structured_partitions,
 )
 from naphopf.trees import (
     Forest,
@@ -35,11 +40,8 @@ from naphopf.trees import (
     TreeTable,
     canonical_representative,
     chain,
-    comm_instance,
     corolla,
     enumerate_trees,
-    nap_compose,
-    nap_instance,
     parse_tree,
 )
 
@@ -338,12 +340,12 @@ def test_operad_instances_are_shared_by_the_caches():
     # instances compare their functions by identity, so each must be one
     # object for the caches keyed by it to hit
     code = (
-        "from naphopf import posets\n"
-        "from naphopf.trees import comm_instance, nap_instance\n"
+        "from naphopf import oracles\n"
+        "from naphopf.oracles import comm_instance, nap_instance\n"
         "from naphopf.verify import run_suite\n"
         "built = []\n"
-        "init = posets.BruteForcePoset.__init__\n"
-        "posets.BruteForcePoset.__init__ = lambda self, *a: built.append(1) or init(self, *a)\n"
+        "init = oracles.BruteForcePoset.__init__\n"
+        "oracles.BruteForcePoset.__init__ = lambda self, *a: built.append(1) or init(self, *a)\n"
         "assert run_suite('all').passed\n"
         "print(nap_instance() is nap_instance(), comm_instance() is comm_instance(), len(built))\n"
     )

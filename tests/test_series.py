@@ -32,17 +32,15 @@ from naphopf.series import (
     unit_series,
     zeta_series,
 )
+from naphopf.oracles import _multiply_labeled, dfs_representative, slot_compositions
 from naphopf.trees import (
     LEAF,
     aut_order,
     chain,
     corolla,
-    dfs_representative,
     enumerate_trees,
     parse_tree,
-    slot_compositions,
 )
-from naphopf.verify import _multiply_labeled
 
 T10 = chain(2)
 T110 = chain(3)

@@ -1,21 +1,18 @@
 import pytest
 
 from naphopf.series import lie_bracket, mobius_series, zeta_series
-from naphopf import verify
-from naphopf.trees import LEAF, Forest, canonical_representative, chain
-from naphopf.verify import (
-    BRUTE_CAP,
+from naphopf import checks, oracles
+from naphopf.checks import BRUTE_CAP
+from naphopf.oracles import (
     LABELED_G_LIMIT,
     LABELED_PRODUCT_LIMIT,
     ORBIT_COUNT_LIMIT,
-    CheckResult,
-    SuiteReport,
     _multiply_labeled,
     count_Ef_Eg,
     labeled_g_structure_constants,
-    run_suite,
-    suite_names,
 )
+from naphopf.trees import LEAF, Forest, canonical_representative, chain
+from naphopf.verify import CheckResult, SuiteReport, run_suite, suite_names
 
 
 def refuse(*args):
@@ -71,14 +68,12 @@ def test_reports_reproducible_across_runs():
 def test_jacobi_check_catches_an_antisymmetric_bracket(monkeypatch):
     # [x, y] scaled by a weight symmetric in x and y: still antisymmetric
     # and zero on x = y, but the three Jacobi terms get different weights
-    from naphopf import verify
-
     def skewed(a, b):
         return (1 + len(a.coeffs) + len(b.coeffs)) * lie_bracket(a, b)
 
-    assert verify._series_lie(4, None) == ""
-    monkeypatch.setattr(verify, "lie_bracket", skewed)
-    assert verify._series_lie(4, None) == "jacobi"
+    assert checks._series_lie(4, None) == ""
+    monkeypatch.setattr(checks, "lie_bracket", skewed)
+    assert checks._series_lie(4, None) == "jacobi"
 
 
 def test_timings_stay_out_of_the_default_report():
@@ -116,8 +111,8 @@ def test_orbit_counts_refuse_trees_above_their_limit(monkeypatch):
     alpha = chain(ORBIT_COUNT_LIMIT + 1)
     with monkeypatch.context() as m:
         # the refusal comes before any work
-        m.setattr(verify, "canonical_representative", refuse)
-        m.setattr(verify, "_labeled_pools", refuse)
+        m.setattr(oracles, "canonical_representative", refuse)
+        m.setattr(oracles, "_labeled_pools", refuse)
         with pytest.raises(ValueError, match=f"ORBIT_COUNT_LIMIT = {ORBIT_COUNT_LIMIT}"):
             count_Ef_Eg(alpha, Forest((alpha,)), LEAF)
     t = chain(3)
@@ -175,11 +170,11 @@ def test_each_check_receives_its_registered_degree(monkeypatch):
             return ""
         return record
 
-    registry = [(suite, name, recorder(fn)) for suite, name, fn in verify._REGISTRY]
-    degrees = {rec: verify._DEGREES[fn]
-               for (_, _, rec), (_, _, fn) in zip(registry, verify._REGISTRY)}
-    monkeypatch.setattr(verify, "_REGISTRY", registry)
-    monkeypatch.setattr(verify, "_DEGREES", degrees)
+    registry = [(suite, name, recorder(fn)) for suite, name, fn in checks._REGISTRY]
+    degrees = {rec: checks._DEGREES[fn]
+               for (_, _, rec), (_, _, fn) in zip(registry, checks._REGISTRY)}
+    monkeypatch.setattr(checks, "_REGISTRY", registry)
+    monkeypatch.setattr(checks, "_DEGREES", degrees)
 
     assert len(run_suite("all").checks) == 45
     assert received == {name: d for d, names in DEFAULT_DEGREES.items() for name in names}
