@@ -38,8 +38,8 @@ NAMED_SERIES = {
     "unit": unit_series,
 }
 
-# the largest inputs that take seconds: zeta*zeta at N = 13 takes ~3 s and
-# ~100 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, the trees
+# the largest inputs that take seconds: zeta*zeta at N = 13 takes ~1.5 s and
+# ~90 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, the trees
 # on 16 vertices ~4 s and ~210 MB (15: ~1.4 s and ~90 MB), and each costs
 # several times more one size up
 SERIES_N_LIMIT = 13

@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 from math import prod
 from types import MappingProxyType
 
-from .trees import Forest, LEAF, TREE_TABLE, RootedTree, aut_order
+from .trees import Forest, LEAF, NO_GRAFTS, TREE_TABLE, RootedTree, aut_order
 
 
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
@@ -281,7 +281,7 @@ def hnap_coproduct(t: RootedTree) -> TensorElement:
         m = b[0] if b else leaf
         for j in b[1:]:
             for k in kids[j]:
-                r = grafts.get((m, k))
+                r = grafts.get(m, NO_GRAFTS).get(k)
                 m = graft(m, k) if r is None else r
         key = (trees[m], trees[g])
         out[key] = out.get(key, 0) + c

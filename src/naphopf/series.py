@@ -149,24 +149,25 @@ def _scaled_pool(b: TreeSeries, n: int, scale: int) -> list:
                   for t, c in b.coeffs.items() if t.size <= n)
 
 
-def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict) -> dict:
+def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict,
+                 degree: int | None = None) -> dict:
     # sum of a_t S(t) over the trees t of a, where S substitutes the scaled
-    # pool into every vertex, as {class id: coefficient}.  a_t is scaled by
-    # the lcm D_a of a's denominators, so every term landing on a class c
-    # carries D_a * scale**|c|, taken out by one division per class
+    # pool into every vertex, as {class id: coefficient}: the classes of
+    # size ``degree`` only, or of every size up to n.  a_t is scaled by the
+    # lcm D_a of a's denominators, so every term landing on a class c
+    # carries D_a * scale**|c|, taken out by one division per class.  The
+    # entries are read at the budgets of n whatever the degree, so every
+    # degree shares them
     table = TREE_TABLE
     da = lcm(*(c.denominator for c in a.values()))
+    low, high = (1, n) if degree is None else (degree, degree)
     acc: dict = {}
-    for t, at in a.items():
-        if t.size > n:
-            continue
-        at = at.numerator * (da // at.denominator)
-        i = table.id(t)
-        for _, u, c in table.substitute(i, pool, n, memo):
-            acc[u] = acc.get(u, 0) + at * c
-        # no other call here reads t at the full budget, and at N = 13 these
-        # entries would be most of the memo
-        del memo[(i, n)]
+    # smaller trees first: a tree's entry is then mostly first asked for at
+    # its largest budget, and not built again for a larger one
+    for t, at in sorted(a.items(), key=lambda kv: kv[0].size):
+        if t.size <= high:
+            table.substitute(table.id(t), pool, n, memo, acc,
+                             at.numerator * (da // at.denominator), low, high)
     sizes = table.sizes
     return {u: Fraction(c, da * scale ** sizes[u]) for u, c in acc.items() if c}
 
@@ -197,8 +198,9 @@ def series_inverse(a: TreeSeries) -> TreeSeries:
     The unknown coefficient of each size-d class enters a left product h*a
     only through the all-singleton assignment, so each degree is solved by
     one subtraction.  The degrees and the check h*a = unit share one scaled
-    pool of a and one memo, valid at every degree because an entry reads
-    the pool only up to its budget; a*h = unit is checked by its own product.
+    pool of a and one memo.  Every degree reads the entries at the budgets
+    of the full truncation, so each is built once, and degree d sums only
+    the classes of size d.  a*h = unit is checked by its own product.
     """
     _require_group(a)
     n = a.truncation
@@ -208,11 +210,11 @@ def series_inverse(a: TreeSeries) -> TreeSeries:
     memo: dict = {}
     inv = {LEAF: Fraction(1)}
     for d in range(2, n + 1):
-        for u, c in _substituted(inv, pool, scale, d, memo).items():
-            if table.sizes[u] == d:
-                inv[table.trees[u]] = -c
+        for u, c in _substituted(inv, pool, scale, n, memo, d).items():
+            inv[table.trees[u]] = -c
     if _substituted(inv, pool, scale, n, memo) != {table.id(LEAF): 1}:
         raise ArithmeticError("left inverse failed to verify")
+    del memo  # the check below is a product with its own pool and memo
     h = TreeSeries(n, inv)
     if series_multiply(a, h) != unit_series(n):
         raise ArithmeticError("inverse is not two-sided to this truncation")

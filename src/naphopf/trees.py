@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
+from math import factorial, inf
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -453,6 +453,11 @@ def canonical_representative(t: RootedTree) -> LabeledTree:
     return LabeledTree(1, parents)
 
 
+# the row of TreeTable.grafts of a tree that has none yet, for reading
+# ``grafts.get(i, NO_GRAFTS).get(j)`` in one line (never filled)
+NO_GRAFTS: MappingProxyType = MappingProxyType({})
+
+
 class TreeTable:
     """Interned integer ids of rooted trees, and the NAP composition engine.
 
@@ -465,7 +470,7 @@ class TreeTable:
     child ids to its id, so :meth:`node` finds a tree the table holds from
     its children's ids without sorting or constructing it.  Every id is
     made by :meth:`_add`, whether it comes from :meth:`id`, :meth:`node` or
-    :meth:`graft`.  The graft map ``(i, j) -> id(s ◁ t)`` is filled on
+    :meth:`graft`.  The graft map ``grafts[i][j] = id(s ◁ t)`` is filled on
     first use.  Nothing is enumerated in advance, so the table holds only
     the trees that some computation reached; :meth:`stats` counts them.
     The ids belong to the table: a fresh table numbers the same instances
@@ -478,10 +483,12 @@ class TreeTable:
     Substituting into a tree is the B-series recursion (Butcher 1972;
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
     a tree x at the root of B(t_1..t_k) and composing each branch gives
-    x ◁ S(t_1) ◁ ... ◁ S(t_k).  Linear combinations are lists of
-    ``(size, id, coeff)`` sorted by size, and a size budget prunes every
-    graft whose result could not fit.  The coefficients are ints: the series
-    layer scales rational ones to integers first (see
+    x ◁ S(t_1) ◁ ... ◁ S(t_k), so S(B(t_1..t_k)) = S(p) ◁ S(t_k) for the
+    prefix tree p = B(t_1..t_{k-1}), which is a tree of the table too.
+    :meth:`substitute` keeps one memo entry per tree read as a prefix or a
+    last branch, its composed classes sorted by size, and a size budget
+    prunes every graft whose result could not fit.  The coefficients are
+    ints: the series layer scales rational ones to integers first (see
     :func:`naphopf.series.series_multiply`).
 
     The root-containing ideals of a tree, which give all three coproducts,
@@ -503,7 +510,7 @@ class TreeTable:
         self.ids: dict[RootedTree, int] = {}
         self.by_kids: dict[tuple[int, ...], int] = {}
         self.by_text: dict[str, int] = {}
-        self.grafts: dict[tuple[int, int], int] = {}
+        self.grafts: dict[int, dict[int, int]] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
         self.antipodes: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
         self.id(LEAF)  # id 0: the parser reads every "()" as this id
@@ -516,7 +523,7 @@ class TreeTable:
         ideal table, child-id keys, tree instances built in the process
         (held by any table or none), per-tree antipodes and memoized
         spellings."""
-        return {"trees": len(self.trees), "grafts": len(self.grafts),
+        return {"trees": len(self.trees), "grafts": sum(map(len, self.grafts.values())),
                 "ideal_rows": sum(map(len, self.ideal_table.values())),
                 "child_keys": len(self.by_kids), "interned": len(_TREES),
                 "antipodes": sum(map(len, self.antipodes.values())),
@@ -572,9 +579,12 @@ class TreeTable:
 
     def graft(self, i: int, j: int) -> int:
         """The id of s ◁ t, where i and j are the ids of s and t."""
-        g = self.grafts.get((i, j))
+        row = self.grafts.get(i)
+        if row is None:
+            row = self.grafts[i] = {}
+        g = row.get(j)
         if g is None:
-            g = self.grafts[(i, j)] = self.node(self.kids[i] + [j])
+            g = row[j] = self.node(self.kids[i] + [j])
         return g
 
     def ideals(self, i: int) -> dict:
@@ -613,11 +623,11 @@ class TreeTable:
             for k in kids:
                 below, grown = table[k], {}
                 for (b, rc, g), c in states.items():
-                    r = grafts.get((rc, k))
+                    r = grafts.get(rc, NO_GRAFTS).get(k)
                     key = (b, graft(rc, k) if r is None else r, g)
                     grown[key] = grown.get(key, 0) + c
                     for (b2, g2), c2 in below.items():
-                        r = grafts.get((g, g2))
+                        r = grafts.get(g, NO_GRAFTS).get(g2)
                         key = (tuple(sorted(b + b2)) if b and b2 else b or b2,
                                rc, graft(g, g2) if r is None else r)
                         grown[key] = grown.get(key, 0) + c * c2
@@ -633,49 +643,134 @@ class TreeTable:
         sizes = self.sizes
         return sorted((sizes[u], u, c) for u, c in acc.items() if c)
 
-    def substitute(self, t: int, pool: list, budget: int, memo: dict) -> list:
+    def substitute(self, t: int, pool: list, budget: int, memo: dict, acc: dict,
+                   weight: int, low: int, high: int) -> None:
         """Every vertex of tree t substituted by a tree of ``pool``.
 
-        Returns the combination of the composed classes of size at most
-        ``budget``, each weighted by the product of the pool coefficients.
-        ``memo`` is keyed by (subtree, budget) and must only ever see one
-        pool; an entry reads only pool terms up to its budget, so one memo
-        serves every budget.
+        Adds ``weight`` times each composed class of size ``low..high``
+        (``high`` at most ``budget``) to ``acc``, weighted by the product
+        of the pool coefficients.  ``pool`` is a list of
+        ``(size, id, coeff)`` sorted by size.
+
+        A tree B(k_1..k_m) is substituted as S(p) ◁ S(k_m): its prefix tree
+        p = B(k_1..k_{m-1}) is read at ``budget - |k_m|`` and its last
+        branch at ``budget - |p|``.  ``memo`` keeps one entry per tree (see
+        :meth:`_substitution`) and must only ever see one pool.  t's
+        classes below ``budget`` are read from its entry, which a later read
+        of t as a prefix or a branch shares, since such reads stay below
+        ``budget``; its classes of size ``budget`` are grafted straight into
+        ``acc`` and never stored.
         """
-        key = (t, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        sizes, grafts, graft = self.sizes, self.grafts, self.graft
-        size = sizes[t]
-        # vertices not yet substituted: each takes at least one more vertex
-        rest = size - 1
-        acc = {}
-        for sx, x, cx in pool:
-            if sx > budget - rest:
-                break
-            acc[x] = cx
-        for k in self.kids[t]:
-            rest -= sizes[k]
-            sub = self.substitute(k, pool, budget - size + sizes[k], memo)
-            grown: dict = {}
-            for u, cu in acc.items():
-                room = budget - sizes[u] - rest
-                for sy, y, cy in sub:
-                    if sy > room:
-                        break
-                    g = grafts.get((u, y))
-                    if g is None:
-                        g = graft(u, y)
-                    grown[g] = grown.get(g, 0) + cu * cy
-            acc = grown
-        out = memo[key] = self._sorted(acc)
-        return out
+        kids = self.kids[t]
+        if not kids:  # the single vertex takes the pool
+            for s, u, c in pool:
+                if low <= s <= high:
+                    acc[u] = acc.get(u, 0) + weight * c
+            return
+        sizes, last = self.sizes, kids[-1]
+        p = self.node(kids[:-1])
+        # the prefix and the branch at their full budgets first, so that t's
+        # entry finds them and does not build them twice
+        prefix = self._substitution(p, pool, budget - sizes[last], memo)
+        branch = self._substitution(last, pool, budget - sizes[p], memo)
+        if sizes[t] < budget and low < budget:
+            _, terms, starts = self._substitution(t, pool, budget - 1, memo)
+            for u, c in terms[starts[low]:starts[min(high, budget - 1) + 1]]:
+                acc[u] = acc.get(u, 0) + weight * c
+        if high == budget:
+            self._graft_entries(acc, weight, prefix, branch, budget, budget)
+
+    def _substitution(self, t: int, pool: list, budget: int, memo: dict) -> tuple:
+        # the entry of tree t in memo, built if missing or below budget:
+        # (budget, terms, starts), the (class id, coeff) terms of S(t) up to
+        # budget sorted by size, the first of size s at terms[starts[s]].
+        # An entry stands at the largest budget asked so far, and a smaller
+        # budget reads a prefix of it: which classes of size s a tree has
+        # does not depend on the budget.  The single vertex holds the pool,
+        # which serves every budget.
+        # Requests run on an explicit stack, so the depth and width of t are
+        # not bounded by the recursion limit
+        have = memo.get(t)
+        if have is not None and have[0] >= budget:
+            return have
+        sizes, kids_of, node = self.sizes, self.kids, self.node
+        stack = [(t, budget)]
+        while stack:
+            s, b = stack[-1]
+            have = memo.get(s)
+            if have is not None and have[0] >= b:
+                stack.pop()
+                continue
+            kids = kids_of[s]
+            if not kids:
+                stack.pop()
+                memo[s] = (inf, *self._entry({u: c for _, u, c in pool}, pool[-1][0]))
+                continue
+            last = kids[-1]
+            p = node(kids[:-1])
+            bp, bk = b - sizes[last], b - sizes[p]
+            todo = [(j, bj) for j, bj in ((p, bp), (last, bk))
+                    if memo.get(j, (0,))[0] < bj]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            acc: dict = {}
+            self._graft_entries(acc, 1, memo[p], memo[last], sizes[s], b)
+            memo[s] = (b, *self._entry(acc, b))
+        return memo[t]
+
+    def _entry(self, acc: dict, top: int) -> tuple:
+        # the nonzero terms of acc, of sizes up to top, sorted by size, and
+        # where each size starts
+        sizes = self.sizes
+        layers: list = [[] for _ in range(top + 1)]
+        for u, c in acc.items():
+            if c:
+                layers[sizes[u]].append((u, c))
+        starts = [0]
+        for layer in layers:
+            starts.append(starts[-1] + len(layer))
+        return [term for layer in layers for term in layer], starts
+
+    def _graft_entries(self, acc: dict, weight: int, prefix: tuple, branch: tuple,
+                       low: int, high: int) -> None:
+        # adds weight * cu * cy to u ◁ y for the terms (u, cu) of the prefix
+        # entry and (y, cy) of the branch entry with low <= |u| + |y| <= high
+        grafts, graft, sizes = self.grafts, self.graft, self.sizes
+        _, us, ps = prefix
+        _, ys, ks = branch
+        # the first term of an entry is its tree, the smallest of its classes
+        sk, top = sizes[ys[0][0]], len(ks) - 2
+        for su in range(sizes[us[0][0]], min(len(ps) - 2, high - sk) + 1):
+            i, j = ps[su], ps[su + 1]
+            lo, hi = low - su, high - su
+            if hi > top:
+                hi = top
+            if i == j or lo > hi:
+                continue
+            row = ys[ks[lo if lo > 0 else 0]:ks[hi + 1]]
+            if not row:
+                continue
+            for u, cu in us[i:j]:
+                w = weight * cu
+                get = grafts.setdefault(u, {}).get
+                for y, cy in row:
+                    # a graft has two vertices or more, so its id is never 0
+                    g = get(y) or graft(u, y)
+                    acc[g] = acc.get(g, 0) + w * cy
 
     def derive(self, s: int, pool: list, budget: int, memo: dict) -> list:
         """One vertex of tree s substituted by a tree of ``pool``, units
         elsewhere, summed over the vertices: the tree at the root, or at one
-        slot inside one branch.  Sizes and ``memo`` as in :meth:`substitute`.
+        slot inside one branch.
+
+        ``pool`` is a list of ``(size, id, coeff)`` sorted by size.  Returns
+        the composed classes of size at most ``budget`` in the same form.
+        ``memo`` is keyed by (subtree, budget) and must only ever see one
+        pool; an entry reads only pool terms up to its budget, so one memo
+        serves every budget.  Each branch is derived recursively, one
+        Python frame per tree level.
         """
         key = (s, budget)
         hit = memo.get(key)

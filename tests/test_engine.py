@@ -35,13 +35,29 @@ from naphopf.oracles import (
     labeled_g_structure_constants,
     slot_compositions,
 )
-from naphopf.trees import LEAF, canonical_representative, chain, enumerate_trees
+from naphopf.trees import (
+    LEAF,
+    canonical_representative,
+    chain,
+    corolla,
+    enumerate_trees,
+)
 
 REPRESENTATIVES = (canonical_representative, dfs_representative)
 
 
 def trees_up_to(n):
     return [t for k in range(1, n + 1) for t in enumerate_trees(k)]
+
+
+def run_fresh(code):
+    # the JSON printed by code, run in a fresh interpreter so that no other
+    # test has filled the tree table
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    return json.loads(out.stdout)
 
 
 @pytest.mark.parametrize("representative", REPRESENTATIVES)
@@ -139,11 +155,7 @@ def test_lie_bracket_interns_only_the_trees_it_reaches():
         "print(json.dumps([len(TREE_TABLE), max(TREE_TABLE.sizes),\n"
         "                  {t.string: str(v) for t, v in c.coeffs.items()}]))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60, check=True)
-    interned, largest, coeffs = json.loads(out.stdout)
+    interned, largest, coeffs = run_fresh(code)
     # the trees of the two supports and of their slot compositions: at most
     # 3 vertices, against 7k trees up to 12 vertices
     assert largest <= 3
@@ -233,12 +245,108 @@ def test_series_engine_does_no_fraction_arithmetic_per_term():
         "    rows.append([f.__name__, calls, terms, len(out.coeffs)])\n"
         "print(json.dumps(rows))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60, check=True)
-    rows = json.loads(out.stdout)
+    rows = run_fresh(code)
     assert [r[0] for r in rows] == ["series_multiply", "series_inverse", "lie_bracket"]
     for name, calls, terms, produced in rows:
         assert produced > 1, name
         assert calls <= terms, (name, calls, terms)
+
+
+def test_substitution_builds_one_entry_per_tree_and_pool():
+    # every entry is laid out once by TreeTable._entry, and its first term
+    # is the tree itself (the only class of its size);
+    # substitute is wrapped to note which pool the entries belong to
+    code = (
+        "import json\n"
+        "from naphopf.series import series_inverse, series_multiply, zeta_series\n"
+        "from naphopf.trees import TreeTable\n"
+        "built, pools = [], [None]\n"
+        "entry, substitute = TreeTable._entry, TreeTable.substitute\n"
+        "def count_entry(self, acc, top):\n"
+        "    out = entry(self, acc, top)\n"
+        "    built.append((pools[0], out[0][0][0]))\n"
+        "    return out\n"
+        "def note_pool(self, t, pool, *args):\n"
+        "    pools[0] = id(pool)\n"
+        "    return substitute(self, t, pool, *args)\n"
+        "TreeTable._entry, TreeTable.substitute = count_entry, note_pool\n"
+        "z = zeta_series(8)\n"
+        "series_multiply(z, z)\n"
+        "product = len(built), len(set(built))\n"
+        "built.clear()\n"
+        "series_inverse(z)\n"
+        "print(json.dumps([product, [len(built), len(set(built)),\n"
+        "                            len({p for p, _ in built})]]))\n"
+    )
+    product, inverse = run_fresh(code)
+    # the 85 trees with 1..7 vertices, each built once: they are the
+    # prefixes and branches of the trees with up to 8 vertices, whose own
+    # classes go straight to the sum.  A memo keyed by (tree, budget) built
+    # 354 entries here, one per tree and budget
+    assert product == [85, 85]
+    entries, distinct, pools = inverse
+    assert pools == 2  # the left memo on a's pool, the right product on h's
+    assert entries == distinct
+
+
+def test_substitution_interns_only_the_trees_and_grafts_of_the_fold():
+    # the prefix and branch budgets are those of the child-by-child fold, so
+    # a seeded sparse product and inverse intern the same trees and grafts
+    # as the fold did; entries all built at the full budget interned 68
+    # trees and 50 grafts after the product, 128 and 129 after the inverse
+    code = (
+        "import json, random\n"
+        "from fractions import Fraction\n"
+        "from naphopf.series import TreeSeries, series_inverse, series_multiply\n"
+        "from naphopf.trees import LEAF, TREE_TABLE, enumerate_trees\n"
+        "rng = random.Random(4)\n"
+        "pool = [t for k in range(2, 10) for t in enumerate_trees(k)]\n"
+        "def sparse():\n"
+        "    return TreeSeries(9, {LEAF: 1, **{\n"
+        "        t: Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))\n"
+        "        for t in rng.sample(pool, 12)}})\n"
+        "a, b = sparse(), sparse()\n"
+        "counts = []\n"
+        "for run in (lambda: series_multiply(a, b), lambda: series_inverse(a)):\n"
+        "    run()\n"
+        "    stats = TREE_TABLE.stats()\n"
+        "    counts.append([stats['trees'], stats['grafts']])\n"
+        "print(json.dumps(counts))\n"
+    )
+    assert run_fresh(code) == [[54, 35], [61, 46]]
+
+
+@pytest.mark.parametrize("shape", [chain, corolla])
+def test_deep_and_wide_supports_need_no_recursion(shape):
+    # chain(1500) is 1500 levels deep; corolla(1500) has 1500 branches, so a
+    # recursive walk over prefix trees would be 1500 levels deep too
+    t = shape(1500)
+    a = TreeSeries(1501, {LEAF: 1, t: 1})
+    assert series_multiply(a, unit_series(1501)) == a
+    assert series_inverse(a) == TreeSeries(1501, {LEAF: 1, t: -1})
+
+
+def wide_sparse(seed, n):
+    # the single vertex, corollas and trees whose root has two or three
+    # branches, with coprime denominators: the prefix trees the engine
+    # builds (a root with one or two branches) are mostly not in the support
+    rng = random.Random(seed)
+    coeffs = {LEAF: Fraction(1)}
+    for k in range(2, n + 1):
+        wide = [t for t in enumerate_trees(k)
+                if t.is_corolla() or t.root_valence in (2, 3)]
+        for t in rng.sample(wide, min(3, len(wide))):
+            coeffs[t] = Fraction(rng.choice((-4, -1, 2, 3)), rng.choice((5, 7, 9, 11, 13)))
+    return TreeSeries(n, coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_wide_sparse_products_and_inverses_match_labeled_route(n):
+    a, b = wide_sparse(2 * n, n), wide_sparse(2 * n + 1, n)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert series_multiply(x, y) == _multiply_labeled(x, y, dfs_representative)
+    eps = unit_series(n)
+    for x in (a, b):
+        h = series_inverse(x)
+        assert _multiply_labeled(h, x, canonical_representative) == eps
+        assert _multiply_labeled(x, h, dfs_representative) == eps
