@@ -6,12 +6,10 @@ of tree-indexed series with its classical power-series projections."""
 from .trees import (
     Forest,
     LEAF,
-    LabeledTree,
     RootedTree,
     TreeSyntaxError,
     aut0_order,
     aut_order,
-    canonical_representative,
     chain,
     corolla,
     enumerate_forests,
@@ -21,18 +19,11 @@ from .trees import (
     parse_tree,
 )
 from .posets import (
-    FinitePoset,
     IntervalPoset,
-    check_distributive_lattice,
-    check_total_semimodularity,
-    diamond_poset,
-    forest_below,
     interval_dot,
     interval_of,
     mobius,
     mobius_closed_form,
-    pentagon_poset,
-    theta_of,
 )
 from .hopf import (
     HopfElement,
@@ -77,9 +68,11 @@ __version__ = "0.1.0"
 # the public names of naphopf.oracles, which is imported on the first lookup
 # of one of them: only the checks, the tests and `enumerate --labeled` need it
 _ORACLE_NAMES = frozenset({
-    "BruteForcePoset", "LabeledForest", "OperadInstance", "brute_force_pi",
-    "ck_coproduct_cuts", "comm_instance", "count_Ef_Eg", "f_structure_constants",
-    "labeled_forests", "labeled_trees", "nap_compose", "nap_instance",
+    "BruteForcePoset", "FinitePoset", "LabeledForest", "LabeledTree", "OperadInstance",
+    "brute_force_pi", "canonical_representative", "check_distributive_lattice",
+    "check_total_semimodularity", "ck_coproduct_cuts", "comm_instance", "count_Ef_Eg",
+    "diamond_poset", "f_structure_constants", "forest_below", "labeled_forests",
+    "labeled_trees", "nap_compose", "nap_instance", "pentagon_poset", "theta_of",
 })
 
 

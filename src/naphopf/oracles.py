@@ -7,12 +7,17 @@ route here is exhaustive or works on labeled structures and shares no code
 with the engine it checks; the exponential ones refuse inputs above their
 limits:
 
-* labeled trees and forests, NAP composition on labels and the Prufer
-  enumeration of every labeled tree; the two operads as
-  :class:`OperadInstance` records;
+* labeled trees and forests, the BFS representative of a tree, NAP
+  composition on labels and the Prufer enumeration of every labeled tree;
+  the two operads as :class:`OperadInstance` records;
 * one composition or one slot substitution on the graft engine
   (:func:`compose_shapes`, :func:`slot_compositions`), which only the
   tests and the Jacobi check call;
+* the ideal intervals of ``naphopf.posets`` by other routes: each ideal's
+  branch forest and restriction rebuilt vertex by vertex on the labeled
+  representative, the order matrix of :class:`FinitePoset`, the Mobius
+  recursion on the masks, and the semimodularity and distributivity
+  checkers with their pentagon and diamond controls;
 * the brute-force poset of structured partitions and the checks that it
   realizes the ideal-lattice model of ``naphopf.posets``;
 * the incidence constants f by ideal enumeration, the group constants g
@@ -25,25 +30,24 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product as cartesian
 from types import MappingProxyType
 
 from .hopf import HopfElement, TensorElement, forest_as_tree_monomial, g_structure_constants
-from .posets import FinitePoset, interval_of
+from .posets import IntervalPoset, interval_of
 from .series import TreeSeries, ordered_tuples
 from .trees import (
     TREE_TABLE,
     Forest,
-    Label,
-    LabeledTree,
     RootedTree,
-    canonical_representative,
     enumerate_forests_with_components,
     enumerate_trees,
 )
+
+Label = Hashable
 
 # the labeled composition oracles enumerate ordered tuples of trees, about 4x
 # more per vertex: at 8 vertices labeled_g_structure_constants takes ~0.6 s
@@ -62,6 +66,119 @@ def _trees(lo: int, hi: int):
 
 # ---------------------------------------------------------------------------
 # labeled trees and the two operads
+
+
+class LabeledTree:
+    """Rooted tree with distinct hashable vertex labels.
+
+    Stored as the root label plus the parent map of every non-root vertex;
+    the constructor checks that the parent map reaches the root acyclically
+    (connected and simply connected).
+    """
+
+    __slots__ = ("root", "parents", "labels", "_children", "_hash")
+
+    def __init__(self, root: Label, parents: dict[Label, Label]) -> None:
+        if root in parents:
+            raise ValueError("root must not have a parent")
+        self.root = root
+        self.parents = dict(parents)
+        labels = set(parents)
+        for p in parents.values():
+            labels.add(p)
+        labels.add(root)
+        if len(labels) != len(parents) + 1:
+            raise ValueError("parent map mentions a label with no parent entry")
+        reached: set[Label] = {root}
+        for v in parents:
+            path = []
+            w = v
+            while w not in reached:
+                path.append(w)
+                if w not in self.parents:
+                    raise ValueError(f"vertex {w!r} is disconnected from the root")
+                w = self.parents[w]
+                if len(path) > len(labels):
+                    raise ValueError("cycle in parent map")
+            reached.update(path)
+        self.labels = frozenset(labels)
+        children: dict[Label, list[Label]] = {v: [] for v in labels}
+        for child, parent in self.parents.items():
+            children[parent].append(child)
+        # read-only: labeled trees are hashed
+        self._children = {v: tuple(kids) for v, kids in children.items()}
+        self.parents = MappingProxyType(self.parents)
+        self._hash = hash((self.root, frozenset(self.parents.items())))
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    def children(self, v: Label) -> tuple[Label, ...]:
+        return self._children[v]
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, LabeledTree)
+                and self.root == other.root
+                and self.parents == other.parents)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "LabeledTree(%r, %r)" % (self.root, self.parents)
+
+    def shape(self) -> RootedTree:
+        """The underlying unlabeled canonical tree."""
+
+        def build(v: Label) -> RootedTree:
+            return RootedTree(build(c) for c in self._children[v])
+
+        return build(self.root)
+
+    def relabel(self, mapping: dict[Label, Label]) -> "LabeledTree":
+        """Apply a label bijection (must cover every vertex)."""
+        return LabeledTree(mapping[self.root],
+                           {mapping[c]: mapping[p] for c, p in self.parents.items()})
+
+    def restrict(self, keep: frozenset) -> "LabeledTree":
+        """Restriction to an ancestor-closed vertex set containing the root."""
+        if self.root not in keep:
+            raise ValueError("restriction must contain the root")
+        parents = {}
+        for v in keep:
+            if v == self.root:
+                continue
+            p = self.parents.get(v)
+            if p is None or p not in keep:
+                raise ValueError("restriction set is not ancestor-closed")
+            parents[v] = p
+        return LabeledTree(self.root, parents)
+
+    def render(self) -> str:
+        """``label:(child child ...)`` with children sorted deterministically."""
+
+        def fmt(v: Label) -> str:
+            kids = sorted(self._children[v], key=lambda c: (str(c)))
+            return "%s:(%s)" % (v, " ".join(fmt(c) for c in kids))
+
+        return fmt(self.root)
+
+
+def canonical_representative(t: RootedTree) -> LabeledTree:
+    """Labeled copy of t with integer labels 1..n assigned in BFS order."""
+    parents: dict[Label, Label] = {}
+    queue = [(t, 1)]
+    next_label = 2
+    head = 0
+    while head < len(queue):
+        node, lbl = queue[head]
+        head += 1
+        for child in node.children:
+            parents[next_label] = lbl
+            queue.append((child, next_label))
+            next_label += 1
+    return LabeledTree(1, parents)
 
 
 class LabeledForest:
@@ -374,6 +491,219 @@ def slot_compositions(s: RootedTree, t: RootedTree) -> tuple[tuple[RootedTree, i
 
 
 # ---------------------------------------------------------------------------
+# ideal intervals by the labeled and the matrix routes: each ideal's shapes
+# vertex by vertex, the order matrix, the Mobius recursion and the lattice
+# checkers
+
+
+class FinitePoset:
+    """Finite poset on indices 0..n-1 with an explicit boolean relation."""
+
+    def __init__(self, leq: Sequence[Sequence[bool]], check: bool = True) -> None:
+        self.n = len(leq)
+        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self._covers: tuple[tuple[int, int], ...] | None = None
+        self._meet: list[list[int | None]] | None = None
+        self._join: list[list[int | None]] | None = None
+        if check:
+            self.validate()
+
+    def validate(self) -> None:
+        leq = self.leq
+        n = self.n
+        for i in range(n):
+            if not leq[i][i]:
+                raise ValueError(f"relation is not reflexive at {i}")
+            for j in range(n):
+                if i != j and leq[i][j] and leq[j][i]:
+                    raise ValueError(f"relation is not antisymmetric at ({i},{j})")
+                if leq[i][j]:
+                    for k in range(n):
+                        if leq[j][k] and not leq[i][k]:
+                            raise ValueError(f"relation is not transitive at ({i},{j},{k})")
+
+    @classmethod
+    def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "FinitePoset":
+        """Build the reflexive-transitive closure of the given cover pairs."""
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for a, b in covers:
+            leq[a][b] = True
+        for k in range(n):
+            for i in range(n):
+                if leq[i][k]:
+                    row_k = leq[k]
+                    row_i = leq[i]
+                    for j in range(n):
+                        if row_k[j]:
+                            row_i[j] = True
+        return cls(leq)
+
+    def _masks(self) -> tuple[list[int], list[int]]:
+        # the down-set and the up-set of each element as int bitmasks
+        n = self.n
+        leq = self.leq
+        down = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
+        up = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
+        return down, up
+
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """All pairs (i, j) with j covering i: nothing lies strictly between."""
+        if self._covers is None:
+            down, up = self._masks()
+            n = self.n
+            self._covers = tuple((i, j) for i in range(n) for j in range(n)
+                                 if i != j and up[i] & down[j] == (1 << i) | (1 << j))
+        return self._covers
+
+    def down_set(self, i: int) -> list[int]:
+        return [j for j in range(self.n) if self.leq[j][i]]
+
+    def up_set(self, i: int) -> list[int]:
+        return [j for j in range(self.n) if self.leq[i][j]]
+
+    def maximal_elements(self) -> list[int]:
+        return [i for i in range(self.n)
+                if all(not self.leq[i][j] for j in range(self.n) if j != i)]
+
+    def bottom(self) -> int | None:
+        mins = [i for i in range(self.n)
+                if all(not self.leq[j][i] for j in range(self.n) if j != i)]
+        return mins[0] if len(mins) == 1 else None
+
+    def _bound_tables(self) -> tuple[list[list[int | None]], list[list[int | None]]]:
+        # The meet of i and j is the element whose down-set is the
+        # intersection of theirs, when there is one (it is then the greatest
+        # common lower bound); the join is the dual, on up-sets.  Sets are
+        # int bitmasks, so both tables take O(n^2) lookups.
+        if self._meet is None:
+            down, up = self._masks()
+            by_down = {m: i for i, m in enumerate(down)}
+            by_up = {m: i for i, m in enumerate(up)}
+            self._meet = [[by_down.get(di & dj) for dj in down] for di in down]
+            self._join = [[by_up.get(ui & uj) for uj in up] for ui in up]
+        return self._meet, self._join
+
+    def is_lattice(self) -> bool:
+        meet, join = self._bound_tables()
+        return all(meet[i][j] is not None and join[i][j] is not None
+                   for i in range(self.n) for j in range(self.n))
+
+
+def interval_order(ip: IntervalPoset) -> FinitePoset:
+    """The order of an interval as a matrix, read off its masks: x <= y iff
+    ideal(x) contains ideal(y)."""
+    masks = ip.masks
+    return FinitePoset([[m2 & m1 == m2 for m2 in masks] for m1 in masks], check=False)
+
+
+def interval_mobius(ip: IntervalPoset) -> list[int]:
+    """mu(bottom, x) for every element x of an interval, by the defining
+    recursion mu(0,x) = -sum of mu(0,y) over y < x, on the masks: y < x is
+    ideal(y) strictly containing ideal(x), so every such y comes earlier in
+    the rank order, and the y with mu(0,y) = 0 are left out of the sum."""
+    out: list = []
+    nonzero: list = []  # (mask of y, mu(0,y)) for the earlier y
+    for mx in ip.masks:  # the bottom first, the top last
+        mu = -sum(m for my, m in nonzero if my & mx == mx) if nonzero else 1
+        if mu:
+            nonzero.append((mx, mu))
+        out.append(mu)
+    return out
+
+
+def _bfs_order(rep: LabeledTree, keep: "frozenset | None" = None) -> list[Label]:
+    # the vertices reachable from the root (inside keep, if given), parents
+    # before children
+    order = [rep.root]
+    for v in order:
+        order.extend(c for c in rep.children(v) if keep is None or c in keep)
+    return order
+
+
+def _subtree_shapes(rep: LabeledTree, keep: "frozenset | None" = None) -> dict:
+    # the shape of the subtree below each vertex, restricted to keep if given
+    shapes: dict = {}
+    for v in reversed(_bfs_order(rep, keep)):
+        shapes[v] = RootedTree(shapes[c] for c in rep.children(v) if c in shapes)
+    return shapes
+
+
+def _validate_ideal(t: RootedTree, ideal: frozenset) -> LabeledTree:
+    rep = canonical_representative(t)
+    if not ideal or not ideal <= rep.labels or rep.root not in ideal:
+        raise ValueError("not an ideal of the canonical representative")
+    for v in ideal:
+        if v != rep.root and rep.parents[v] not in ideal:
+            raise ValueError("ideal is not closed under taking parents")
+    return rep
+
+
+def forest_below(t: RootedTree, ideal: "frozenset | Iterable") -> Forest:
+    """Multiset of branch shapes hanging under the vertices of the ideal."""
+    ideal = frozenset(ideal)
+    rep = _validate_ideal(t, ideal)
+    full = _subtree_shapes(rep)  # the shape of the subtree below each vertex
+    return Forest(RootedTree(full[c] for c in rep.children(v) if c not in ideal)
+                  for v in ideal)
+
+
+def theta_of(t: RootedTree, ideal: "frozenset | Iterable") -> RootedTree:
+    """Shape of the restriction of t to the ideal."""
+    ideal = frozenset(ideal)
+    rep = _validate_ideal(t, ideal)
+    return _subtree_shapes(rep, ideal)[rep.root]
+
+
+def check_total_semimodularity(p: "FinitePoset | IntervalPoset") -> bool:
+    """True iff any two elements covering a common element share a cover."""
+    above: dict[int, list[int]] = {}
+    for a, b in p.covers():
+        above.setdefault(a, []).append(b)
+    for ups in above.values():
+        for i, x in enumerate(ups):
+            for y in ups[i + 1:]:
+                if not any(w in above.get(y, ()) for w in above.get(x, ())):
+                    return False
+    return True
+
+
+def check_distributive_lattice(p: "FinitePoset | IntervalPoset") -> bool:
+    """True iff p is a lattice satisfying x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z).
+
+    An interval poset is checked on its masks: its order is reverse
+    inclusion, so it is a lattice with meet union and join intersection
+    exactly when its distinct masks are closed under OR and AND, and a
+    ring of sets is distributive.
+    """
+    if isinstance(p, IntervalPoset):
+        masks = set(p.masks)
+        return len(masks) == len(p.masks) and all(
+            a | b in masks and a & b in masks for a in masks for b in masks)
+    if not p.is_lattice():
+        return False
+    meet, join = p._bound_tables()
+    # x ∧ (y ∨ z) against (x ∧ y) ∨ (x ∧ z), read off the two tables
+    for meet_x in meet:
+        for y, join_y in enumerate(join):
+            join_with_xy = join[meet_x[y]]
+            for z, y_or_z in enumerate(join_y):
+                if meet_x[y_or_z] != join_with_xy[meet_x[z]]:
+                    return False
+    return True
+
+
+def pentagon_poset() -> FinitePoset:
+    """N5: two atoms cover the bottom but share no upper cover."""
+    # 0 < 1 < 2 < 4 and 0 < 3 < 4
+    return FinitePoset.from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def diamond_poset() -> FinitePoset:
+    """M3: three incomparable atoms between bottom and top (not distributive)."""
+    return FinitePoset.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+# ---------------------------------------------------------------------------
 # the brute-force poset of structured partitions
 
 
@@ -588,7 +918,7 @@ def check_maximal_interval_model(bp: BruteForcePoset, i: int) -> bool:
             if bp.poset.leq[a][b] != (roots[a] >= roots[b]):
                 return False
 
-    phi = find_shape_isomorphism(tree, ip.representative)
+    phi = find_shape_isomorphism(tree, canonical_representative(tree.shape()))
     if phi is None:
         return False
     ideal_index = {s: k for k, s in enumerate(ip.elements)}

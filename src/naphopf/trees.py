@@ -1,5 +1,5 @@
-"""Canonical rooted trees and forests, their labeled representatives, and
-the NAP composition engine on interned tree ids.
+"""Canonical rooted trees and forests, and the NAP composition engine on
+interned tree ids.
 
 Trees and forests are hash-consed (Filliâtre-Conchon, "Type-safe modular
 hash-consing", 2006): children and components are kept sorted by (size,
@@ -7,23 +7,20 @@ canonical string), and constructing one returns the single instance of its
 shape from a process-wide intern dict.  So structural equality is identity,
 equality and hashing are the object defaults, and multisets deduplicate by
 sorting.  Interned trees and forests live for the whole process.  Labeled
-trees are root + parent-map data with arbitrary hashable labels; the
-standard ground set is the strings "1".."n".  Enumerating and composing
-labeled trees, and the two set-operads built on them, serve only as
-oracles and live in :mod:`naphopf.oracles`.
+trees, their enumeration and composition, and the two set-operads built on
+them serve only as oracles and live in :mod:`naphopf.oracles`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import groupby
 from math import factorial, inf
 from operator import attrgetter
 from types import MappingProxyType
-
-Label = Hashable
 
 
 class TreeSyntaxError(ValueError):
@@ -93,7 +90,7 @@ class RootedTree(_Interned):
 
     def is_corolla(self) -> bool:
         """True iff every non-root vertex is a child of the root."""
-        return all(c.size == 1 for c in self.children)
+        return len(self.children) == self.size - 1
 
 
 def _new_tree(kids: tuple[RootedTree, ...]) -> RootedTree:
@@ -338,119 +335,6 @@ def forest_aut_order(f: Forest) -> int:
     for t in f.components:
         out *= aut_order(t)
     return out
-
-
-class LabeledTree:
-    """Rooted tree with distinct hashable vertex labels.
-
-    Stored as the root label plus the parent map of every non-root vertex;
-    the constructor checks that the parent map reaches the root acyclically
-    (connected and simply connected).
-    """
-
-    __slots__ = ("root", "parents", "labels", "_children", "_hash")
-
-    def __init__(self, root: Label, parents: dict[Label, Label]) -> None:
-        if root in parents:
-            raise ValueError("root must not have a parent")
-        self.root = root
-        self.parents = dict(parents)
-        labels = set(parents)
-        for p in parents.values():
-            labels.add(p)
-        labels.add(root)
-        if len(labels) != len(parents) + 1:
-            raise ValueError("parent map mentions a label with no parent entry")
-        reached: set[Label] = {root}
-        for v in parents:
-            path = []
-            w = v
-            while w not in reached:
-                path.append(w)
-                if w not in self.parents:
-                    raise ValueError(f"vertex {w!r} is disconnected from the root")
-                w = self.parents[w]
-                if len(path) > len(labels):
-                    raise ValueError("cycle in parent map")
-            reached.update(path)
-        self.labels = frozenset(labels)
-        children: dict[Label, list[Label]] = {v: [] for v in labels}
-        for child, parent in self.parents.items():
-            children[parent].append(child)
-        # read-only: labeled trees are hashed, and cached intervals share them
-        self._children = {v: tuple(kids) for v, kids in children.items()}
-        self.parents = MappingProxyType(self.parents)
-        self._hash = hash((self.root, frozenset(self.parents.items())))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def children(self, v: Label) -> tuple[Label, ...]:
-        return self._children[v]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LabeledTree)
-                and self.root == other.root
-                and self.parents == other.parents)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return "LabeledTree(%r, %r)" % (self.root, self.parents)
-
-    def shape(self) -> RootedTree:
-        """The underlying unlabeled canonical tree."""
-
-        def build(v: Label) -> RootedTree:
-            return RootedTree(build(c) for c in self._children[v])
-
-        return build(self.root)
-
-    def relabel(self, mapping: dict[Label, Label]) -> "LabeledTree":
-        """Apply a label bijection (must cover every vertex)."""
-        return LabeledTree(mapping[self.root],
-                           {mapping[c]: mapping[p] for c, p in self.parents.items()})
-
-    def restrict(self, keep: frozenset) -> "LabeledTree":
-        """Restriction to an ancestor-closed vertex set containing the root."""
-        if self.root not in keep:
-            raise ValueError("restriction must contain the root")
-        parents = {}
-        for v in keep:
-            if v == self.root:
-                continue
-            p = self.parents.get(v)
-            if p is None or p not in keep:
-                raise ValueError("restriction set is not ancestor-closed")
-            parents[v] = p
-        return LabeledTree(self.root, parents)
-
-    def render(self) -> str:
-        """``label:(child child ...)`` with children sorted deterministically."""
-
-        def fmt(v: Label) -> str:
-            kids = sorted(self._children[v], key=lambda c: (str(c)))
-            return "%s:(%s)" % (v, " ".join(fmt(c) for c in kids))
-
-        return fmt(self.root)
-
-
-def canonical_representative(t: RootedTree) -> LabeledTree:
-    """Labeled copy of t with integer labels 1..n assigned in BFS order."""
-    parents: dict[Label, Label] = {}
-    queue = [(t, 1)]
-    next_label = 2
-    head = 0
-    while head < len(queue):
-        node, lbl = queue[head]
-        head += 1
-        for child in node.children:
-            parents[next_label] = lbl
-            queue.append((child, next_label))
-            next_label += 1
-    return LabeledTree(1, parents)
 
 
 # the row of TreeTable.grafts of a tree that has none yet, for reading
@@ -762,41 +646,63 @@ class TreeTable:
 
     def derive(self, s: int, pool: list, budget: int, memo: dict) -> list:
         """One vertex of tree s substituted by a tree of ``pool``, units
-        elsewhere, summed over the vertices: the tree at the root, or at one
-        slot inside one branch.
+        elsewhere, summed over the vertices.
 
         ``pool`` is a list of ``(size, id, coeff)`` sorted by size.  Returns
-        the composed classes of size at most ``budget`` in the same form.
-        ``memo`` is keyed by (subtree, budget) and must only ever see one
-        pool; an entry reads only pool terms up to its budget, so one memo
-        serves every budget.  Each branch is derived recursively, one
-        Python frame per tree level.
+        the composed classes of size at most ``budget`` in the same form,
+        sorted.  A tree B(k_1..k_m) splits like :meth:`substitute`:
+        D(B(k_1..k_m)) = D(p) ◁ k_m + p ◁ D(k_m) for the prefix tree
+        p = B(k_1..k_{m-1}), p read at ``budget - |k_m|`` and k_m at
+        ``budget - |p|``; the single vertex gives the pool.  ``memo`` keeps
+        one entry per tree, (budget, classes), at the largest budget asked
+        so far, and must only ever see one pool; a smaller budget reads a
+        prefix of it.  Requests run on an explicit stack, so the depth and
+        width of s are not bounded by the recursion limit.
         """
-        key = (s, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        graft, sizes = self.graft, self.sizes
-        size, kids = sizes[s], self.kids[s]
-        acc: dict = {}
-        for sx, x, cx in pool:
-            if sx > budget - size + 1:
-                break
-            for k in kids:
-                x = graft(x, k)
-            acc[x] = acc.get(x, 0) + cx
-        for i, k in enumerate(kids):
-            if i and kids[i - 1] == k:
+        sizes, kids_of, node = self.sizes, self.kids, self.node
+        grafts, graft, missing, leaf = self.grafts, self.graft, (-inf,), self.id(LEAF)
+        # each request is (tree, budget, its prefix tree or None until looked up)
+        stack = [(s, budget, None)]
+        while stack:
+            j, b, p = stack[-1]
+            have = memo.get(j)
+            if have is not None and have[0] >= b:
+                stack.pop()
                 continue
-            mult = kids.count(k)
-            rest = self.id(LEAF)
-            for k2 in kids[:i] + kids[i + 1:]:
-                rest = graft(rest, k2)
-            for _, y, cy in self.derive(k, pool, budget - size + sizes[k], memo):
-                g = graft(rest, y)
-                acc[g] = acc.get(g, 0) + mult * cy
-        out = memo[key] = self._sorted(acc)
-        return out
+            kids = kids_of[j]
+            if not kids:
+                stack.pop()
+                memo[j] = (inf, pool)
+                continue
+            last = kids[-1]
+            if p is None:
+                p = node(kids[:-1]) if len(kids) > 1 else leaf
+            bp, bk = b - sizes[last], b - sizes[p]
+            todo = [(i, bi, None) for i, bi in ((p, bp), (last, bk))
+                    if memo.get(i, missing)[0] < bi]
+            if todo:
+                stack[-1] = (j, b, p)
+                stack.extend(todo)
+                continue
+            stack.pop()
+            acc: dict = {}
+            # a graft has two vertices or more, so its id is never 0
+            for size, u, c in memo[p][1]:  # D(p) ◁ k_m
+                if size > bp:
+                    break
+                g = grafts.get(u, NO_GRAFTS).get(last) or graft(u, last)
+                acc[g] = acc.get(g, 0) + c
+            get = grafts.setdefault(p, {}).get
+            for size, y, c in memo[last][1]:  # p ◁ D(k_m)
+                if size > bk:
+                    break
+                g = get(y) or graft(p, y)
+                acc[g] = acc.get(g, 0) + c
+            memo[j] = (b, self._sorted(acc))
+        top, terms = memo[s]
+        if top > budget:
+            terms = terms[:bisect_right(terms, (budget, inf))]
+        return terms
 
 
 TREE_TABLE = TreeTable()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -7,7 +8,8 @@ from naphopf import cli, oracles
 from naphopf.cli import (COPRODUCT_LIMIT, ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT,
                          SERIES_N_LIMIT, main)
 from naphopf.posets import ideal_count, ideal_orbit_count
-from naphopf.trees import TREE_TABLE, RootedTree, TreeTable, chain, corolla, parse_tree
+from naphopf.trees import (TREE_TABLE, RootedTree, TreeTable, chain, corolla, enumerate_trees,
+                           parse_tree)
 
 
 def run(capsys, *argv):
@@ -177,6 +179,18 @@ def test_interval_dot(capsys):
     assert code == 0
     assert out.startswith("digraph interval {")
     assert out.count("->") == 4  # boolean lattice on two atoms
+
+
+def test_interval_output_is_unchanged(capsys):
+    # the JSON and the DOT listing of every tree with 1..7 vertices and of
+    # chain(300), as printed before the interval lost its labeled tree and
+    # its order matrix
+    digest = hashlib.sha256()
+    for t in [t for n in range(1, 8) for t in enumerate_trees(n)] + [chain(300)]:
+        for extra in ([], ["--emit-dot"]):
+            assert main(["interval", t.string, *extra]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "3ffd30728c13f2698a6498d0f3740cbbc13be9ae65d500672e37e00c255a8ee1"
 
 
 def test_series_named_and_inverse(capsys):

@@ -58,6 +58,33 @@ def test_importing_the_cli_loads_no_check_oracle_or_unused_stdlib_module():
     assert count == 45 and checks_after
 
 
+def test_the_cli_import_defines_no_labeled_tree_or_order_matrix():
+    # the labeled trees, the matrix posets and the Mobius recursion are
+    # oracles: the production modules define none of them, and a mobius
+    # sweep over every tree with 1..9 vertices builds no interval
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import naphopf, naphopf.cli\n"
+        "from naphopf import posets, trees\n"
+        "defined = [hasattr(trees, 'LabeledTree'), hasattr(trees, 'canonical_representative'),\n"
+        "           hasattr(posets, 'FinitePoset'), hasattr(posets.mobius, 'cache_info')]\n"
+        "before = posets.interval_of.cache_info().currsize\n"
+        "values = [posets.mobius(t) for n in range(1, 10) for t in trees.enumerate_trees(n)]\n"
+        "added = posets.interval_of.cache_info().currsize - before\n"
+        "print(json.dumps([defined, posets.mobius_closed_form is posets.mobius,\n"
+        "                  'naphopf.oracles' in sys.modules, len(values),\n"
+        "                  sum(map(abs, values)), added]))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    defined, same, oracles_loaded, trees, corollas, added = json.loads(out.stdout)
+    assert defined == [False, False, False, False]
+    assert same and not oracles_loaded
+    # nonzero on the nine corollas only, and no interval built for any tree
+    assert (trees, corollas, added) == (486, 9, 0)
+
+
 def test_every_public_name_still_resolves_from_the_package():
     from naphopf import oracles
 

@@ -29,6 +29,7 @@ from naphopf.series import (
 from naphopf.oracles import (
     _compose_labeled,
     _multiply_labeled,
+    canonical_representative,
     compose_shapes,
     dfs_representative,
     find_shape_isomorphism,
@@ -37,7 +38,6 @@ from naphopf.oracles import (
 )
 from naphopf.trees import (
     LEAF,
-    canonical_representative,
     chain,
     corolla,
     enumerate_trees,
@@ -324,6 +324,9 @@ def test_deep_and_wide_supports_need_no_recursion(shape):
     a = TreeSeries(1501, {LEAF: 1, t: 1})
     assert series_multiply(a, unit_series(1501)) == a
     assert series_inverse(a) == TreeSeries(1501, {LEAF: 1, t: -1})
+    # the bracket's slot sum: t ∘ 1 puts the unit at each vertex of t, and
+    # 1 ∘ t gives t once
+    assert lie_bracket(a, unit_series(1501)) == TreeSeries(1501, {t: t.size - 1})
 
 
 def wide_sparse(seed, n):

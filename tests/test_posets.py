@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -8,37 +9,39 @@ import pytest
 
 from naphopf.hopf import HopfElement, antipode, hnap_coproduct
 from naphopf.oracles import (
+    FinitePoset,
     _structured_partitions,
     brute_force_pi,
+    canonical_representative,
+    check_distributive_lattice,
     check_interval_factorization,
     check_maximal_interval_model,
+    check_total_semimodularity,
     check_upset_isomorphism,
     comm_instance,
+    diamond_poset,
     f_structure_constants,
+    forest_below,
+    interval_mobius,
+    interval_order,
     nap_compose,
     nap_instance,
+    pentagon_poset,
+    theta_of,
 )
 from naphopf.posets import (
-    FinitePoset,
     ideal_count,
     ideal_orbit_count,
-    check_distributive_lattice,
-    check_total_semimodularity,
-    diamond_poset,
-    forest_below,
     interval_dot,
     interval_of,
     mobius,
     mobius_closed_form,
-    pentagon_poset,
-    theta_of,
 )
 from naphopf.trees import (
     Forest,
     LEAF,
     RootedTree,
     TreeTable,
-    canonical_representative,
     chain,
     corolla,
     enumerate_trees,
@@ -91,12 +94,12 @@ def test_cover_relations_remove_one_leaf():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             ip = interval_of(t)
+            parents = canonical_representative(t).parents
             for a, b in ip.covers():
                 small, large = ip.elements[a], ip.elements[b]
                 assert large < small and len(small) - len(large) == 1
                 (removed,) = tuple(small - large)
-                assert all(ip.representative.parents.get(v) != removed
-                           for v in large)
+                assert all(parents.get(v) != removed for v in large)
 
 
 # root -> {a 30-vertex path ending in three leaves, a small mixed branch, a leaf}
@@ -120,7 +123,7 @@ def test_interval_covers_match_the_order_matrix():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             ip = interval_of(t)
-            assert ip.covers() == ip.poset.covers(), t.string
+            assert ip.covers() == interval_order(ip).covers(), t.string
 
 
 def test_interval_construction_builds_no_tree_the_table_holds():
@@ -179,7 +182,7 @@ def test_ideal_decomposition_recomposes():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             ip = interval_of(t)
-            rep = ip.representative
+            rep = canonical_representative(t)
             for ideal in ip.elements:
                 subs = {}
                 for v in ideal:
@@ -208,23 +211,25 @@ def test_mobius_examples():
 
 
 def test_mobius_matches_closed_form():
+    # one rule, one function; the interval's recursion is the other route
+    assert mobius_closed_form is mobius
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            assert mobius(t) == mobius_closed_form(t)
+            assert mobius(t) == mobius_closed_form(t) == interval_mobius(interval_of(t))[-1]
 
 
 def test_mobius_matches_the_generic_recursion_and_the_antipode():
-    # mobius runs on the ideal masks; FinitePoset.mobius_from_bottom runs the
-    # same recursion on the order matrix, and Schmitt (Incidence Hopf
-    # algebras, JPAA 96, 1994) gives mu = zeta o S: the coefficients of the
-    # antipode of F_[t] sum to mu(0,1)
+    # mobius is the antichain rule; interval_mobius runs the defining
+    # recursion on the ideal masks, and Schmitt (Incidence Hopf algebras,
+    # JPAA 96, 1994) gives mu = zeta o S: the coefficients of the antipode
+    # of F_[t] sum to mu(0,1)
     trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
     assert len(trees) == 200
     coproduct_sums_differ = False
     for t in trees:
         ip = interval_of(t)
         mu = mobius(t)
-        assert mu == ip.poset.mobius_from_bottom()[ip.top_index], t.string
+        assert mu == interval_mobius(ip)[ip.top_index], t.string
         assert mu == sum(antipode(HopfElement.hnap_basis(t)).terms.values()), t.string
         coproduct_sums_differ |= mu != sum(hnap_coproduct(t).terms.values())
     # negative control: zeta of the coproduct is no Mobius function
@@ -243,26 +248,30 @@ def test_mobius_is_the_antichain_rule_of_the_ideal_lattice():
     values = 0
     for t in [t for n in range(1, 9) for t in enumerate_trees(n)]:
         ip = interval_of(t)
-        parents = ip.representative.parents
+        parents = canonical_representative(t).parents
         full = ip.elements[ip.bottom_index]
         rule = []
         for ideal in ip.elements:
             removed = full - ideal
             antichain = not any(u in removed for v in removed for u in ancestors(parents, v))
             rule.append((-1) ** len(removed) if antichain else 0)
-        assert rule == ip.poset.mobius_from_bottom(), t.string
+        assert rule == interval_mobius(ip), t.string
         assert rule[ip.top_index] == mobius(t), t.string
         values += len(rule)
     assert values == 5182
     # negative control: the sign alone, antichain or not, is no Mobius function
     ip = interval_of(chain(3))
-    assert [(-1) ** (3 - len(e)) for e in ip.elements] != ip.poset.mobius_from_bottom()
+    assert [(-1) ** (3 - len(e)) for e in ip.elements] != interval_mobius(ip)
 
 
 def test_mobius_sums_to_zero_over_intervals():
     for n in range(2, 7):
         for t in enumerate_trees(n):
-            assert sum(interval_of(t).poset.mobius_from_bottom()) == 0
+            assert sum(interval_mobius(interval_of(t))) == 0
+    # negative control: one value negated no longer sums to zero
+    mu = interval_mobius(interval_of(corolla(3)))
+    mu[1] = -mu[1]
+    assert sum(mu) != 0
 
 
 def test_mobius_multiplies_over_branch_products():
@@ -274,6 +283,7 @@ def test_mobius_multiplies_over_branch_products():
             for branch in t.children:
                 prod *= mobius(RootedTree((branch,)))
             assert mobius(t) == prod
+            assert interval_mobius(interval_of(t))[-1] == prod, t.string
 
 
 # --- lattice checks -------------------------------------------------------------
@@ -296,6 +306,20 @@ def test_negative_controls():
     assert check_total_semimodularity(diamond_poset())
     assert not check_distributive_lattice(diamond_poset())
     assert not check_distributive_lattice(pentagon_poset())
+
+
+def test_a_mask_family_missing_a_union_is_not_distributive():
+    # the interval of corolla(2): {1}, {1,2}, {1,3} and their union {1,2,3};
+    # without the union the two atoms have no meet
+    ip = interval_of(corolla(2))
+    assert check_distributive_lattice(ip)
+    a, b = (m for m in ip.masks if bin(m).count("1") == 2)
+    broken = copy.copy(ip)
+    broken.masks = tuple(m for m in ip.masks if m != a | b)
+    assert len(broken.masks) == len(ip.masks) - 1
+    assert not check_distributive_lattice(broken)
+    # the matrix route agrees: the three sets left have no bottom
+    assert not interval_order(broken).is_lattice()
 
 
 def test_finite_poset_validation():
@@ -452,7 +476,8 @@ def _bounds_by_definition(poset):
 def test_bitmask_bounds_and_covers_match_the_definition():
     rng = random.Random(8)
     posets = [pentagon_poset(), diamond_poset()]
-    posets += [interval_of(t).poset for n in range(1, 7) for t in enumerate_trees(n)]
+    intervals = [interval_of(t) for n in range(1, 7) for t in enumerate_trees(n)]
+    posets += [interval_order(ip) for ip in intervals]
     for _ in range(40):
         n = rng.randint(1, 9)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
@@ -468,6 +493,12 @@ def test_bitmask_bounds_and_covers_match_the_definition():
             for x in range(p.n) for y in range(p.n) for z in range(p.n))
         assert check_distributive_lattice(p) == distributive
     assert 0 < lattices < len(posets)  # non-lattices are among them
+    # the mask route of the intervals agrees with the definition on their matrices
+    for ip, p in zip(intervals, posets[2:]):
+        meet, join, _ = _bounds_by_definition(p)
+        assert check_distributive_lattice(ip) == all(
+            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+            for x in range(p.n) for y in range(p.n) for z in range(p.n))
 
 
 def test_ideal_orbit_count_bounds_the_stored_ideal_rows():

@@ -12,13 +12,11 @@ from hypothesis import given, settings, strategies as st
 from naphopf.trees import (
     Forest,
     LEAF,
-    LabeledTree,
     RootedTree,
     TreeSyntaxError,
     TreeTable,
     aut0_order,
     aut_order,
-    canonical_representative,
     chain,
     corolla,
     enumerate_forests,
@@ -31,7 +29,9 @@ from naphopf.trees import (
 )
 from naphopf import trees as trees_module
 from naphopf.oracles import (
+    LabeledTree,
     _compose_labeled,
+    canonical_representative,
     comm_instance,
     compose_shapes,
     dfs_representative,

@@ -8,10 +8,11 @@ from naphopf.oracles import (
     LABELED_PRODUCT_LIMIT,
     ORBIT_COUNT_LIMIT,
     _multiply_labeled,
+    canonical_representative,
     count_Ef_Eg,
     labeled_g_structure_constants,
 )
-from naphopf.trees import LEAF, Forest, canonical_representative, chain
+from naphopf.trees import LEAF, Forest, chain
 from naphopf.verify import CheckResult, SuiteReport, run_suite, suite_names
 
 
