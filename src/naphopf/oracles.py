@@ -10,9 +10,9 @@ limits:
 * labeled trees and forests, the BFS representative of a tree, NAP
   composition on labels and the Prufer enumeration of every labeled tree;
   the two operads as :class:`OperadInstance` records;
-* one composition or one slot substitution on the graft engine
-  (:func:`compose_shapes`, :func:`slot_compositions`), which only the
-  tests and the Jacobi check call;
+* one composition on the graft map (:func:`compose_shapes`) and the slot
+  sum s ∘ t as one composition per vertex (:func:`slot_compositions`),
+  which only the tests and the Jacobi check call;
 * the ideal intervals of ``naphopf.posets`` by other routes: each ideal's
   branch forest and restriction rebuilt vertex by vertex on the labeled
   representative, the order matrix of :class:`FinitePoset`, the Mobius
@@ -40,6 +40,7 @@ from .hopf import HopfElement, TensorElement, forest_as_tree_monomial, g_structu
 from .posets import IntervalPoset, interval_of
 from .series import TreeSeries, ordered_tuples
 from .trees import (
+    LEAF,
     TREE_TABLE,
     Forest,
     RootedTree,
@@ -481,13 +482,11 @@ def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree]) -> RootedTree
 
 
 def slot_compositions(s: RootedTree, t: RootedTree) -> tuple[tuple[RootedTree, int], ...]:
-    """The sum s ∘ t over single slots: substitute t at one vertex of s,
-    units elsewhere, and collect resulting classes with multiplicities."""
-    table = TREE_TABLE
-    pool = [(t.size, table.id(t), 1)]
-    combo = table.derive(table.id(s), pool, s.size + t.size - 1, {})
-    return tuple(sorted(((table.trees[u], m) for _, u, m in combo),
-                        key=lambda kv: kv[0]))
+    """The sum s ∘ t over single slots: t at one vertex of s and units
+    elsewhere, by :func:`compose_shapes`, classes with multiplicities."""
+    units = (LEAF,) * (s.size - 1)
+    out = Counter(compose_shapes(s, units[:v] + (t,) + units[v:]) for v in range(s.size))
+    return tuple(sorted(out.items(), key=lambda kv: kv[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, lcm
+from operator import itemgetter
 
 from .hopf import HopfElement
 from .trees import (
@@ -235,27 +237,39 @@ def series_graft(a: TreeSeries, b: TreeSeries) -> TreeSeries:
 
 
 def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
-    """[a,b] = sum over supports of a_s b_t (s∘t - t∘s), where x∘y grafts y
-    into one vertex of x at a time with units elsewhere.
+    """[a,b] = sum over supports of a_s b_t (s∘t - t∘s), where s∘t puts t
+    at one vertex of s with units elsewhere: the pre-Lie product of the
+    rooted trees operad (Chapoton-Livernet, IMRN 2001).
 
-    Runs in ints like the product: with one D clearing both operands, a
-    term of size |s| is scaled by D**|s|, so every term landing on a class
-    c of size |s|+|t|-1 carries D**(|c|+1).
+    s∘t is the one-insertion layer of substitution.  For each size m >= 2
+    of the right operand's support, one memo serves every left tree s with
+    |s| + m - 1 <= N, and one :meth:`~naphopf.trees.TreeTable.substitute`
+    call puts the pool of the single vertex and the size-m trees into s,
+    reading only the classes of size |s| + m - 1: two insertions would need
+    |s| + 2m - 2 vertices.  s∘1 = |s| s needs no engine.  In ints: with one
+    D clearing both operands, the single vertex weighs D and a tree t of
+    the pool b_t D**|t|, and a_s is scaled by the lcm D_ab of both
+    operands' denominators, so each class c is divided once, by D_ab D**|c|.
     """
     n = min(a.truncation, b.truncation)
     table = TREE_TABLE
     scale = _graded_scale(n, a, b)
-    pa, pb = _scaled_pool(a, n, scale), _scaled_pool(b, n, scale)
-    out: dict = {}
-    for xs, ys, sign in ((pa, pb, 1), (pb, pa, -1)):
-        memo: dict = {}
-        for _, s, cs in xs:
-            cs *= sign
-            for _, u, c in table.derive(s, ys, n, memo):
-                out[u] = out.get(u, 0) + cs * c
+    dab = lcm(*(c.denominator for x in (a, b) for c in x.coeffs.values()))
+    acc: dict = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        left = [(t.size, table.id(t), sign * c.numerator * (dab // c.denominator))
+                for t, c in x.coeffs.items() if t.size <= n]
+        for m, layer in groupby(_scaled_pool(y, n, scale), key=itemgetter(0)):
+            pool, memo = [(1, table.id(LEAF), scale), *layer], {}
+            for size, s, w in left:
+                top = size + m - 1
+                if m == 1:  # s∘1 = |s| s, y_1 D being the pool's second term
+                    acc[s] = acc.get(s, 0) + w * size * pool[1][2] * scale ** (size - 1)
+                elif top <= n:
+                    table.substitute(s, pool, top, memo, acc, w, top, top)
     sizes = table.sizes
-    return TreeSeries(n, {table.trees[u]: Fraction(c, scale ** (sizes[u] + 1))
-                          for u, c in out.items() if c})
+    return TreeSeries(n, {table.trees[u]: Fraction(c, dab * scale ** sizes[u])
+                          for u, c in acc.items() if c})
 
 
 def zeta_series(n: int) -> TreeSeries:

@@ -13,11 +13,10 @@ them serve only as oracles and live in :mod:`naphopf.oracles`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import factorial, inf
 from operator import attrgetter
 from types import MappingProxyType
@@ -371,8 +370,9 @@ class TreeTable:
     prefix tree p = B(t_1..t_{k-1}), which is a tree of the table too.
     :meth:`substitute` keeps one memo entry per tree read as a prefix or a
     last branch, its composed classes sorted by size, and a size budget
-    prunes every graft whose result could not fit.  The coefficients are
-    ints: the series layer scales rational ones to integers first (see
+    prunes every graft whose result could not fit.  Products, inverses and
+    the Lie bracket all run on it.  The coefficients are ints: the series
+    layer scales rational ones to integers first (see
     :func:`naphopf.series.series_multiply`).
 
     The root-containing ideals of a tree, which give all three coproducts,
@@ -523,10 +523,6 @@ class TreeTable:
             table[j] = rows
         return table[i]
 
-    def _sorted(self, acc: dict) -> list:
-        sizes = self.sizes
-        return sorted((sizes[u], u, c) for u, c in acc.items() if c)
-
     def substitute(self, t: int, pool: list, budget: int, memo: dict, acc: dict,
                    weight: int, low: int, high: int) -> None:
         """Every vertex of tree t substituted by a tree of ``pool``.
@@ -543,7 +539,9 @@ class TreeTable:
         classes below ``budget`` are read from its entry, which a later read
         of t as a prefix or a branch shares, since such reads stay below
         ``budget``; its classes of size ``budget`` are grafted straight into
-        ``acc`` and never stored.
+        ``acc`` and never stored.  With a pool of the single vertex and trees
+        of one size m >= 2, the classes of size |t| + m - 1 put one tree at
+        one vertex of t: the Lie bracket's one-insertion layer.
         """
         kids = self.kids[t]
         if not kids:  # the single vertex takes the pool
@@ -573,14 +571,15 @@ class TreeTable:
         # does not depend on the budget.  The single vertex holds the pool,
         # which serves every budget.
         # Requests run on an explicit stack, so the depth and width of t are
-        # not bounded by the recursion limit
+        # not bounded by the recursion limit; each carries its prefix tree
+        # once looked up, for its second visit
         have = memo.get(t)
         if have is not None and have[0] >= budget:
             return have
-        sizes, kids_of, node = self.sizes, self.kids, self.node
-        stack = [(t, budget)]
+        sizes, kids_of, node, missing = self.sizes, self.kids, self.node, (0,)
+        stack = [(t, budget, None)]
         while stack:
-            s, b = stack[-1]
+            s, b, p = stack[-1]
             have = memo.get(s)
             if have is not None and have[0] >= b:
                 stack.pop()
@@ -588,121 +587,65 @@ class TreeTable:
             kids = kids_of[s]
             if not kids:
                 stack.pop()
-                memo[s] = (inf, *self._entry({u: c for _, u, c in pool}, pool[-1][0]))
+                memo[s] = (inf, *self._entry({u: c for _, u, c in pool}, 1, pool[-1][0]))
                 continue
             last = kids[-1]
-            p = node(kids[:-1])
+            if p is None:
+                p = node(kids[:-1])
             bp, bk = b - sizes[last], b - sizes[p]
-            todo = [(j, bj) for j, bj in ((p, bp), (last, bk))
-                    if memo.get(j, (0,))[0] < bj]
-            if todo:
-                stack.extend(todo)
+            prefix, branch = memo.get(p, missing), memo.get(last, missing)
+            if prefix[0] < bp or branch[0] < bk:
+                stack[-1] = (s, b, p)
+                if prefix[0] < bp:
+                    stack.append((p, bp, None))
+                if branch[0] < bk:
+                    stack.append((last, bk, None))
                 continue
             stack.pop()
             acc: dict = {}
-            self._graft_entries(acc, 1, memo[p], memo[last], sizes[s], b)
-            memo[s] = (b, *self._entry(acc, b))
+            self._graft_entries(acc, 1, prefix, branch, sizes[s], b)
+            memo[s] = (b, *self._entry(acc, sizes[s], b))
         return memo[t]
 
-    def _entry(self, acc: dict, top: int) -> tuple:
-        # the nonzero terms of acc, of sizes up to top, sorted by size, and
+    def _entry(self, acc: dict, low: int, top: int) -> tuple:
+        # the nonzero terms of acc, of sizes low..top, sorted by size, and
         # where each size starts
         sizes = self.sizes
-        layers: list = [[] for _ in range(top + 1)]
+        layers: list = [[] for _ in range(low, top + 1)]
         for u, c in acc.items():
             if c:
-                layers[sizes[u]].append((u, c))
-        starts = [0]
-        for layer in layers:
-            starts.append(starts[-1] + len(layer))
-        return [term for layer in layers for term in layer], starts
+                layers[sizes[u] - low].append((u, c))
+        return ([term for layer in layers for term in layer],
+                [0] * (low + 1) + list(accumulate(map(len, layers))))
 
     def _graft_entries(self, acc: dict, weight: int, prefix: tuple, branch: tuple,
                        low: int, high: int) -> None:
         # adds weight * cu * cy to u ◁ y for the terms (u, cu) of the prefix
         # entry and (y, cy) of the branch entry with low <= |u| + |y| <= high
         grafts, graft, sizes = self.grafts, self.graft, self.sizes
-        _, us, ps = prefix
         _, ys, ks = branch
         # the first term of an entry is its tree, the smallest of its classes
-        sk, top = sizes[ys[0][0]], len(ks) - 2
-        for su in range(sizes[us[0][0]], min(len(ps) - 2, high - sk) + 1):
-            i, j = ps[su], ps[su + 1]
-            lo, hi = low - su, high - su
-            if hi > top:
-                hi = top
-            if i == j or lo > hi:
-                continue
-            row = ys[ks[lo if lo > 0 else 0]:ks[hi + 1]]
+        end, top, seen, row = high - sizes[ys[0][0]], len(ks) - 2, 0, ()
+        for u, cu in prefix[1]:  # by size, up to the largest that fits
+            su = sizes[u]
+            if su != seen:  # the branch terms that fit u's size, once per size
+                if su > end:
+                    break
+                seen, lo, hi = su, low - su, high - su
+                if hi > top:
+                    hi = top
+                row = ys[ks[lo if lo > 0 else 0]:ks[hi + 1]] if lo <= hi else ()
             if not row:
                 continue
-            for u, cu in us[i:j]:
-                w = weight * cu
-                get = grafts.setdefault(u, {}).get
-                for y, cy in row:
-                    # a graft has two vertices or more, so its id is never 0
-                    g = get(y) or graft(u, y)
-                    acc[g] = acc.get(g, 0) + w * cy
-
-    def derive(self, s: int, pool: list, budget: int, memo: dict) -> list:
-        """One vertex of tree s substituted by a tree of ``pool``, units
-        elsewhere, summed over the vertices.
-
-        ``pool`` is a list of ``(size, id, coeff)`` sorted by size.  Returns
-        the composed classes of size at most ``budget`` in the same form,
-        sorted.  A tree B(k_1..k_m) splits like :meth:`substitute`:
-        D(B(k_1..k_m)) = D(p) ◁ k_m + p ◁ D(k_m) for the prefix tree
-        p = B(k_1..k_{m-1}), p read at ``budget - |k_m|`` and k_m at
-        ``budget - |p|``; the single vertex gives the pool.  ``memo`` keeps
-        one entry per tree, (budget, classes), at the largest budget asked
-        so far, and must only ever see one pool; a smaller budget reads a
-        prefix of it.  Requests run on an explicit stack, so the depth and
-        width of s are not bounded by the recursion limit.
-        """
-        sizes, kids_of, node = self.sizes, self.kids, self.node
-        grafts, graft, missing, leaf = self.grafts, self.graft, (-inf,), self.id(LEAF)
-        # each request is (tree, budget, its prefix tree or None until looked up)
-        stack = [(s, budget, None)]
-        while stack:
-            j, b, p = stack[-1]
-            have = memo.get(j)
-            if have is not None and have[0] >= b:
-                stack.pop()
-                continue
-            kids = kids_of[j]
-            if not kids:
-                stack.pop()
-                memo[j] = (inf, pool)
-                continue
-            last = kids[-1]
-            if p is None:
-                p = node(kids[:-1]) if len(kids) > 1 else leaf
-            bp, bk = b - sizes[last], b - sizes[p]
-            todo = [(i, bi, None) for i, bi in ((p, bp), (last, bk))
-                    if memo.get(i, missing)[0] < bi]
-            if todo:
-                stack[-1] = (j, b, p)
-                stack.extend(todo)
-                continue
-            stack.pop()
-            acc: dict = {}
-            # a graft has two vertices or more, so its id is never 0
-            for size, u, c in memo[p][1]:  # D(p) ◁ k_m
-                if size > bp:
-                    break
-                g = grafts.get(u, NO_GRAFTS).get(last) or graft(u, last)
-                acc[g] = acc.get(g, 0) + c
-            get = grafts.setdefault(p, {}).get
-            for size, y, c in memo[last][1]:  # p ◁ D(k_m)
-                if size > bk:
-                    break
-                g = get(y) or graft(p, y)
-                acc[g] = acc.get(g, 0) + c
-            memo[j] = (b, self._sorted(acc))
-        top, terms = memo[s]
-        if top > budget:
-            terms = terms[:bisect_right(terms, (budget, inf))]
-        return terms
+            w = weight * cu
+            made = grafts.get(u)
+            if made is None:
+                made = grafts[u] = {}
+            get = made.get
+            for y, cy in row:
+                # a graft has two vertices or more, so its id is never 0
+                g = get(y) or graft(u, y)
+                acc[g] = acc.get(g, 0) + w * cy
 
 
 TREE_TABLE = TreeTable()

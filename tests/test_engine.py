@@ -38,6 +38,7 @@ from naphopf.oracles import (
 )
 from naphopf.trees import (
     LEAF,
+    TREE_TABLE,
     chain,
     corolla,
     enumerate_trees,
@@ -217,6 +218,59 @@ def test_fraction_heavy_bracket_matches_slot_sum(n):
         assert lie_bracket(x, y) == bracket_by_slots(x, y)
 
 
+def test_bracket_splits_the_right_operand_by_size():
+    # two chain(2) insertions into chain(3) land on 5 vertices, as one
+    # chain(3) insertion does, so each size of y needs its own substitution
+    x = TreeSeries(5, {chain(3): 1})
+    y = TreeSeries(5, {chain(2): 1, chain(3): 1})
+    assert lie_bracket(x, y) == bracket_by_slots(x, y)
+
+    def substituted(*sizes):
+        # chain(3) under one pool of the single vertex and chains, all of
+        # coefficient 1, read at 5 vertices
+        table = TREE_TABLE
+        pool = [(k, table.id(chain(k)), 1) for k in (1, *sizes)]
+        acc = {}
+        table.substitute(table.id(chain(3)), pool, 5, {}, acc, 1, 5, 5)
+        return {table.trees[u]: c for u, c in acc.items() if c}
+
+    slots = dict(slot_compositions(chain(3), chain(3)))
+    assert substituted(3) == slots
+    assert substituted(2, 3) != slots  # the merged pool counts two insertions
+
+
+def test_bracket_builds_each_entry_once_at_its_one_insertion_budget():
+    # every (memo, tree) entry is laid out once by TreeTable._entry, at
+    # |q| + m - 1 for its tree q and the size m of its pool's trees: the one
+    # budget the bracket's reads ask of it, so none is rebuilt at a larger
+    # one.  substitute is wrapped to note the pool of each entry
+    code = (
+        "import json\n"
+        "from naphopf.series import corolla_series, lie_bracket, zeta_series\n"
+        "from naphopf.trees import TREE_TABLE, TreeTable\n"
+        "built, pools = [], []\n"
+        "entry, substitute = TreeTable._entry, TreeTable.substitute\n"
+        "def count_entry(self, acc, low, top):\n"
+        "    out = entry(self, acc, low, top)\n"
+        "    built.append((len(pools) - 1, out[0][0][0], top))\n"
+        "    return out\n"
+        "def note_pool(self, t, pool, *args):\n"
+        "    if not pools or pools[-1] is not pool:\n"
+        "        pools.append(pool)\n"
+        "    return substitute(self, t, pool, *args)\n"
+        "TreeTable._entry, TreeTable.substitute = count_entry, note_pool\n"
+        "lie_bracket(zeta_series(8), corolla_series(8))\n"
+        "sizes = TREE_TABLE.sizes\n"
+        "print(json.dumps([len(built), len({(k, q) for k, q, _ in built}), len(pools),\n"
+        "                  [top - sizes[q] - pools[k][-1][0] + 1 for k, q, top in built]]))\n"
+    )
+    entries, distinct, pools, excess = run_fresh(code)
+    # one pool, and one memo, per direction and size m = 2..8
+    assert pools == 14
+    assert entries == distinct > pools
+    assert set(excess) == {0}
+
+
 def test_series_engine_does_no_fraction_arithmetic_per_term():
     # calls of Fraction._add and Fraction._mul, counted by a profile hook in
     # a fresh interpreter: a Fraction inner loop would make thousands
@@ -262,8 +316,8 @@ def test_substitution_builds_one_entry_per_tree_and_pool():
         "from naphopf.trees import TreeTable\n"
         "built, pools = [], [None]\n"
         "entry, substitute = TreeTable._entry, TreeTable.substitute\n"
-        "def count_entry(self, acc, top):\n"
-        "    out = entry(self, acc, top)\n"
+        "def count_entry(self, acc, low, top):\n"
+        "    out = entry(self, acc, low, top)\n"
         "    built.append((pools[0], out[0][0][0]))\n"
         "    return out\n"
         "def note_pool(self, t, pool, *args):\n"
