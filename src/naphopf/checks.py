@@ -273,7 +273,7 @@ def _lattice_controls(degree, rng):
 def _tensor_from_rows(algebra: str, rows) -> TensorElement:
     out: dict = {}
     for left, right, coeff in rows:
-        out[(left, right)] = out.get((left, right), Fraction(0)) + Fraction(coeff)
+        out[(left, right)] = out.get((left, right), 0) + coeff
     return TensorElement(algebra, out)
 
 
@@ -343,10 +343,10 @@ def _coassociative(algebra: str, key) -> bool:
     for (a, b), c in delta.terms.items():
         for (a1, a2), c2 in coproduct(a).terms.items():
             k = (a1, a2, b)
-            left[k] = left.get(k, Fraction(0)) + c * c2
+            left[k] = left.get(k, 0) + c * c2
         for (b1, b2), c2 in coproduct(b).terms.items():
             k = (a, b1, b2)
-            right[k] = right.get(k, Fraction(0)) + c * c2
+            right[k] = right.get(k, 0) + c * c2
     left = {k: v for k, v in left.items() if v}
     right = {k: v for k, v in right.items() if v}
     return left == right

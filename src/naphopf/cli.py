@@ -63,6 +63,11 @@ INTERVAL_LIMIT = 200_000
 # would take ~13 s and ~450 MB (CPU time and peak RSS of hnap_coproduct,
 # Python 3.11, 2-core host)
 COPRODUCT_LIMIT = 750_000
+# verify runs 30 of its 45 checks at the asked degree, and their time grows
+# 2-3x per degree: --degree 8 takes ~4-5 s and ~38 MB, 9 ~7-10 s and ~63 MB,
+# 10 ~20-26 s and ~163 MB, and 11 would take about 2.5x as long again (CPU
+# time and peak RSS of the process, Python 3.11, 2-core host)
+VERIFY_DEGREE_LIMIT = 10
 
 
 def _emit(obj) -> None:
@@ -190,6 +195,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.degree is not None and args.degree > VERIFY_DEGREE_LIMIT:
+        raise ValueError(f"verify --degree {args.degree} is above "
+                         f"VERIFY_DEGREE_LIMIT = {VERIFY_DEGREE_LIMIT}")
     report = run_suite(args.suite, degree=args.degree, seed=args.seed)
     print(report.render_text(), file=sys.stderr)
     if args.timings:

@@ -16,9 +16,8 @@
 All three coproducts and all three antipodes are read off one table, the
 root-containing ideals of :meth:`naphopf.trees.TreeTable.ideals`, which
 works on interned tree ids with integer counts; the ``qgnap`` constants are
-its counts under the paper's main theorem.  Trees, forests and rational
-coefficients are built only when a result is handed out, and every
-coefficient of one value is one shared ``Fraction``.  The oracles
+its counts under the paper's main theorem.  Trees and forests are built
+only when a result is handed out.  The oracles
 (ideal enumeration by :mod:`naphopf.posets`, admissible cuts over edge
 subsets, the labeled composition route and the brute-force orbit counts)
 live in :mod:`naphopf.oracles`.
@@ -26,7 +25,11 @@ live in :mod:`naphopf.oracles`.
 A memo keyed by values is an ``lru_cache``; one keyed by tree ids, such as
 the per-tree antipodes, is a field of ``TREE_TABLE`` and dies with its ids.
 
-All coefficients of elements are exact rationals.
+Coefficients are exact, under one rule: an ``int`` stays an ``int`` and any
+other number becomes a ``Fraction``.  Every coproduct and antipode
+coefficient is an integer count, so the engines' counts are handed out as
+they are; only the 1/aut weights of ``rho`` and the caller's scalars bring
+denominators.
 """
 
 from __future__ import annotations
@@ -54,36 +57,26 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
     return RootedTree(branches)
 
 
-@lru_cache(maxsize=None)
-def _fraction(n: int) -> Fraction:
-    # the one Fraction of the int n: results built from the engine's counts
-    # share their coefficients, as Fractions are immutable
-    return Fraction(n)
-
-
-# the coefficient of every monomial built with coefficient 1, shared:
-# antipode() tells such a monomial by identity
-_ONE = _fraction(1)
-
-
 class _Combination:
     """Finite rational combination of keys, tagged with its algebra; the
-    vector-space operations shared by elements and tensors."""
+    vector-space operations shared by elements and tensors.  A coefficient
+    that is an ``int`` stays one; any other becomes a ``Fraction``."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: str, terms: dict | None = None) -> None:
         ALGEBRAS[algebra]  # an unknown tag raises ValueError
         clean = {}
-        for key, coeff in (terms or {}).items():
-            c = Fraction(coeff)
+        for key, c in (terms or {}).items():
+            if type(c) is not int:
+                c = Fraction(c)
             if c:
                 clean[key] = c
         self.algebra = algebra
         self.terms = clean
 
     def _new(self, terms: dict):
-        # keys and Fraction coefficients come from operands already checked
+        # keys and coefficients come from operands already checked
         x = object.__new__(type(self))
         x.algebra = self.algebra
         x.terms = {k: c for k, c in terms.items() if c}
@@ -96,7 +89,7 @@ class _Combination:
         # not checked again, and its terms are read-only
         x = object.__new__(cls)
         x.algebra = algebra
-        x.terms = MappingProxyType({k: _fraction(c) for k, c in counts.items() if c})
+        x.terms = MappingProxyType({k: c for k, c in counts.items() if c})
         return x
 
     def _require_same(self, other: "_Combination") -> None:
@@ -129,8 +122,9 @@ class _Combination:
     def __neg__(self):
         return (-1) * self
 
-    def __rmul__(self, scalar):
-        c = Fraction(scalar)
+    def __rmul__(self, c):
+        if type(c) is not int:
+            c = Fraction(c)
         return self._new({k: c * v for k, v in self.terms.items()})
 
 
@@ -156,15 +150,14 @@ class HopfElement(_Combination):
 
     @classmethod
     def monomial(cls, algebra: str, key, coeff=1) -> "HopfElement":
-        """coeff * key; with coefficient 1 the key is checked once and the
-        coefficient is the shared ``Fraction(1)``."""
-        if coeff != 1:
-            return cls(algebra, {key: coeff})
+        """coeff * key, the key checked once."""
         if not ALGEBRAS[algebra].is_key(key):
             raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
         x = object.__new__(cls)
         x.algebra = algebra
-        x.terms = {key: _ONE}
+        x.terms = {key: coeff} if coeff else {}
         return x
 
     @classmethod
@@ -199,13 +192,14 @@ class HopfElement(_Combination):
 
     def coproduct(self) -> "TensorElement":
         coproduct = ALGEBRAS[self.algebra].coproduct
-        out = TensorElement(self.algebra, {})
-        for key, coeff in self.terms.items():
-            out = out + coeff * coproduct(key)
-        return out
+        out: dict = {}
+        for key, c in self.terms.items():
+            for k, v in coproduct(key).terms.items():
+                out[k] = out.get(k, 0) + c * v
+        return TensorElement(self.algebra, out)
 
-    def counit(self) -> Fraction:
-        return self.terms.get(ALGEBRAS[self.algebra].unit, Fraction(0))
+    def counit(self) -> Fraction | int:
+        return self.terms.get(ALGEBRAS[self.algebra].unit, 0)
 
     def antipode(self) -> "HopfElement":
         return antipode(self)
@@ -584,20 +578,25 @@ def antipode_monomial(algebra: str, key) -> HopfElement:
 
 def antipode(x: HopfElement) -> HopfElement:
     """Linear extension of the monomial antipode; a single monomial with
-    coefficient 1 gets the cached, read-only monomial antipode."""
+    coefficient 1 (an ``int`` or a ``Fraction``) gets the cached, read-only
+    monomial antipode."""
     if len(x.terms) == 1:
         (key, c), = x.terms.items()
-        if c is _ONE or c == 1:
+        if c == 1:
             return antipode_monomial(x.algebra, key)
-    out = HopfElement.zero(x.algebra)
+    out: dict = {}
     for key, c in x.terms.items():
-        out = out + c * antipode_monomial(x.algebra, key)
-    return out
+        for k, v in antipode_monomial(x.algebra, key).terms.items():
+            out[k] = out.get(k, 0) + c * v
+    return x._new(out)
 
 
 def convolution_antipode_identity(x: HopfElement) -> HopfElement:
     """m (S (x) id) Delta applied to x; equals counit(x) * unit for a Hopf algebra."""
-    out = HopfElement.zero(x.algebra)
+    multiply = ALGEBRAS[x.algebra].multiply
+    out: dict = {}
     for (a, b), c in x.coproduct().terms.items():
-        out = out + c * (antipode_monomial(x.algebra, a) * HopfElement.monomial(x.algebra, b))
-    return out
+        for k, v in antipode_monomial(x.algebra, a).terms.items():
+            k = multiply(k, b)
+            out[k] = out.get(k, 0) + c * v
+    return x._new(out)

@@ -6,10 +6,11 @@ import pytest
 
 from naphopf import cli, oracles
 from naphopf.cli import (COPRODUCT_LIMIT, ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT,
-                         SERIES_N_LIMIT, main)
+                         SERIES_N_LIMIT, VERIFY_DEGREE_LIMIT, main)
 from naphopf.posets import ideal_count, ideal_orbit_count
 from naphopf.trees import (TREE_TABLE, RootedTree, TreeTable, chain, corolla, enumerate_trees,
                            parse_tree)
+from naphopf.verify import SuiteReport
 
 
 def run(capsys, *argv):
@@ -356,6 +357,25 @@ def test_verify_degree_below_one_exits_2(capsys, degree):
     code, out, err = run(capsys, "verify", "--suite", "all", "--degree", degree)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: degree must be >= 1, not {degree}"]
+
+
+def test_verify_degree_above_the_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    for degree in (VERIFY_DEGREE_LIMIT + 1, 100000):
+        code, out, err = run(capsys, "verify", "--degree", str(degree))
+        assert (code, out) == (2, "")
+        assert err == f"error: verify --degree {degree} is above VERIFY_DEGREE_LIMIT = 10\n"
+    # the limit itself is run
+    asked = []
+
+    def record(suite, degree, seed):
+        asked.append((suite, degree, seed))
+        return SuiteReport(suite)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    code, out, _ = run(capsys, "verify", "--degree", str(VERIFY_DEGREE_LIMIT))
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert asked == [("all", VERIFY_DEGREE_LIMIT, 0)]
 
 
 def test_verify_timings_end_with_the_tree_table_stats(capsys):

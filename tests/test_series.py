@@ -359,6 +359,9 @@ def test_faa_generators():
     want = (f1110 + Fraction(1, 2) * f1200 + f110 * f10
             + Fraction(1, 6) * (f10 * f10 * f10))
     assert faa_generators(3) == want
+    # the 1/aut weights are Fractions, 1/1 included, next to int products
+    assert all(type(c) is Fraction for c in faa_generators(3).terms.values())
+    assert [type(c) for c in (f110 * f10).terms.values()] == [int]
 
 
 def test_member_characters_are_algebra_maps():
