@@ -40,8 +40,8 @@ NAMED_SERIES = {
 
 # the largest inputs that take seconds: zeta*zeta at N = 13 takes ~1.5 s and
 # ~90 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, the trees
-# on 16 vertices ~4 s and ~210 MB (15: ~1.4 s and ~90 MB), and each costs
-# several times more one size up
+# on 16 vertices ~3.5-4 s and ~185 MB (15: ~1.5 s and ~75 MB), and each
+# costs several times more one size up
 SERIES_N_LIMIT = 13
 LABELED_N_LIMIT = 7
 ENUMERATE_N_LIMIT = 16
@@ -77,16 +77,13 @@ def _emit(obj) -> None:
 def _cmd_enumerate(args) -> int:
     n = args.n
     if n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("n must be >= 1")
     if args.labeled and n > LABELED_N_LIMIT:
-        print(f"error: enumerate --labeled lists n^(n-1) trees; n = {n} is above "
-              f"LABELED_N_LIMIT = {LABELED_N_LIMIT}", file=sys.stderr)
-        return 2
+        raise ValueError(f"enumerate --labeled lists n^(n-1) trees; n = {n} is above "
+                         f"LABELED_N_LIMIT = {LABELED_N_LIMIT}")
     if n > ENUMERATE_N_LIMIT:
-        print(f"error: the number of trees grows about 3x per vertex; n = {n} is above "
-              f"ENUMERATE_N_LIMIT = {ENUMERATE_N_LIMIT}", file=sys.stderr)
-        return 2
+        raise ValueError(f"the number of trees grows about 3x per vertex; n = {n} is above "
+                         f"ENUMERATE_N_LIMIT = {ENUMERATE_N_LIMIT}")
     if args.labeled:
         from .oracles import labeled_trees
 

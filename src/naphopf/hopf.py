@@ -23,7 +23,8 @@ subsets, the labeled composition route and the brute-force orbit counts)
 live in :mod:`naphopf.oracles`.
 
 A memo keyed by values is an ``lru_cache``; one keyed by tree ids, such as
-the per-tree antipodes, is a field of ``TREE_TABLE`` and dies with its ids.
+the per-tree antipodes, is a field of ``TREE_TABLE``, which ``clear()``
+empties in place.  The ids themselves live for the process, like the trees.
 
 Coefficients are exact, under one rule: an ``int`` stays an ``int`` and any
 other number becomes a ``Fraction``.  Every coproduct and antipode
@@ -269,9 +270,9 @@ def hnap_coproduct(t: RootedTree) -> TensorElement:
     """
     table = TREE_TABLE
     trees, kids, grafts, graft = table.trees, table.kids, table.grafts, table.graft
-    leaf = table.id(LEAF)
+    leaf = LEAF.id
     out: dict = {}
-    for (b, g), c in table.ideals(table.id(t)).items():
+    for (b, g), c in table.ideals(t.id).items():
         m = b[0] if b else leaf
         for j in b[1:]:
             for k in kids[j]:
@@ -298,7 +299,7 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
     table = TREE_TABLE
     trees, sizes = table.trees, table.sizes
     out: dict[tuple[Forest, RootedTree], int] = {}
-    for b, g, c in _g_rows(table.id(alpha)):
+    for b, g, c in _g_rows(alpha.id):
         beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
         out[(beta, trees[g])] = c
     return MappingProxyType(out)
@@ -333,7 +334,7 @@ def _ck_rows(j: int) -> Iterable[tuple[list[int], int | None, int]]:
 
 def _qgnap_rows(j: int) -> Iterable[tuple[tuple[int, ...], int | None, int]]:
     # beta (x) gamma with single vertices, the units, dropped
-    leaf = TREE_TABLE.id(LEAF)
+    leaf = LEAF.id
     for b, g, c in _g_rows(j):
         yield b, None if g == leaf else g, c
 
@@ -343,7 +344,7 @@ def _rows_coproduct(algebra: str, rows: Callable, t: RootedTree) -> TensorElemen
     table = TREE_TABLE
     trees, unit = table.trees, Forest()
     out: dict = {}
-    for a, r, c in rows(table.id(t)):
+    for a, r, c in rows(t.id):
         key = (Forest([trees[k] for k in a]), unit if r is None else Forest((trees[r],)))
         out[key] = out.get(key, 0) + c
     return TensorElement._from_counts(algebra, out)
@@ -433,7 +434,7 @@ def _tree_antipode(i: int, rows: Callable) -> dict:
 def _forest_antipode(algebra: str, rows: Callable, f: Forest) -> HopfElement:
     # the antipode is multiplicative: the product of the trees' antipodes
     trees = TREE_TABLE.trees
-    s = _id_product(_tree_antipode(TREE_TABLE.id(t), rows) for t in f.components)
+    s = _id_product(_tree_antipode(t.id, rows) for t in f.components)
     return HopfElement._from_counts(algebra, {Forest(trees[k] for k in u): c
                                               for u, c in s.items()})
 
@@ -442,7 +443,7 @@ def _hnap_antipode(t: RootedTree) -> HopfElement:
     # the ck antipode of the branch forest, carried back by B+: the tree
     # whose root has the children u
     table = TREE_TABLE
-    s = _id_product(_tree_antipode(k, _ck_rows) for k in table.kids[table.id(t)])
+    s = _id_product(_tree_antipode(k, _ck_rows) for k in table.kids[t.id])
     return HopfElement._from_counts("hnap", {table.trees[table.node(u)]: c
                                              for u, c in s.items()})
 

@@ -475,7 +475,7 @@ def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree]) -> RootedTree
             parent.append(v)
     # a vertex follows its parent in BFS order, so walking backwards grafts
     # each composed subtree only once it is complete
-    comp = [table.id(t) for t in inner]
+    comp = [t.id for t in inner]
     for v in range(len(order) - 1, 0, -1):
         comp[parent[v]] = table.graft(comp[parent[v]], comp[v])
     return table.trees[comp[0]]

@@ -6,7 +6,7 @@ the full vertex set is the bottom element, the root alone is the top, and
 x <= y holds exactly when ideal(x) contains ideal(y).  Each ideal is also
 an int bitmask, so the covers are read off the masks and each vertex's
 child mask, and its branch forest and restriction are built children first
-from the interned shapes of ``TREE_TABLE``.  No labeled tree and no order
+from the interned tree ids.  No labeled tree and no order
 matrix is built.
 
 The interval is the distributive lattice J(P) of the order ideals of the
@@ -39,11 +39,11 @@ class IntervalPoset:
     hanging under its ideal and the restriction of t to the ideal.
 
     The ideals are built children first: at each vertex v every child c is
-    either cut off or kept with one of c's own ideals.  Shapes are
-    ``TREE_TABLE`` ids until the end, so a restriction is ``node`` of the
-    kept children's restrictions and the branch component at v is ``node``
-    of the cut children's full shapes: a shape the table already holds is
-    looked up, never rebuilt.  Equal branch forests are one ``Forest``.
+    either cut off or kept with one of c's own ideals.  Shapes are tree
+    ids until the end, so a restriction is ``node`` of the kept children's
+    restrictions and the branch component at v is ``node`` of the cut
+    children's full shapes: a shape built before is looked up, never
+    rebuilt.  Equal branch forests are one ``Forest``.
     """
 
     __slots__ = ("elements", "masks", "child_masks", "bottom_index", "top_index",
@@ -54,7 +54,7 @@ class IntervalPoset:
         node, trees = table.node, table.trees
         # a BFS of t over the child ids: shape[v - 1] is the id of the
         # subtree below label v, and labels[v - 1] the labels of its children
-        shape = [table.id(tree)]
+        shape = [tree.id]
         labels = []
         for i in shape:
             first = len(shape) + 1
@@ -121,7 +121,7 @@ def _children_first(t: RootedTree, value) -> dict:
     # children first on an explicit stack, so a deep tree needs no Python stack
     kids = TREE_TABLE.kids
     out: dict = {}
-    stack = [TREE_TABLE.id(t)]
+    stack = [t.id]
     while stack:
         j = stack.pop()
         if j in out:
@@ -139,7 +139,7 @@ def ideal_count(t: RootedTree) -> int:
     """The number of elements of the interval of t, without listing them:
     each branch of a vertex is cut off or contributes one of its ideals."""
     counts = _children_first(t, lambda kids, done: prod(1 + done[k] for k in kids))
-    return counts[TREE_TABLE.id(t)]
+    return counts[t.id]
 
 
 def ideal_orbit_count(t: RootedTree) -> int:

@@ -146,8 +146,7 @@ def _graded_scale(n: int, *series: TreeSeries) -> int:
 def _scaled_pool(b: TreeSeries, n: int, scale: int) -> list:
     # b's terms of size <= n as the engine's (size, id, coeff) list, each
     # coefficient times scale**size: an int when scale is b's graded scale
-    table = TREE_TABLE
-    return sorted((t.size, table.id(t), c.numerator * (scale ** t.size // c.denominator))
+    return sorted((t.size, t.id, c.numerator * (scale ** t.size // c.denominator))
                   for t, c in b.coeffs.items() if t.size <= n)
 
 
@@ -168,7 +167,7 @@ def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict,
     # its largest budget, and not built again for a larger one
     for t, at in sorted(a.items(), key=lambda kv: kv[0].size):
         if t.size <= high:
-            table.substitute(table.id(t), pool, n, memo, acc,
+            table.substitute(t.id, pool, n, memo, acc,
                              at.numerator * (da // at.denominator), low, high)
     sizes = table.sizes
     return {u: Fraction(c, da * scale ** sizes[u]) for u, c in acc.items() if c}
@@ -214,7 +213,7 @@ def series_inverse(a: TreeSeries) -> TreeSeries:
     for d in range(2, n + 1):
         for u, c in _substituted(inv, pool, scale, n, memo, d).items():
             inv[table.trees[u]] = -c
-    if _substituted(inv, pool, scale, n, memo) != {table.id(LEAF): 1}:
+    if _substituted(inv, pool, scale, n, memo) != {LEAF.id: 1}:
         raise ArithmeticError("left inverse failed to verify")
     del memo  # the check below is a product with its own pool and memo
     h = TreeSeries(n, inv)
@@ -257,10 +256,10 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     dab = lcm(*(c.denominator for x in (a, b) for c in x.coeffs.values()))
     acc: dict = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
-        left = [(t.size, table.id(t), sign * c.numerator * (dab // c.denominator))
+        left = [(t.size, t.id, sign * c.numerator * (dab // c.denominator))
                 for t, c in x.coeffs.items() if t.size <= n]
         for m, layer in groupby(_scaled_pool(y, n, scale), key=itemgetter(0)):
-            pool, memo = [(1, table.id(LEAF), scale), *layer], {}
+            pool, memo = [(1, LEAF.id, scale), *layer], {}
             for size, s, w in left:
                 top = size + m - 1
                 if m == 1:  # s∘1 = |s| s, y_1 D being the pool's second term

@@ -6,9 +6,11 @@ hash-consing", 2006): children and components are kept sorted by (size,
 canonical string), and constructing one returns the single instance of its
 shape from a process-wide intern dict.  So structural equality is identity,
 equality and hashing are the object defaults, and multisets deduplicate by
-sorting.  Interned trees and forests live for the whole process.  Labeled
-trees, their enumeration and composition, and the two set-operads built on
-them serve only as oracles and live in :mod:`naphopf.oracles`.
+sorting.  As in that scheme, a tree gets its unique integer id when it is
+interned.  Interned trees, with their ids, and forests live for the whole
+process.  Labeled trees, their enumeration and composition, and the two
+set-operads built on them serve only as oracles and live in
+:mod:`naphopf.oracles`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import factorial, inf
 from operator import attrgetter
 from types import MappingProxyType
@@ -49,8 +51,16 @@ class _Interned:
         return self
 
 
-# every tree built in this process, by its sorted child tuple
-_TREES: dict[tuple["RootedTree", ...], "RootedTree"] = {}
+# every tree built in this process, by id, and what the engines read of
+# tree i: its size, the ids of its children in canonical child order and
+# its automorphism order
+_BY_ID: list["RootedTree"] = []
+_SIZES: list[int] = []
+_KIDS: list[tuple[int, ...]] = []
+_AUTS: list[int] = []
+# the intern dict: the id of every tree built, by the sorted tuple of its
+# child ids
+_BY_KIDS: dict[tuple[int, ...], int] = {}
 
 
 class RootedTree(_Interned):
@@ -59,16 +69,19 @@ class RootedTree(_Interned):
     The canonical string is ``"(" + children + ")"`` with children sorted
     ascending by (size, string).  ``RootedTree(children)`` returns the one
     instance of its shape, so two trees are equal, and the same object,
-    exactly when their canonical strings are equal.  Trees live for the
-    whole process and must not be mutated.
+    exactly when their canonical strings are equal.  ``id`` is the next
+    free int when the tree is built, so ``TREE_TABLE.trees[t.id] is t``.
+    Trees and their ids live for the whole process, and trees must not be
+    mutated.
     """
 
-    __slots__ = ("children", "size", "string")
+    __slots__ = ("children", "size", "string", "id")
 
     def __new__(cls, children: Iterable["RootedTree"] = ()) -> "RootedTree":
-        kids = tuple(sorted(children, key=_key))
-        t = _TREES.get(kids)
-        return _new_tree(kids) if t is None else t
+        kids = tuple(children)
+        key = tuple(sorted([c.id for c in kids]))
+        i = _BY_KIDS.get(key)
+        return _new_tree(kids, key) if i is None else _BY_ID[i]
 
     def __reduce__(self):
         # parsing is not recursive, so deep trees pickle too
@@ -92,14 +105,30 @@ class RootedTree(_Interned):
         return len(self.children) == self.size - 1
 
 
-def _new_tree(kids: tuple[RootedTree, ...]) -> RootedTree:
-    # the miss branch of RootedTree(): the first instance of the tree with
-    # these sorted children (setdefault keeps one even if two threads race)
+def _new_tree(children: Iterable[RootedTree], key: tuple[int, ...]) -> RootedTree:
+    # the one place a tree is made, on a miss of the intern dict: the first
+    # instance of the tree whose root has these children, in any order, and
+    # its id; key is the sorted tuple of their ids.  Trees are built from
+    # one thread at a time
+    kids = tuple(sorted(children, key=_key))
+    ids = tuple([c.id for c in kids])
+    # aut is m! aut(c)^m over each run of m equal children, which are
+    # adjacent: the j-th child of a run brings j aut(c)
+    aut, last, m = 1, -1, 0
+    for k in ids:
+        m = m + 1 if k == last else 1
+        last = k
+        aut *= m * _AUTS[k]
     t = object.__new__(RootedTree)
     t.children = kids
-    t.size = 1 + sum(c.size for c in kids)
-    t.string = "(%s)" % "".join(c.string for c in kids)
-    return _TREES.setdefault(kids, t)
+    t.size = 1 + sum([c.size for c in kids])
+    t.string = "(%s)" % "".join([c.string for c in kids])
+    t.id = _BY_KIDS[key] = len(_BY_ID)
+    _BY_ID.append(t)
+    _SIZES.append(t.size)
+    _KIDS.append(key if key == ids else ids)
+    _AUTS.append(aut)
+    return t
 
 
 LEAF = RootedTree()
@@ -134,28 +163,27 @@ def parse_tree(text: str) -> RootedTree:
     raises :class:`TreeSyntaxError` with the offending byte offset.
 
     Every spelling of one tree returns its one instance, as every
-    construction does.  Each vertex is looked up in :data:`TREE_TABLE` by
-    the ids of its children (:meth:`TreeTable.node`), so a tree the table
-    holds is neither sorted nor constructed again.  The exact text of each
+    construction does.  Each vertex is looked up in the intern dict by the
+    ids of its children (:meth:`TreeTable.node`), so a tree built before is
+    neither sorted nor constructed again.  The exact text of each
     successful parse is memoized in ``TREE_TABLE.by_text``, so a spelling
     seen before costs one dict lookup; malformed text is never stored and
     raises on every call.
     """
-    table = TREE_TABLE
-    i = table.by_text.get(text)
+    by_text = TREE_TABLE.by_text
+    i = by_text.get(text)
     if i is None:
-        i = table.by_text[text] = _parse_id(table, text)
-    return table.trees[i]
+        i = by_text[text] = _parse_id(text)
+    return _BY_ID[i]
 
 
-def _parse_id(table: "TreeTable", text: str) -> int:
-    # the id of the tree spelled by text, interned in table
+def _parse_id(text: str) -> int:
+    # the id of the tree spelled by text
     s = text.strip()
     # a literal made of parentheses only, as many '(' as ')'; anything else
     # goes to the validating loop of _raise_syntax_error, which reports the error
     if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
-        hit, node = table.by_kids.get, table.node
-        leaf = hit(())
+        hit, node, leaf = _BY_KIDS.get, TREE_TABLE.node, LEAF.id
         # the child ids collected so far at each open vertex below the root,
         # on an explicit stack: the depth is not bounded by the recursion limit
         stack: list[list[int]] = []
@@ -274,34 +302,46 @@ def enumerate_trees(n: int) -> tuple[RootedTree, ...]:
         raise ValueError("tree size must be >= 1")
     if n == 1:
         return (LEAF,)
-    return tuple(sorted((RootedTree(f) for f in _forest_tuples(n - 1, None)),
-                        key=_key))
+    return tuple(sorted((RootedTree(f) for f in _forest_tuples(n - 1)), key=_key))
 
 
-@lru_cache(maxsize=None)
-def _forest_tuples(total: int,
-                   bound: tuple[int, str] | None) -> tuple[tuple[RootedTree, ...], ...]:
-    # Multisets of trees with the given total size, listed with components in
-    # non-increasing (size, string) order; every component key <= bound.
-    if total == 0:
-        return ((),)
-    out = []
-    top = total if bound is None else min(total, bound[0])
-    for s in range(top, 0, -1):
-        for t in reversed(enumerate_trees(s)):
-            k = _key(t)
-            if bound is not None and k > bound:
-                continue
-            for rest in _forest_tuples(total - s, k):
-                out.append((t,) + rest)
-    return tuple(out)
+def _forest_tuples(total: int) -> Iterator[tuple[RootedTree, ...]]:
+    # Multisets of trees with the given total size, components in
+    # non-increasing (size, string) order, listed from the largest.  A
+    # depth-first walk on an explicit stack that stores nothing: every tree
+    # a level tries ends in a forest, since single vertices fill any rest.
+    if not total:
+        yield ()
+        return
+    # every tree of size <= total, largest first; those of size <= r start
+    # at first[r]
+    desc, first = [], [0] * (total + 1)
+    for s in range(total, 0, -1):
+        first[s] = len(desc)
+        desc.extend(reversed(enumerate_trees(s)))
+    # per open level: the position of its next tree and the vertices left
+    comps, stack = [], [(0, total)]
+    while stack:
+        i, rest = stack.pop()
+        if i == len(desc):  # the level is done, and so is its component
+            if comps:
+                comps.pop()
+            continue
+        t = desc[i]
+        left = rest - t.size
+        stack.append((i + 1, rest))
+        if left:  # the next component is no larger than t and fits
+            comps.append(t)
+            stack.append((max(i, first[left]), left))
+        else:
+            yield (*comps, t)
 
 
 def enumerate_forests(total: int) -> tuple[Forest, ...]:
     """All forests (multisets of trees) with the given total vertex count."""
     if total < 0:
         raise ValueError("forest size must be >= 0")
-    return tuple(Forest(f) for f in _forest_tuples(total, None))
+    return tuple(Forest(f) for f in _forest_tuples(total))
 
 
 def enumerate_forests_with_components(total: int, k: int) -> tuple[Forest, ...]:
@@ -309,15 +349,14 @@ def enumerate_forests_with_components(total: int, k: int) -> tuple[Forest, ...]:
     return tuple(f for f in enumerate_forests(total) if len(f) == k)
 
 
-@lru_cache(maxsize=None)
 def aut_order(t: RootedTree) -> int:
     """Order of the automorphism group of t.
 
     Satisfies aut(t) = prod over distinct child classes c of
-    mult(c)! * aut(c)^mult(c); :class:`TreeTable` evaluates it children
-    first when it interns t, without recursion.
+    mult(c)! * aut(c)^mult(c); it is evaluated once, when t is built, from
+    its children's orders.
     """
-    return TREE_TABLE.auts[TREE_TABLE.id(t)]
+    return _AUTS[t.id]
 
 
 def aut0_order(f: Forest) -> int:
@@ -342,22 +381,19 @@ NO_GRAFTS: MappingProxyType = MappingProxyType({})
 
 
 class TreeTable:
-    """Interned integer ids of rooted trees, and the NAP composition engine.
+    """The NAP composition engine on tree ids, and its memos keyed by ids.
 
-    A tree gets the next free id the first time it is seen, its children
-    first, and the table keeps for every id its size, the ids of its
-    children in canonical child order (``kids``) and its automorphism
-    order.  ``trees[i]`` is the one instance of tree i (trees are
-    hash-consed process-wide, see :class:`RootedTree`), and ``ids`` maps it
-    back to i by identity.  ``by_kids`` maps the sorted tuple of a tree's
-    child ids to its id, so :meth:`node` finds a tree the table holds from
-    its children's ids without sorting or constructing it.  Every id is
-    made by :meth:`_add`, whether it comes from :meth:`id`, :meth:`node` or
-    :meth:`graft`.  The graft map ``grafts[i][j] = id(s ◁ t)`` is filled on
-    first use.  Nothing is enumerated in advance, so the table holds only
-    the trees that some computation reached; :meth:`stats` counts them.
-    The ids belong to the table: a fresh table numbers the same instances
-    anew, in the order it meets them.
+    Every tree has its id from the moment it is built (see
+    :class:`RootedTree`).  ``trees[i]`` is the one instance of tree i, and
+    ``sizes``, ``kids`` (the ids of its children in canonical child order)
+    and ``auts`` (its automorphism order) are what the engines read of it.
+    These lists are process-wide, shared by every table, and grow by one
+    entry per tree built; so do the ids, which live for the process like
+    the trees.  :meth:`node` finds a tree from its children's ids in the
+    one intern dict, and sorts and constructs it only if it was never
+    built.  The graft map ``grafts[i][j] = id(s ◁ t)`` is filled on first
+    use.  Nothing is enumerated in advance; :meth:`stats` counts the trees
+    built and the memo entries.
 
     ``by_text`` memoizes :func:`parse_tree`: it maps the exact text of each
     successful parse, whitespace included, to the tree's id, so it grows by
@@ -367,7 +403,7 @@ class TreeTable:
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
     a tree x at the root of B(t_1..t_k) and composing each branch gives
     x ◁ S(t_1) ◁ ... ◁ S(t_k), so S(B(t_1..t_k)) = S(p) ◁ S(t_k) for the
-    prefix tree p = B(t_1..t_{k-1}), which is a tree of the table too.
+    prefix tree p = B(t_1..t_{k-1}), which has an id too.
     :meth:`substitute` keeps one memo entry per tree read as a prefix or a
     last branch, its composed classes sorted by size, and a size budget
     prunes every graft whose result could not fit.  Products, inverses and
@@ -379,86 +415,39 @@ class TreeTable:
     are tabled the same way, by id and with integer counts: see
     :meth:`ideals`; ``antipodes`` holds the antipode of each id for each
     row source of :mod:`naphopf.hopf`.  Every memo keyed by tree ids is a
-    field of the table, so a fresh table starts with all of them empty;
+    field of the table, and :meth:`clear` empties them all in place;
     memos keyed by values are ``lru_cache``s on pure functions.
     """
 
-    __slots__ = ("trees", "sizes", "kids", "auts", "ids", "by_kids", "by_text",
-                 "grafts", "ideal_table", "antipodes")
+    __slots__ = ("by_text", "grafts", "ideal_table", "antipodes")
+    trees, sizes, kids, auts = _BY_ID, _SIZES, _KIDS, _AUTS
 
     def __init__(self) -> None:
-        self.trees: list[RootedTree] = []
-        self.sizes: list[int] = []
-        self.kids: list[list[int]] = []
-        self.auts: list[int] = []
-        self.ids: dict[RootedTree, int] = {}
-        self.by_kids: dict[tuple[int, ...], int] = {}
         self.by_text: dict[str, int] = {}
         self.grafts: dict[int, dict[int, int]] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
         self.antipodes: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
-        self.id(LEAF)  # id 0: the parser reads every "()" as this id
 
-    def __len__(self) -> int:
-        return len(self.trees)
+    def clear(self) -> None:
+        """Empty every memo of the table in place; ids, like trees, stay."""
+        for memo in (self.by_text, self.grafts, self.ideal_table, self.antipodes):
+            memo.clear()
 
     def stats(self) -> dict[str, int]:
-        """Entry counts: trees with an id, graft-map entries, rows of the
-        ideal table, child-id keys, tree instances built in the process
-        (held by any table or none), per-tree antipodes and memoized
-        spellings."""
+        """Entry counts: trees built in the process, graft-map entries, rows
+        of the ideal table, per-tree antipodes and memoized spellings."""
         return {"trees": len(self.trees), "grafts": sum(map(len, self.grafts.values())),
                 "ideal_rows": sum(map(len, self.ideal_table.values())),
-                "child_keys": len(self.by_kids), "interned": len(_TREES),
                 "antipodes": sum(map(len, self.antipodes.values())),
                 "spellings": len(self.by_text)}
 
-    def _add(self, t: RootedTree, key: tuple[int, ...]) -> int:
-        # the one place a new id is made; t's children have ids and
-        # ``key`` is the sorted tuple of their ids
-        ids, auts = self.ids, self.auts
-        kids = [ids[c] for c in t.children]
-        aut = 1
-        for k, run in groupby(kids):  # equal children are adjacent
-            m = len(list(run))
-            aut *= factorial(m) * auts[k] ** m
-        i = ids[t] = self.by_kids[key] = len(self.trees)
-        self.trees.append(t)
-        self.sizes.append(t.size)
-        self.kids.append(kids)
-        auts.append(aut)
-        return i
-
-    def id(self, t: RootedTree) -> int:
-        """The id of t, assigned on first sight.
-
-        Children get their ids first, on an explicit stack, so the depth
-        of t is not bounded by the recursion limit.
-        """
-        ids = self.ids
-        i = ids.get(t)
-        if i is not None:
-            return i
-        stack = [t]
-        while stack:
-            s = stack[-1]
-            kids = [ids.get(c) for c in s.children]
-            if None in kids:
-                stack.extend(c for c in s.children if c not in ids)
-                continue
-            stack.pop()
-            if s not in ids:
-                self._add(s, tuple(sorted(kids)))
-        return ids[t]
-
     def node(self, kids: Iterable[int]) -> int:
         """The id of the tree whose root has the children with ids ``kids``,
-        in any order; the tree is constructed only if the table lacks it."""
+        in any order; the tree is constructed only if it was never built."""
         key = tuple(sorted(kids))
-        i = self.by_kids.get(key)
+        i = _BY_KIDS.get(key)
         if i is None:
-            trees = self.trees
-            i = self._add(RootedTree([trees[k] for k in key]), key)
+            i = _new_tree([_BY_ID[k] for k in key], key).id
         return i
 
     def graft(self, i: int, j: int) -> int:
@@ -468,7 +457,7 @@ class TreeTable:
             row = self.grafts[i] = {}
         g = row.get(j)
         if g is None:
-            g = row[j] = self.node(self.kids[i] + [j])
+            g = row[j] = self.node(self.kids[i] + (j,))
         return g
 
     def ideals(self, i: int) -> dict:
@@ -489,7 +478,7 @@ class TreeTable:
         rows = table.get(i)
         if rows is not None:
             return rows
-        grafts, graft, kids_of, leaf = self.grafts, self.graft, self.kids, self.id(LEAF)
+        grafts, graft, kids_of, leaf = self.grafts, self.graft, self.kids, LEAF.id
         stack = [i]
         while stack:
             j = stack[-1]

@@ -4,20 +4,20 @@ from naphopf import hopf, trees
 
 
 @pytest.fixture
-def fresh_table(monkeypatch):
-    """A factory of empty tree tables: each call puts a new ``TreeTable`` in
-    place of ``TREE_TABLE`` in ``trees`` and ``hopf`` and returns it.
+def fresh_table():
+    """The tree table with every memo emptied, before the test and after it.
 
-    The cached monomial antipodes are cleared before the test and after it,
-    so that no answer computed on another table is served from the
-    cache, and none computed on a fresh one outlives the test.
+    ``TREE_TABLE.clear()`` empties the memos in place, so every module that
+    imported the table sees the same empty one; ids and trees stay, as they
+    live for the process.  The cached monomial antipodes are cleared too,
+    so that no answer computed before is served from the cache, and none
+    computed in the test outlives it.
     """
-    def swap() -> trees.TreeTable:
-        table = trees.TreeTable()
-        monkeypatch.setattr(trees, "TREE_TABLE", table)
-        monkeypatch.setattr(hopf, "TREE_TABLE", table)
-        return table
+    def clear() -> trees.TreeTable:
+        trees.TREE_TABLE.clear()
+        hopf.antipode_monomial.cache_clear()
+        return trees.TREE_TABLE
 
-    hopf.antipode_monomial.cache_clear()
-    yield swap
-    hopf.antipode_monomial.cache_clear()
+    clear()
+    yield clear
+    clear()

@@ -389,11 +389,8 @@ def test_verify_timings_end_with_the_tree_table_stats(capsys):
     stats = TREE_TABLE.stats()
     assert lines[-1] == (f"tree table: {stats['trees']} trees, {stats['grafts']} grafts, "
                          f"{stats['ideal_rows']} ideal_rows, "
-                         f"{stats['child_keys']} child_keys, {stats['interned']} interned, "
                          f"{stats['antipodes']} antipodes, {stats['spellings']} spellings")
-    assert stats["trees"] == stats["child_keys"] > 1 and stats["ideal_rows"] > 0
-    # every tree with an id is one of the instances built in the process
-    assert stats["interned"] >= stats["trees"]
+    assert stats["trees"] > 1 and stats["ideal_rows"] > 0
     code, _, err = run(capsys, "verify", "--suite", "ck-iso", "--degree", "3")
     assert code == 0 and "tree table:" not in err
 

@@ -153,7 +153,7 @@ def test_lie_bracket_interns_only_the_trees_it_reaches():
         "a = TreeSeries(12, {LEAF: 1, chain(2): 2})\n"
         "b = TreeSeries(12, {LEAF: 3, chain(2): -1})\n"
         "c = lie_bracket(a, b)\n"
-        "print(json.dumps([len(TREE_TABLE), max(TREE_TABLE.sizes),\n"
+        "print(json.dumps([TREE_TABLE.stats()['trees'], max(TREE_TABLE.sizes),\n"
         "                  {t.string: str(v) for t, v in c.coeffs.items()}]))\n"
     )
     interned, largest, coeffs = run_fresh(code)
@@ -229,9 +229,9 @@ def test_bracket_splits_the_right_operand_by_size():
         # chain(3) under one pool of the single vertex and chains, all of
         # coefficient 1, read at 5 vertices
         table = TREE_TABLE
-        pool = [(k, table.id(chain(k)), 1) for k in (1, *sizes)]
+        pool = [(k, chain(k).id, 1) for k in (1, *sizes)]
         acc = {}
-        table.substitute(table.id(chain(3)), pool, 5, {}, acc, 1, 5, 5)
+        table.substitute(chain(3).id, pool, 5, {}, acc, 1, 5, 5)
         return {table.trees[u]: c for u, c in acc.items() if c}
 
     slots = dict(slot_compositions(chain(3), chain(3)))
@@ -347,19 +347,26 @@ def test_substitution_interns_only_the_trees_and_grafts_of_the_fold():
     # the prefix and branch budgets are those of the child-by-child fold, so
     # a seeded sparse product and inverse intern the same trees and grafts
     # as the fold did; entries all built at the full budget interned 68
-    # trees and 50 grafts after the product, 128 and 129 after the inverse
+    # trees and 50 grafts after the product, 128 and 129 after the inverse.
+    # The supports are sampled here and parsed in the fresh interpreter, so
+    # that no enumeration builds trees there
+    rng = random.Random(4)
+    pool = [t for k in range(2, 10) for t in enumerate_trees(k)]
+
+    def sparse():
+        return {t.string: [rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3))]
+                for t in rng.sample(pool, 12)}
+
+    supports = [sparse(), sparse()]
     code = (
-        "import json, random\n"
+        "import json\n"
         "from fractions import Fraction\n"
         "from naphopf.series import TreeSeries, series_inverse, series_multiply\n"
-        "from naphopf.trees import LEAF, TREE_TABLE, enumerate_trees\n"
-        "rng = random.Random(4)\n"
-        "pool = [t for k in range(2, 10) for t in enumerate_trees(k)]\n"
-        "def sparse():\n"
-        "    return TreeSeries(9, {LEAF: 1, **{\n"
-        "        t: Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))\n"
-        "        for t in rng.sample(pool, 12)}})\n"
-        "a, b = sparse(), sparse()\n"
+        "from naphopf.trees import LEAF, TREE_TABLE, parse_tree\n"
+        f"supports = json.loads({json.dumps(supports)!r})\n"
+        "a, b = (TreeSeries(9, {LEAF: 1, **{parse_tree(s): Fraction(*c)\n"
+        "                                   for s, c in terms.items()}})\n"
+        "        for terms in supports)\n"
         "counts = []\n"
         "for run in (lambda: series_multiply(a, b), lambda: series_inverse(a)):\n"
         "    run()\n"

@@ -198,19 +198,27 @@ def test_qgnap_antipode_builds_no_coproduct_and_no_other_antipode():
 
 
 def test_tree_antipodes_live_and_die_with_their_table(fresh_table):
-    # the per-tree antipode memo is keyed by table ids, so it must belong to
-    # the table: a fresh table whose ids are shifted gives the same antipodes
+    # the per-tree antipode memo is keyed by tree ids, so it is a field of
+    # the table: clear() empties it with every other memo, the ids stay,
+    # and the antipodes computed again are the same values on the same
+    # tree and forest instances
     keys = [(algebra, ALGEBRAS[algebra].tree_key(t)) for algebra in ALGEBRAS
             for n in range(2, 7) for t in enumerate_trees(n)]
     assert len(keys) == 108
+    ids = [t.id for n in range(2, 7) for t in enumerate_trees(n)]
+    table = fresh_table()
     before = [antipode_monomial(*k) for k in keys]
-    antipode_monomial.cache_clear()
-    fresh = fresh_table()
-    fresh.id(chain(12))
-    fresh.id(corolla(9))
-    assert fresh.antipodes == {}
-    assert [antipode_monomial(*k) for k in keys] == before
-    assert fresh.antipodes
+    assert table.antipodes and table.ideal_table
+    assert fresh_table() is table  # clears the table and the antipode cache
+    assert not (table.antipodes or table.ideal_table or table.grafts or table.by_text)
+    for t in (chain(12), corolla(9)):  # trees built in between move no id
+        assert table.trees[t.id] is t
+    after = [antipode_monomial(*k) for k in keys]
+    assert [t.id for n in range(2, 7) for t in enumerate_trees(n)] == ids
+    assert after == before and all(x is not y for x, y in zip(after, before))
+    for x, y in zip(after, before):
+        assert all(a is b for a, b in zip(x.terms, y.terms))
+    assert table.antipodes
 
 
 def test_ideal_table_counts_are_the_interval_constants():
@@ -220,7 +228,7 @@ def test_ideal_table_counts_are_the_interval_constants():
     for n in range(1, 9):
         for t in enumerate_trees(n):
             f = {(Forest(table.trees[j] for j in b), table.trees[g]): c
-                 for (b, g), c in table.ideals(table.id(t)).items()}
+                 for (b, g), c in table.ideals(t.id).items()}
             assert f == f_structure_constants(t), t.string
             trees += 1
     assert trees == 200
@@ -685,7 +693,7 @@ def test_warm_queries_build_nothing():
     # six kinds of query has been answered for every tree with 2..6
     # vertices, asking again from the same strings parses nothing (no
     # TreeTable.node lookup of a root), constructs no tree (not even one
-    # already built), adds no table entry and makes or compares no Fraction,
+    # already built), gives no new id and makes or compares no Fraction,
     # counted by a profile hook
     code = (
         "import json, sys\n"
@@ -699,8 +707,7 @@ def test_warm_queries_build_nothing():
         "    return [kind(trees.parse_tree(s)) for kind in kinds for s in texts]\n"
         "first = ask()\n"
         "watched = {f.__code__: f.__qualname__ for f in (\n"
-        "    trees.RootedTree.__new__, trees._new_tree, trees.TreeTable._add,\n"
-        "    trees.TreeTable.node,\n"
+        "    trees.RootedTree.__new__, trees._new_tree, trees.TreeTable.node,\n"
         "    trees._raise_syntax_error,\n"
         "    Fraction.__new__, Fraction.__eq__)}\n"
         "calls = dict.fromkeys(watched.values(), 0)\n"
@@ -721,8 +728,8 @@ def test_warm_queries_build_nothing():
     assert trees_asked == 36 and answers == 6 * 36
     # each repeat hands out the very object of its first answer
     assert same == answers
-    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "TreeTable._add": 0,
-                     "TreeTable.node": 0, "_raise_syntax_error": 0,
+    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "TreeTable.node": 0,
+                     "_raise_syntax_error": 0,
                      "Fraction.__new__": 0, "Fraction.__eq__": 0}
 
 

@@ -127,19 +127,16 @@ def test_interval_covers_match_the_order_matrix():
 
 
 def test_interval_construction_builds_no_tree_the_table_holds():
-    # tree constructions (hits of the intern dict too), new tree instances
-    # and new table entries, counted by a profile hook in a fresh
-    # interpreter: once every tree with at most 8 vertices is in the table,
-    # every restriction and branch of their intervals is a table lookup
+    # tree constructions (hits of the intern dict too) and new tree
+    # instances with their ids, counted by a profile hook in a fresh
+    # interpreter: once every tree with at most 8 vertices is built, every
+    # restriction and branch of their intervals is an intern-dict lookup
     code = (
         "import json, sys\n"
         "from naphopf.posets import interval_of\n"
-        "from naphopf.trees import (TREE_TABLE, RootedTree, TreeTable, _new_tree,\n"
-        "                           enumerate_trees)\n"
+        "from naphopf.trees import RootedTree, _new_tree, enumerate_trees\n"
         "trees = [t for n in range(1, 9) for t in enumerate_trees(n)]\n"
-        "for t in trees:\n"
-        "    TREE_TABLE.id(t)\n"
-        "watched = {f.__code__ for f in (RootedTree.__new__, _new_tree, TreeTable._add)}\n"
+        "watched = {f.__code__ for f in (RootedTree.__new__, _new_tree)}\n"
         "calls = 0\n"
         "def count(frame, event, arg):\n"
         "    global calls\n"
@@ -506,7 +503,7 @@ def test_ideal_orbit_count_bounds_the_stored_ideal_rows():
     # and different ideal classes too, so there it is an upper bound
     def stored_rows(t):
         table = TreeTable()
-        table.ideals(table.id(t))
+        table.ideals(t.id)
         return table.stats()["ideal_rows"]
 
     assert ideal_orbit_count(chain(50)) == stored_rows(chain(50)) == 50 * 51 // 2

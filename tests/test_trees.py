@@ -13,8 +13,8 @@ from naphopf.trees import (
     Forest,
     LEAF,
     RootedTree,
+    TREE_TABLE,
     TreeSyntaxError,
-    TreeTable,
     aut0_order,
     aut_order,
     chain,
@@ -135,36 +135,43 @@ def test_parsing_oracle_every_spelling_is_one_shared_tree():
 
 
 def test_reparsing_builds_nothing(monkeypatch, fresh_table):
-    # a guard on work, not on time: once parsed, no spelling of a tree
-    # builds a new tree instance or adds a table entry
+    # a guard on work, not on time: no spelling of a tree built before
+    # builds a new tree instance, and once parsed, none adds a table entry
     rng = random.Random(7)
     texts = [_spelling(rng, t) for n in range(1, 7) for t in enumerate_trees(n)]
-    distinct = len(texts) - 1
     table = fresh_table()
-    built, added = [], []
-    new_tree, add = trees_module._new_tree, TreeTable._add
+    built = []
+    new_tree = trees_module._new_tree
     monkeypatch.setattr(trees_module, "_new_tree",
-                        lambda kids: built.append(kids) or new_tree(kids))
-    monkeypatch.setattr(TreeTable, "_add",
-                        lambda self, t, key: added.append(t) or add(self, t, key))
+                        lambda *args: built.append(args) or new_tree(*args))
+    trees_before = table.stats()["trees"]
     first = [parse_tree(text) for text in texts]
-    # enumerate_trees built every instance; the fresh table adds one entry
-    # per tree with 2..6 vertices, once however many trees it is a subtree of
-    assert built == [] and len(added) == len(set(added)) == distinct
+    # enumerate_trees built every instance, and gave each its id then
+    assert built == [] and all(table.trees[t.id] is t for t in first)
     stats = table.stats()
-    assert stats["trees"] == stats["child_keys"] == distinct + 1
-    del added[:]
+    assert stats["trees"] == trees_before and stats["spellings"] == len(set(texts))
     for text in texts + [_spelling(rng, t) for t in first]:
         assert parse_tree(text) is parse_tree(text)
-    assert built == added == []
+    assert built == []
     # only the spelling memo grows, by the new spellings
     after = table.stats()
     assert after.pop("spellings") > stats.pop("spellings") and after == stats
+    # clear() empties every memo in place; the ids stay, and parsing again
+    # hands out the same instances and builds nothing
+    ids = [t.id for t in first]
+    table.clear()
+    assert table.stats() == dict(stats, spellings=0, grafts=0, ideal_rows=0, antipodes=0)
+    again = [parse_tree(text) for text in texts]
+    assert all(a is b for a, b in zip(again, first)) and [t.id for t in again] == ids
+    assert built == [] and table.stats()["spellings"] == len(set(texts))
 
 
-def test_deep_chain_parses_without_recursion(fresh_table):
-    text = "(" * 1200 + ")" * 1200
-    fresh = fresh_table()  # every vertex of the chain is new to it
+def test_deep_chain_parses_without_recursion():
+    # 1200 nested vertices, the last over 1600 leaves: corolla(1600), wider
+    # than any other test's tree, and the 1199 chains over it are built by
+    # this parse alone
+    text = "(" * 1200 + "()" * 1600 + ")" * 1200
+    before = TREE_TABLE.stats()["trees"]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -173,29 +180,30 @@ def test_deep_chain_parses_without_recursion(fresh_table):
             parse_tree(text[:-1])
     finally:
         sys.setrecursionlimit(limit)
-    assert t.size == 1200 and t.string == text and len(fresh) == 1200
-    assert err.value.offset == 2399
+    assert t.size == 2800 and t.string == text and TREE_TABLE.trees[t.id] is t
+    assert TREE_TABLE.stats()["trees"] - before == 1200
+    assert err.value.offset == len(text) - 1
 
 
 def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
     text = "((())(()()))"
-    old = fresh_table()
+    table = fresh_table()
     first = parse_tree(text)
-    assert parse_tree(text) is first and text in old.by_text
+    assert parse_tree(text) is first and text in table.by_text
     # whitespace-padded spellings are memoized apart, as the same tree
     for padded in (" " + text, text + "\n", "\t %s \r\n" % text):
         assert parse_tree(padded) is first
         assert parse_tree(padded) is first
-    # a fresh table starts with empty memos and numbers trees in the order
-    # it meets them; the tree it hands out is still the one instance
-    fresh = fresh_table()
-    assert len(fresh) == 1 and not (fresh.by_text or fresh.grafts
-                                    or fresh.ideal_table or fresh.antipodes)
-    fresh.id(chain(3))
+    assert table.trees[first.id] is first and table.by_text[text] == first.id
+    # clear() empties every memo in place, the table's and the modules'
+    # that imported it; the id stays, and the tree handed out again is the
+    # one instance
+    table.clear()
+    assert fresh_table() is table is TREE_TABLE
+    assert not (table.by_text or table.grafts or table.ideal_table or table.antipodes)
+    trees_before = table.stats()["trees"]
     again = parse_tree(text)
-    assert again is first and text in fresh.by_text
-    assert old.ids[first] == 3 and fresh.ids[again] == 4
-    assert again is fresh.trees[4] and len(fresh) == 5
+    assert again is first and table.by_text == {text: first.id}
     assert parse_tree(text) is again
     # malformed text is never stored and raises the same error every call
     for bad, offset in (("((())", 5), ("(()))", 4), (" (x)", 2)):
@@ -203,8 +211,8 @@ def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
             with pytest.raises(TreeSyntaxError) as err:
                 parse_tree(bad)
             assert err.value.offset == offset
-        assert bad not in fresh.by_text
-    assert len(fresh) == 5
+        assert bad not in table.by_text
+    assert table.stats()["trees"] == trees_before and len(table.by_text) == 1
 
 
 # --- one instance per shape --------------------------------------------------
@@ -220,11 +228,17 @@ def _spellings(t: RootedTree) -> set[str]:
 
 
 def test_identity_oracle_every_construction_is_the_one_instance(fresh_table):
-    fresh_table()  # the spellings parsed here fill a table of their own
+    table = fresh_table()  # the spellings parsed here fill emptied memos
+    assert LEAF.id == 0  # the engines read the single vertex as id 0
     for n in range(1, 8):
         for t in enumerate_trees(n):
+            assert table.trees[t.id] is t
             for order in permutations(t.children):
                 assert RootedTree(order) is t
+                assert table.node([c.id for c in order]) == t.id
+            if t.children:  # its prefix tree with its last branch grafted on
+                *prefix, last = t.children
+                assert table.graft(RootedTree(prefix).id, last.id) == t.id
             for text in _spellings(t):
                 assert parse_tree(text) is t and _built(text) is t
 
@@ -385,10 +399,14 @@ def test_aut_order_against_labeled_count():
 def test_aut_order_against_permutation_fixing_oracle():
     from naphopf.oracles import labeled_isomorphisms
 
-    for n in range(1, 6):
+    table = TREE_TABLE
+    for n in range(1, 8):
         for t in enumerate_trees(n):
             rep = canonical_representative(t)
-            assert aut_order(t) == len(labeled_isomorphisms(rep, rep))
+            assert aut_order(t) == table.auts[t.id] == len(labeled_isomorphisms(rep, rep))
+            # the engines' view of t agrees with the tree itself
+            assert table.sizes[t.id] == t.size
+            assert table.kids[t.id] == tuple(c.id for c in t.children)
 
 
 def test_aut0_order():
