@@ -64,27 +64,3 @@ from .series import (
 )
 
 __version__ = "0.1.0"
-
-# the public names of naphopf.oracles, which is imported on the first lookup
-# of one of them: only the checks, the tests and `enumerate --labeled` need it
-_ORACLE_NAMES = frozenset({
-    "BruteForcePoset", "FinitePoset", "LabeledForest", "LabeledTree", "OperadInstance",
-    "brute_force_pi", "canonical_representative", "check_distributive_lattice",
-    "check_total_semimodularity", "ck_coproduct_cuts", "comm_instance", "count_Ef_Eg",
-    "diamond_poset", "f_structure_constants", "forest_below", "labeled_forests",
-    "labeled_trees", "nap_compose", "nap_instance", "pentagon_poset", "theta_of",
-})
-
-
-def __getattr__(name: str):
-    # PEP 562: called only for names the package lacks; dunders and
-    # submodule probes stay missing
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracles
-
-    return getattr(oracles, name)
-
-
-def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -118,20 +118,10 @@ class IntervalPoset:
 
 def _children_first(t: RootedTree, value) -> dict:
     # value(child ids, values so far) for every distinct subtree id of t,
-    # children first on an explicit stack, so a deep tree needs no Python stack
-    kids = TREE_TABLE.kids
+    # children first in id order, so a deep tree needs no Python stack
     out: dict = {}
-    stack = [t.id]
-    while stack:
-        j = stack.pop()
-        if j in out:
-            continue
-        todo = [k for k in kids[j] if k not in out]
-        if todo:
-            stack.append(j)
-            stack.extend(todo)
-            continue
-        out[j] = value(kids[j], out)
+    for j in TREE_TABLE.subtrees(t.id, ()):
+        out[j] = value(TREE_TABLE.kids[j], out)
     return out
 
 

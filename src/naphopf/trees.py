@@ -16,7 +16,7 @@ set-operads built on them serve only as oracles and live in
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, inf
@@ -78,10 +78,9 @@ class RootedTree(_Interned):
     __slots__ = ("children", "size", "string", "id")
 
     def __new__(cls, children: Iterable["RootedTree"] = ()) -> "RootedTree":
-        kids = tuple(children)
-        key = tuple(sorted([c.id for c in kids]))
+        key = tuple(sorted([c.id for c in children]))
         i = _BY_KIDS.get(key)
-        return _new_tree(kids, key) if i is None else _BY_ID[i]
+        return _new_tree(key) if i is None else _BY_ID[i]
 
     def __reduce__(self):
         # parsing is not recursive, so deep trees pickle too
@@ -105,12 +104,11 @@ class RootedTree(_Interned):
         return len(self.children) == self.size - 1
 
 
-def _new_tree(children: Iterable[RootedTree], key: tuple[int, ...]) -> RootedTree:
+def _new_tree(key: tuple[int, ...]) -> RootedTree:
     # the one place a tree is made, on a miss of the intern dict: the first
-    # instance of the tree whose root has these children, in any order, and
-    # its id; key is the sorted tuple of their ids.  Trees are built from
-    # one thread at a time
-    kids = tuple(sorted(children, key=_key))
+    # instance of the tree whose root has the children with the sorted ids
+    # key.  Trees are built from one thread at a time
+    kids = tuple(sorted([_BY_ID[k] for k in key], key=_key))
     ids = tuple([c.id for c in kids])
     # aut is m! aut(c)^m over each run of m equal children, which are
     # adjacent: the j-th child of a run brings j aut(c)
@@ -129,6 +127,14 @@ def _new_tree(children: Iterable[RootedTree], key: tuple[int, ...]) -> RootedTre
     _KIDS.append(key if key == ids else ids)
     _AUTS.append(aut)
     return t
+
+
+def _node(kids: Iterable[int]) -> int:
+    """The id of the tree whose root has the children with ids ``kids``,
+    in any order; the tree is constructed only if it was never built."""
+    key = tuple(sorted(kids))
+    i = _BY_KIDS.get(key)
+    return _new_tree(key).id if i is None else i
 
 
 LEAF = RootedTree()
@@ -156,6 +162,7 @@ def graft_onto(s: RootedTree, t: RootedTree) -> RootedTree:
     return RootedTree(s.children + (t,))
 
 
+@lru_cache(maxsize=None)
 def parse_tree(text: str) -> RootedTree:
     """Parse the grammar ``tree := "(" tree* ")"`` into a canonical tree.
 
@@ -164,26 +171,17 @@ def parse_tree(text: str) -> RootedTree:
 
     Every spelling of one tree returns its one instance, as every
     construction does.  Each vertex is looked up in the intern dict by the
-    ids of its children (:meth:`TreeTable.node`), so a tree built before is
-    neither sorted nor constructed again.  The exact text of each
-    successful parse is memoized in ``TREE_TABLE.by_text``, so a spelling
-    seen before costs one dict lookup; malformed text is never stored and
-    raises on every call.
+    ids of its children, so a tree built before is neither sorted nor
+    constructed again.  The ``lru_cache`` keys on the exact text,
+    whitespace included, so a spelling parsed before costs one lookup;
+    it does not store exceptions, so malformed text raises on every call.
+    ``TREE_TABLE.clear()`` empties it.
     """
-    by_text = TREE_TABLE.by_text
-    i = by_text.get(text)
-    if i is None:
-        i = by_text[text] = _parse_id(text)
-    return _BY_ID[i]
-
-
-def _parse_id(text: str) -> int:
-    # the id of the tree spelled by text
     s = text.strip()
     # a literal made of parentheses only, as many '(' as ')'; anything else
     # goes to the validating loop of _raise_syntax_error, which reports the error
     if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
-        hit, node, leaf = _BY_KIDS.get, TREE_TABLE.node, LEAF.id
+        hit, leaf = _BY_KIDS.get, LEAF.id
         # the child ids collected so far at each open vertex below the root,
         # on an explicit stack: the depth is not bounded by the recursion limit
         stack: list[list[int]] = []
@@ -198,11 +196,11 @@ def _parse_id(text: str) -> int:
                 key = tuple(sorted(kids))
                 i = hit(key)
                 kids = stack.pop()
-                kids.append(node(key) if i is None else i)
+                kids.append(_node(key) if i is None else i)
             else:  # the root closed before the end
                 break
         else:
-            return node(kids)
+            return _BY_ID[_node(kids)]
     _raise_syntax_error(text)
 
 
@@ -389,15 +387,13 @@ class TreeTable:
     and ``auts`` (its automorphism order) are what the engines read of it.
     These lists are process-wide, shared by every table, and grow by one
     entry per tree built; so do the ids, which live for the process like
-    the trees.  :meth:`node` finds a tree from its children's ids in the
-    one intern dict, and sorts and constructs it only if it was never
-    built.  The graft map ``grafts[i][j] = id(s ◁ t)`` is filled on first
-    use.  Nothing is enumerated in advance; :meth:`stats` counts the trees
-    built and the memo entries.
-
-    ``by_text`` memoizes :func:`parse_tree`: it maps the exact text of each
-    successful parse, whitespace included, to the tree's id, so it grows by
-    one entry per distinct well-formed spelling parsed.
+    the trees.  A tree's children are built before it, so each child id is
+    smaller than its parent's, and :meth:`subtrees` lists a tree's subtrees
+    children first by sorting their ids.  :meth:`node` finds a tree from
+    its children's ids in the one intern dict, and sorts and constructs it
+    only if it was never built.  The graft map ``grafts[i][j] = id(s ◁ t)``
+    is filled on first use.  Nothing is enumerated in advance;
+    :meth:`stats` counts the trees built and the memo entries.
 
     Substituting into a tree is the B-series recursion (Butcher 1972;
     Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
@@ -415,23 +411,25 @@ class TreeTable:
     are tabled the same way, by id and with integer counts: see
     :meth:`ideals`; ``antipodes`` holds the antipode of each id for each
     row source of :mod:`naphopf.hopf`.  Every memo keyed by tree ids is a
-    field of the table, and :meth:`clear` empties them all in place;
-    memos keyed by values are ``lru_cache``s on pure functions.
+    field of the table; memos keyed by values are ``lru_cache``s on pure
+    functions, such as the spellings of :func:`parse_tree`.  :meth:`clear`
+    empties the table's memos in place, and the spelling cache with them.
     """
 
-    __slots__ = ("by_text", "grafts", "ideal_table", "antipodes")
+    __slots__ = ("grafts", "ideal_table", "antipodes")
     trees, sizes, kids, auts = _BY_ID, _SIZES, _KIDS, _AUTS
 
     def __init__(self) -> None:
-        self.by_text: dict[str, int] = {}
         self.grafts: dict[int, dict[int, int]] = {}
         self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
         self.antipodes: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
 
     def clear(self) -> None:
-        """Empty every memo of the table in place; ids, like trees, stay."""
-        for memo in (self.by_text, self.grafts, self.ideal_table, self.antipodes):
+        """Empty every memo of the table in place, and the spelling cache of
+        :func:`parse_tree`; ids, like trees, stay."""
+        for memo in (self.grafts, self.ideal_table, self.antipodes):
             memo.clear()
+        parse_tree.cache_clear()
 
     def stats(self) -> dict[str, int]:
         """Entry counts: trees built in the process, graft-map entries, rows
@@ -439,16 +437,22 @@ class TreeTable:
         return {"trees": len(self.trees), "grafts": sum(map(len, self.grafts.values())),
                 "ideal_rows": sum(map(len, self.ideal_table.values())),
                 "antipodes": sum(map(len, self.antipodes.values())),
-                "spellings": len(self.by_text)}
+                "spellings": parse_tree.cache_info().currsize}
 
-    def node(self, kids: Iterable[int]) -> int:
-        """The id of the tree whose root has the children with ids ``kids``,
-        in any order; the tree is constructed only if it was never built."""
-        key = tuple(sorted(kids))
-        i = _BY_KIDS.get(key)
-        if i is None:
-            i = _new_tree([_BY_ID[k] for k in key], key).id
-        return i
+    node = staticmethod(_node)
+
+    def subtrees(self, i: int, done: Container[int]) -> list[int]:
+        """The ids of the distinct subtrees of tree i not in ``done``,
+        ascending: children first, as a child is built before its parent.
+        The walk does not enter a subtree in ``done``, whose own subtrees
+        are taken to be done too."""
+        out, todo = set(), [i]
+        while todo:
+            j = todo.pop()
+            if j not in out and j not in done:
+                out.add(j)
+                todo.extend(self.kids[j])
+        return sorted(out)
 
     def graft(self, i: int, j: int) -> int:
         """The id of s ◁ t, where i and j are the ids of s and t."""
@@ -470,27 +474,18 @@ class TreeTable:
         vertices); the count is the incidence structure constant f.
 
         Each branch k of the root either hangs whole in the root's
-        component, or joins S through a row of k's own table.  Trees are
-        filled children first on an explicit stack, so the depth of a tree
-        is not bounded by the recursion limit.
+        component, or joins S through a row of k's own table.  The subtrees
+        are filled in id order (:meth:`subtrees`), so children first and
+        with no recursion: the depth of a tree is not bounded by the
+        recursion limit.
         """
         table = self.ideal_table
         rows = table.get(i)
         if rows is not None:
             return rows
         grafts, graft, kids_of, leaf = self.grafts, self.graft, self.kids, LEAF.id
-        stack = [i]
-        while stack:
-            j = stack[-1]
-            if j in table:
-                stack.pop()
-                continue
+        for j in self.subtrees(i, table):
             kids = kids_of[j]
-            todo = [k for k in kids if k not in table]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
             # (beta so far, the root's component so far, gamma so far)
             states: dict = {((), leaf, leaf): 1}
             for k in kids:

@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from naphopf import ck_coproduct_cuts
 from naphopf.hopf import (
     HopfElement,
     TensorElement,
@@ -26,6 +25,7 @@ from naphopf.oracles import (
     check_distributive_lattice,
     check_maximal_interval_model,
     check_total_semimodularity,
+    ck_coproduct_cuts,
     comm_instance,
     count_Ef_Eg,
     diamond_poset,

@@ -210,7 +210,8 @@ def test_tree_antipodes_live_and_die_with_their_table(fresh_table):
     before = [antipode_monomial(*k) for k in keys]
     assert table.antipodes and table.ideal_table
     assert fresh_table() is table  # clears the table and the antipode cache
-    assert not (table.antipodes or table.ideal_table or table.grafts or table.by_text)
+    assert not (table.antipodes or table.ideal_table or table.grafts)
+    assert parse_tree.cache_info().currsize == 0
     for t in (chain(12), corolla(9)):  # trees built in between move no id
         assert table.trees[t.id] is t
     after = [antipode_monomial(*k) for k in keys]
@@ -692,7 +693,7 @@ def test_warm_queries_build_nothing():
     # a guard on work, not on time, in a fresh interpreter: once each of the
     # six kinds of query has been answered for every tree with 2..6
     # vertices, asking again from the same strings parses nothing (no
-    # TreeTable.node lookup of a root), constructs no tree (not even one
+    # _node lookup of a root), constructs no tree (not even one
     # already built), gives no new id and makes or compares no Fraction,
     # counted by a profile hook
     code = (
@@ -707,7 +708,7 @@ def test_warm_queries_build_nothing():
         "    return [kind(trees.parse_tree(s)) for kind in kinds for s in texts]\n"
         "first = ask()\n"
         "watched = {f.__code__: f.__qualname__ for f in (\n"
-        "    trees.RootedTree.__new__, trees._new_tree, trees.TreeTable.node,\n"
+        "    trees.RootedTree.__new__, trees._new_tree, trees._node,\n"
         "    trees._raise_syntax_error,\n"
         "    Fraction.__new__, Fraction.__eq__)}\n"
         "calls = dict.fromkeys(watched.values(), 0)\n"
@@ -728,7 +729,7 @@ def test_warm_queries_build_nothing():
     assert trees_asked == 36 and answers == 6 * 36
     # each repeat hands out the very object of its first answer
     assert same == answers
-    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "TreeTable.node": 0,
+    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "_node": 0,
                      "_raise_syntax_error": 0,
                      "Fraction.__new__": 0, "Fraction.__eq__": 0}
 

@@ -189,21 +189,22 @@ def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
     text = "((())(()()))"
     table = fresh_table()
     first = parse_tree(text)
-    assert parse_tree(text) is first and text in table.by_text
+    assert parse_tree(text) is first and parse_tree.cache_info().currsize == 1
     # whitespace-padded spellings are memoized apart, as the same tree
     for padded in (" " + text, text + "\n", "\t %s \r\n" % text):
         assert parse_tree(padded) is first
         assert parse_tree(padded) is first
-    assert table.trees[first.id] is first and table.by_text[text] == first.id
+    assert table.trees[first.id] is first and table.stats()["spellings"] == 4
     # clear() empties every memo in place, the table's and the modules'
     # that imported it; the id stays, and the tree handed out again is the
     # one instance
     table.clear()
     assert fresh_table() is table is TREE_TABLE
-    assert not (table.by_text or table.grafts or table.ideal_table or table.antipodes)
+    assert not (table.grafts or table.ideal_table or table.antipodes)
+    assert parse_tree.cache_info().currsize == 0
     trees_before = table.stats()["trees"]
     again = parse_tree(text)
-    assert again is first and table.by_text == {text: first.id}
+    assert again is first and table.stats()["spellings"] == 1
     assert parse_tree(text) is again
     # malformed text is never stored and raises the same error every call
     for bad, offset in (("((())", 5), ("(()))", 4), (" (x)", 2)):
@@ -211,8 +212,8 @@ def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
             with pytest.raises(TreeSyntaxError) as err:
                 parse_tree(bad)
             assert err.value.offset == offset
-        assert bad not in table.by_text
-    assert table.stats()["trees"] == trees_before and len(table.by_text) == 1
+        assert table.stats()["spellings"] == 1
+    assert table.stats()["trees"] == trees_before
 
 
 # --- one instance per shape --------------------------------------------------
@@ -233,6 +234,9 @@ def test_identity_oracle_every_construction_is_the_one_instance(fresh_table):
     for n in range(1, 8):
         for t in enumerate_trees(n):
             assert table.trees[t.id] is t
+            # a tree's children are built before it: subtrees in id order
+            # are children first
+            assert all(c.id < t.id for c in t.children)
             for order in permutations(t.children):
                 assert RootedTree(order) is t
                 assert table.node([c.id for c in order]) == t.id
@@ -241,6 +245,17 @@ def test_identity_oracle_every_construction_is_the_one_instance(fresh_table):
                 assert table.graft(RootedTree(prefix).id, last.id) == t.id
             for text in _spellings(t):
                 assert parse_tree(text) is t and _built(text) is t
+
+
+def test_subtrees_lists_each_distinct_subtree_once_children_first():
+    t = RootedTree((chain(3), chain(3), corolla(2)))
+    ids = [t.id, chain(3).id, chain(2).id, corolla(2).id, LEAF.id]
+    assert TREE_TABLE.subtrees(t.id, ()) == sorted(ids)
+    # done subtrees are left out and not entered: chain(2) is below chain(3)
+    # only, the leaf below corolla(2) too
+    assert TREE_TABLE.subtrees(t.id, {chain(3).id}) == sorted({t.id, corolla(2).id, LEAF.id})
+    assert TREE_TABLE.subtrees(t.id, {LEAF.id}) == sorted(set(ids) - {LEAF.id})
+    assert TREE_TABLE.subtrees(t.id, {t.id}) == []
 
 
 def test_identity_oracle_same_object_exactly_when_same_string():
