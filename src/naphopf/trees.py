@@ -181,7 +181,7 @@ def parse_tree(text: str) -> RootedTree:
     # a literal made of parentheses only, as many '(' as ')'; anything else
     # goes to the validating loop of _raise_syntax_error, which reports the error
     if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
-        hit, leaf = _BY_KIDS.get, LEAF.id
+        leaf = LEAF.id
         # the child ids collected so far at each open vertex below the root,
         # on an explicit stack: the depth is not bounded by the recursion limit
         stack: list[list[int]] = []
@@ -193,10 +193,9 @@ def parse_tree(text: str) -> RootedTree:
                 stack.append(kids)
                 kids = []
             elif stack:
-                key = tuple(sorted(kids))
-                i = hit(key)
+                i = _node(kids)
                 kids = stack.pop()
-                kids.append(_node(key) if i is None else i)
+                kids.append(i)
             else:  # the root closed before the end
                 break
         else:
