@@ -617,7 +617,7 @@ def _series_graft_distributes(n, rng):
 @_check("series", "lie bracket is antisymmetric and satisfies jacobi", degree=4, cap=5)
 def _series_lie(n, rng):
     zero = TreeSeries(2 * n, {})
-    singles = [TreeSeries(2 * n, {t: Fraction(1)}) for t in _trees(1, n)]
+    singles = [TreeSeries(2 * n, {t: 1}) for t in _trees(1, n)]
     for x in singles:
         if lie_bracket(x, x) != zero.truncate(2 * n):
             return "bracket with itself"
@@ -625,7 +625,7 @@ def _series_lie(n, rng):
     if pairs != {corolla(2): 1, chain(3): 1}:
         return "two-chain slot composition"
     big = 3 * n
-    singles = [TreeSeries(big, {t: Fraction(1)}) for t in _trees(1, n)]
+    singles = [TreeSeries(big, {t: 1}) for t in _trees(1, n)]
     zero = TreeSeries(big, {})
     # each inner bracket once per ordered pair
     inner = {(i, j): lie_bracket(x, y)
@@ -633,18 +633,28 @@ def _series_lie(n, rng):
     for (i, j), xy in inner.items():
         if xy != (-1) * inner[j, i]:
             return "antisymmetry"
+    # each outer bracket [x_i, [x_j, x_k]] once per i and j <= k: for j > k
+    # it is the negative of [x_i, [x_k, x_j]], by the antisymmetry just
+    # asserted and the bracket's linearity in its right operand
+    outer: dict = {}
+
+    def bracket(i, j, k):
+        if j > k:
+            return (-1) * bracket(i, k, j)
+        if (i, j, k) not in outer:
+            outer[i, j, k] = lie_bracket(singles[i], inner[j, k])
+        return outer[i, j, k]
+
     # the Jacobi sum of (x, y, z) has the same three terms as the sums of its
     # two rotations, so each rotation class is summed once, at its least
     # rotation
-    for i, x in enumerate(singles):
-        for j, y in enumerate(singles):
-            for k, z in enumerate(singles):
+    basis = range(len(singles))
+    for i in basis:
+        for j in basis:
+            for k in basis:
                 if (i, j, k) > (j, k, i) or (i, j, k) > (k, i, j):
                     continue
-                jac = (lie_bracket(x, inner[j, k])
-                       + lie_bracket(y, inner[k, i])
-                       + lie_bracket(z, inner[i, j]))
-                if jac != zero:
+                if bracket(i, j, k) + bracket(j, k, i) + bracket(k, i, j) != zero:
                     return "jacobi"
     return ""
 

@@ -1,7 +1,9 @@
 """The group of tree-indexed series under operadic substitution.
 
 A truncated series assigns a rational coefficient to every tree of size at
-most N; group elements have coefficient 1 on the single vertex.  The product
+most N, under the library's one rule: an ``int`` stays an ``int`` and any
+other number becomes a ``Fraction``, so integer operands give integer
+results.  Group elements have coefficient 1 on the single vertex.  The product
 substitutes the right series into every vertex of every tree of the left
 one, by the graft recursion on interned tree ids.  The classical Zeta, Mobius,
 corolla and ladder series live here, together with the three projections
@@ -29,26 +31,29 @@ from .trees import (
 
 
 class TreeSeries:
-    """Truncated formal series indexed by canonical rooted trees."""
+    """Truncated formal series indexed by canonical rooted trees.
+
+    A coefficient that is an ``int`` stays one; any other number becomes a
+    ``Fraction``, and a ``Fraction`` is kept as it is."""
 
     __slots__ = ("truncation", "coeffs")
 
     def __init__(self, truncation: int, coeffs: dict | None = None) -> None:
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
-        clean: dict[RootedTree, Fraction] = {}
+        clean: dict = {}
         for t, c in (coeffs or {}).items():
             if t.size > truncation:
                 continue
-            if type(c) is not Fraction:
+            if type(c) is not int and type(c) is not Fraction:
                 c = Fraction(c)
             if c:
                 clean[t] = c
         self.truncation = truncation
         self.coeffs = clean
 
-    def coefficient(self, t: RootedTree) -> Fraction:
-        return self.coeffs.get(t, Fraction(0))
+    def coefficient(self, t: RootedTree) -> Fraction | int:
+        return self.coeffs.get(t, 0)
 
     def is_group_element(self) -> bool:
         return self.coeffs.get(LEAF) == 1
@@ -65,14 +70,14 @@ class TreeSeries:
         n = min(self.truncation, other.truncation)
         out = dict(self.coeffs)
         for t, c in other.coeffs.items():
-            out[t] = out.get(t, Fraction(0)) + c
+            out[t] = out.get(t, 0) + c
         return TreeSeries(n, out)
 
     def __sub__(self, other: "TreeSeries") -> "TreeSeries":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TreeSeries":
-        c = Fraction(scalar)
+        c = scalar if type(scalar) is int else Fraction(scalar)
         return TreeSeries(self.truncation, {t: c * v for t, v in self.coeffs.items()})
 
     def truncate(self, n: int) -> "TreeSeries":
@@ -116,7 +121,7 @@ class TreeSeries:
 
 def unit_series(n: int) -> TreeSeries:
     """The group unit: the single-vertex tree with coefficient 1."""
-    return TreeSeries(n, {LEAF: Fraction(1)})
+    return TreeSeries(n, {LEAF: 1})
 
 
 def _require_group(a: TreeSeries) -> None:
@@ -156,8 +161,9 @@ def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict,
     # pool into every vertex, as {class id: coefficient}: the classes of
     # size ``degree`` only, or of every size up to n.  a_t is scaled by the
     # lcm D_a of a's denominators, so every term landing on a class c
-    # carries D_a * scale**|c|, taken out by one division per class.  The
-    # entries are read at the budgets of n whatever the degree, so every
+    # carries D_a * scale**|c|, taken out by one division per class; when
+    # D_a and scale are 1 that divisor is 1 and the class is its int count.
+    # The entries are read at the budgets of n whatever the degree, so every
     # degree shares them
     table = TREE_TABLE
     da = lcm(*(c.denominator for c in a.values()))
@@ -169,8 +175,17 @@ def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict,
         if t.size <= high:
             table.substitute(t.id, pool, n, memo, acc,
                              at.numerator * (da // at.denominator), low, high)
-    sizes = table.sizes
-    return {u: Fraction(c, da * scale ** sizes[u]) for u, c in acc.items() if c}
+    return _divided(acc, da, scale)
+
+
+def _divided(acc: dict, d: int, scale: int) -> dict:
+    # the engine's {class id: count} with each count divided by
+    # d * scale**|class|, zero classes dropped: the counts as ints when that
+    # divisor is 1 for every class, that is when d and scale are 1
+    if d == scale == 1:
+        return {u: c for u, c in acc.items() if c}
+    sizes = TREE_TABLE.sizes
+    return {u: Fraction(c, d * scale ** sizes[u]) for u, c in acc.items() if c}
 
 
 def series_multiply(a: TreeSeries, b: TreeSeries) -> TreeSeries:
@@ -209,7 +224,7 @@ def series_inverse(a: TreeSeries) -> TreeSeries:
     scale = _graded_scale(n, a)
     pool = _scaled_pool(a, n, scale)
     memo: dict = {}
-    inv = {LEAF: Fraction(1)}
+    inv = {LEAF: 1}
     for d in range(2, n + 1):
         for u, c in _substituted(inv, pool, scale, n, memo, d).items():
             inv[table.trees[u]] = -c
@@ -225,13 +240,13 @@ def series_inverse(a: TreeSeries) -> TreeSeries:
 def series_graft(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     """Bilinear extension of the graft s ◁ t (t becomes a new root branch of s)."""
     n = min(a.truncation, b.truncation)
-    out: dict[RootedTree, Fraction] = {}
+    out: dict = {}
     for s, ca in a.coeffs.items():
         for t, cb in b.coeffs.items():
             if s.size + t.size > n:
                 continue
             g = RootedTree(s.children + (t,))
-            out[g] = out.get(g, Fraction(0)) + ca * cb
+            out[g] = out.get(g, 0) + ca * cb
     return TreeSeries(n, out)
 
 
@@ -249,6 +264,8 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     D clearing both operands, the single vertex weighs D and a tree t of
     the pool b_t D**|t|, and a_s is scaled by the lcm D_ab of both
     operands' denominators, so each class c is divided once, by D_ab D**|c|.
+    When both operands have integer coefficients that divisor is 1, and the
+    result's coefficients are the ints themselves.
     """
     n = min(a.truncation, b.truncation)
     table = TREE_TABLE
@@ -266,9 +283,7 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
                     acc[s] = acc.get(s, 0) + w * size * pool[1][2] * scale ** (size - 1)
                 elif top <= n:
                     table.substitute(s, pool, top, memo, acc, w, top, top)
-    sizes = table.sizes
-    return TreeSeries(n, {table.trees[u]: Fraction(c, dab * scale ** sizes[u])
-                          for u, c in acc.items() if c})
+    return TreeSeries(n, {table.trees[u]: c for u, c in _divided(acc, dab, scale).items()})
 
 
 def zeta_series(n: int) -> TreeSeries:
@@ -290,12 +305,12 @@ def mobius_series(n: int) -> TreeSeries:
 
 def corolla_series(n: int) -> TreeSeries:
     """The sum of all corollas with coefficient 1."""
-    return TreeSeries(n, {corolla(k): Fraction(1) for k in range(0, n)})
+    return TreeSeries(n, {corolla(k): 1 for k in range(0, n)})
 
 
 def ladder_series(n: int) -> TreeSeries:
     """The alternating sum of linear trees."""
-    return TreeSeries(n, {chain(k): Fraction((-1) ** (k - 1)) for k in range(1, n + 1)})
+    return TreeSeries(n, {chain(k): (-1) ** (k - 1) for k in range(1, n + 1)})
 
 
 def spec_membership(a: TreeSeries) -> tuple[bool, RootedTree | None]:
@@ -309,7 +324,7 @@ def spec_membership(a: TreeSeries) -> tuple[bool, RootedTree | None]:
     for size in range(1, a.truncation + 1):
         for t in enumerate_trees(size):
             lhs = aut_order(t) * a.coefficient(t)
-            rhs = Fraction(1)
+            rhs = 1
             for branch in t.children:
                 single = RootedTree((branch,))
                 rhs *= aut_order(single) * a.coefficient(single)

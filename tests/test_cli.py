@@ -194,6 +194,19 @@ def test_interval_output_is_unchanged(capsys):
     assert digest.hexdigest() == "3ffd30728c13f2698a6498d0f3740cbbc13be9ae65d500672e37e00c255a8ee1"
 
 
+def test_verify_series_output_is_unchanged(capsys):
+    # the JSON of the series suite without its elapsed time, at the default
+    # degrees and at --degree 6, where the Jacobi check reports its cap:
+    # a changed description, cap or witness changes the digest
+    digest = hashlib.sha256()
+    for extra in ([], ["--degree", "6"]):
+        assert main(["verify", "--suite", "series", *extra]) == 0
+        data = json.loads(capsys.readouterr().out)
+        del data["elapsed_ms"]
+        digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == "7eeee55f2aa9b98977928220bc7c884932eac6cbb89fd81588aef7e511a2d566"
+
+
 def test_series_named_and_inverse(capsys):
     code, out, _ = run(capsys, "series", "inv", "zeta", "-N", "5")
     inv = json.loads(out)

@@ -63,6 +63,33 @@ def test_series_json_roundtrip():
     assert data["coeffs"]["(()()())"] == "1/6"
 
 
+def test_an_int_coefficient_stays_an_int():
+    # an int is kept, any other number becomes a Fraction, and 3 and
+    # Fraction(3) are one coefficient
+    three, also_three = TreeSeries(4, {T110: 3}), TreeSeries(4, {T110: Fraction(3)})
+    assert type(three.coeffs[T110]) is int
+    assert type(also_three.coeffs[T110]) is Fraction
+    assert three == also_three
+    assert three.to_json() == also_three.to_json()
+    assert repr(three) == repr(also_three)
+    c = corolla_series(5)
+    assert all(type(v) is int for v in ((-1) * c).coeffs.values())
+    assert all(type(v) is Fraction for v in (Fraction(1, 2) * c).coeffs.values())
+
+
+def test_integer_operands_give_integer_results():
+    n = 6
+    c, ladder = corolla_series(n), ladder_series(n)
+    inv = series_inverse(c)
+    assert inv == ladder
+    assert all(type(v) is int for v in inv.coeffs.values())
+    for out in (lie_bracket(c, ladder), series_graft(c, ladder), series_multiply(c, ladder)):
+        assert out.coeffs and all(type(v) is int for v in out.coeffs.values())
+    # the engine divides by the operands' denominators: zeta's stay Fractions
+    z = zeta_series(8)
+    assert all(type(v) is Fraction for v in series_multiply(z, z).coeffs.values())
+
+
 def test_multiply_requires_group_elements():
     bad = TreeSeries(3, {T10: 1})
     with pytest.raises(ValueError, match="group element"):
@@ -200,6 +227,19 @@ def test_jacobi_on_homogeneous_elements():
                + lie_bracket(y, lie_bracket(z, x))
                + lie_bracket(z, lie_bracket(x, y)))
         assert jac == zero
+
+
+def test_bracket_is_homogeneous_in_each_operand():
+    # with the antisymmetry the Jacobi check asserts, this lets the check
+    # take [x, [z, y]] as -[x, [y, z]]
+    rng = random.Random(7)
+    operands = ([TreeSeries(8, {t: 1}) for n in range(1, 5) for t in enumerate_trees(n)]
+                + [random_group_element(rng, 5) for _ in range(3)])
+    for x in operands:
+        for y in operands:
+            minus = (-1) * lie_bracket(x, y)
+            assert lie_bracket(x, (-1) * y) == minus
+            assert lie_bracket((-1) * x, y) == minus
 
 
 # --- membership in the incidence spectrum --------------------------------------------

@@ -1,6 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from naphopf.series import lie_bracket, mobius_series, zeta_series
+from naphopf.series import lie_bracket, mobius_series, series_graft, zeta_series
 from naphopf import checks, oracles
 from naphopf.checks import BRUTE_CAP
 from naphopf.oracles import (
@@ -75,6 +80,48 @@ def test_jacobi_check_catches_an_antisymmetric_bracket(monkeypatch):
     assert checks._series_lie(4, None) == ""
     monkeypatch.setattr(checks, "lie_bracket", skewed)
     assert checks._series_lie(4, None) == "jacobi"
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_jacobi_check_catches_the_graft_commutator(monkeypatch, degree):
+    # s◁t - t◁s is bilinear and antisymmetric, but the graft is not pre-Lie,
+    # so its commutator is no Lie bracket; the check's reuse of [x, [y, z]]
+    # as -[x, [z, y]] must not hide that
+    def graft_commutator(a, b):
+        return series_graft(a, b) - series_graft(b, a)
+
+    monkeypatch.setattr(checks, "lie_bracket", graft_commutator)
+    assert checks._series_lie(degree, None) == "jacobi"
+
+
+def test_jacobi_check_does_no_fraction_arithmetic():
+    # a guard on work, not on time, in a fresh interpreter: the check's basis
+    # elements have coefficient 1, so every bracket runs on ints; calls of
+    # Fraction.__new__ and lie_bracket are counted by a profile hook
+    code = (
+        "import json, random, sys\n"
+        "from fractions import Fraction\n"
+        "from naphopf import checks, series\n"
+        "watched = {Fraction.__new__.__code__: 'Fraction.__new__',\n"
+        "           series.lie_bracket.__code__: 'lie_bracket'}\n"
+        "calls = dict.fromkeys(watched.values(), 0)\n"
+        "def count(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code in watched:\n"
+        "        calls[watched[frame.f_code]] += 1\n"
+        "sys.setprofile(count)\n"
+        "witness = checks._series_lie(4, random.Random(0))\n"
+        "sys.setprofile(None)\n"
+        "print(json.dumps([witness, calls]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    witness, calls = json.loads(out.stdout)
+    assert witness == ""
+    # 8 self-brackets, 64 inner brackets, and one outer bracket for each of
+    # the 8 * 36 pairs of a basis element and an unordered inner pair
+    assert calls == {"Fraction.__new__": 0, "lie_bracket": 8 + 64 + 8 * 36}
 
 
 def test_timings_stay_out_of_the_default_report():
