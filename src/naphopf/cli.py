@@ -27,7 +27,7 @@ from .series import (
     unit_series,
     zeta_series,
 )
-from .trees import TREE_TABLE, enumerate_trees, parse_tree
+from .trees import enumerate_trees, parse_tree, stats
 from .verify import run_suite, suite_names
 
 NAMED_SERIES = {
@@ -200,7 +200,7 @@ def _cmd_verify(args) -> int:
     if args.timings:
         print(report.render_timings(), file=sys.stderr)
         print("tree table: " + ", ".join(f"{n} {name}" for name, n in
-                                         TREE_TABLE.stats().items()), file=sys.stderr)
+                                         stats().items()), file=sys.stderr)
     _emit(report.to_dict(include_timings=args.timings))
     return 0 if report.passed else 1
 

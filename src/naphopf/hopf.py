@@ -14,7 +14,7 @@
   are the ideals: a cut prunes the branches of the ideal's components.
 
 All three coproducts and all three antipodes are read off one table, the
-root-containing ideals of :meth:`naphopf.trees.TreeTable.ideals`, which
+root-containing ideals of :func:`naphopf.trees.ideals`, which
 works on interned tree ids with integer counts; the ``qgnap`` constants are
 its counts under the paper's main theorem.  Trees and forests are built
 only when a result is handed out.  The oracles
@@ -22,9 +22,9 @@ only when a result is handed out.  The oracles
 subsets, the labeled composition route and the brute-force orbit counts)
 live in :mod:`naphopf.oracles`.
 
-A memo keyed by values is an ``lru_cache``; one keyed by tree ids, such as
-the per-tree antipodes, is a field of ``TREE_TABLE``, which ``clear()``
-empties in place.  The ids themselves live for the process, like the trees.
+A memo keyed by values is an ``lru_cache``; id-keyed memos, such as the
+per-tree antipodes, are dicts in :mod:`naphopf.trees`; ``trees.clear()``
+empties them.  The ids themselves live for the process, like the trees.
 
 Coefficients are exact, under one rule: an ``int`` stays an ``int`` and any
 other number becomes a ``Fraction``.  Every coproduct and antipode
@@ -42,7 +42,8 @@ from functools import lru_cache, partial
 from math import prod
 from types import MappingProxyType
 
-from .trees import Forest, LEAF, NO_GRAFTS, TREE_TABLE, RootedTree, aut_order
+from .trees import (ANTIPODES, AUTS, GRAFTS, KIDS, LEAF, NO_GRAFTS, SIZES, TREES, Forest,
+                    RootedTree, aut_order, graft, ideals, node)
 
 
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
@@ -263,16 +264,14 @@ def tensor_map(te: TensorElement, left: BasisMap, right: BasisMap) -> TensorElem
 def hnap_coproduct(t: RootedTree) -> TensorElement:
     """Coproduct of F_[t]: sum over ideals of branch-forest (x) restriction.
 
-    Each row (beta, gamma) of :meth:`~naphopf.trees.TreeTable.ideals` gives
+    Each row (beta, gamma) of :func:`~naphopf.trees.ideals` gives
     F_[beta_1] ... F_[beta_m] (x) F_[gamma], and the product merges root
     branches: it is the first component with the other components'
     branches grafted on (the unit F_[•] when beta is all single vertices).
     """
-    table = TREE_TABLE
-    trees, kids, grafts, graft = table.trees, table.kids, table.grafts, table.graft
-    leaf = LEAF.id
+    trees, kids, grafts, leaf = TREES, KIDS, GRAFTS, LEAF.id
     out: dict = {}
-    for (b, g), c in table.ideals(t.id).items():
+    for (b, g), c in ideals(t.id).items():
         m = b[0] if b else leaf
         for j in b[1:]:
             for k in kids[j]:
@@ -291,13 +290,12 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
     beta whose composition into a representative of gamma has class alpha.
     Keys carry the full multiset beta, single-vertex components included.
     The paper's main theorem gives it from the incidence constant f, the
-    count of :meth:`~naphopf.trees.TreeTable.ideals`:
+    count of :func:`~naphopf.trees.ideals`:
     aut(alpha) aut0(beta) g = forest_aut(beta) aut(gamma) f, where
     forest_aut(beta) / aut0(beta) is the product of the automorphism orders
     of the components of beta.  The mapping is cached and read-only.
     """
-    table = TREE_TABLE
-    trees, sizes = table.trees, table.sizes
+    trees, sizes = TREES, SIZES
     out: dict[tuple[Forest, RootedTree], int] = {}
     for b, g, c in _g_rows(alpha.id):
         beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
@@ -308,12 +306,11 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
 def _g_rows(i: int) -> list[tuple[tuple[int, ...], int, int]]:
     # (ids of the components of beta with >= 2 vertices, id of gamma, g) for
     # each row of the ideal table of tree i, weighted by the main theorem
-    table = TREE_TABLE
-    if table.sizes[i] < 2:
+    if SIZES[i] < 2:
         raise ValueError("generators are attached to trees of size >= 2")
-    auts = table.auts
+    auts = AUTS
     out = []
-    for (b, g), f in table.ideals(i).items():
+    for (b, g), f in ideals(i).items():
         for j in b:
             f *= auts[j]
         out.append((b, g, f * auts[g] // auts[i]))
@@ -326,9 +323,9 @@ def _g_rows(i: int) -> list[tuple[tuple[int, ...], int, int]]:
 def _ck_rows(j: int) -> Iterable[tuple[list[int], int | None, int]]:
     # t (x) 1, then pruned forest (x) trunk for every admissible cut: an
     # ideal's cut prunes the branches of its components
-    kids = TREE_TABLE.kids
+    kids = KIDS
     yield [j], None, 1
-    for (b, g), c in TREE_TABLE.ideals(j).items():
+    for (b, g), c in ideals(j).items():
         yield [k for v in b for k in kids[v]], g, c
 
 
@@ -341,8 +338,7 @@ def _qgnap_rows(j: int) -> Iterable[tuple[tuple[int, ...], int | None, int]]:
 
 def _rows_coproduct(algebra: str, rows: Callable, t: RootedTree) -> TensorElement:
     # the rows of tree t as a read-only tensor of forests
-    table = TREE_TABLE
-    trees, unit = table.trees, Forest()
+    trees, unit = TREES, Forest()
     out: dict = {}
     for a, r, c in rows(t.id):
         key = (Forest([trees[k] for k in a]), unit if r is None else Forest((trees[r],)))
@@ -409,7 +405,7 @@ def _tree_antipode(i: int, rows: Callable) -> dict:
     # S(t) = -t - sum c S(a) r over the rows a (x) r of t with neither side
     # the unit.  The trees of a are smaller than t, so they are done first,
     # on an explicit stack.
-    memo = TREE_TABLE.antipodes.setdefault(rows, {})
+    memo = ANTIPODES.setdefault(rows, {})
     stack = [i]
     while stack:
         j = stack[-1]
@@ -433,7 +429,7 @@ def _tree_antipode(i: int, rows: Callable) -> dict:
 
 def _forest_antipode(algebra: str, rows: Callable, f: Forest) -> HopfElement:
     # the antipode is multiplicative: the product of the trees' antipodes
-    trees = TREE_TABLE.trees
+    trees = TREES
     s = _id_product(_tree_antipode(t.id, rows) for t in f.components)
     return HopfElement._from_counts(algebra, {Forest(trees[k] for k in u): c
                                               for u, c in s.items()})
@@ -442,10 +438,8 @@ def _forest_antipode(algebra: str, rows: Callable, f: Forest) -> HopfElement:
 def _hnap_antipode(t: RootedTree) -> HopfElement:
     # the ck antipode of the branch forest, carried back by B+: the tree
     # whose root has the children u
-    table = TREE_TABLE
-    s = _id_product(_tree_antipode(k, _ck_rows) for k in table.kids[t.id])
-    return HopfElement._from_counts("hnap", {table.trees[table.node(u)]: c
-                                             for u, c in s.items()})
+    s = _id_product(_tree_antipode(k, _ck_rows) for k in KIDS[t.id])
+    return HopfElement._from_counts("hnap", {TREES[node(u)]: c for u, c in s.items()})
 
 
 # ---------------------------------------------------------------------------

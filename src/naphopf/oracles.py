@@ -41,11 +41,12 @@ from .posets import IntervalPoset, interval_of
 from .series import TreeSeries, ordered_tuples
 from .trees import (
     LEAF,
-    TREE_TABLE,
+    TREES,
     Forest,
     RootedTree,
     enumerate_forests_with_components,
     enumerate_trees,
+    graft,
 )
 
 Label = Hashable
@@ -466,7 +467,6 @@ def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree]) -> RootedTree
     inner = tuple(inner)
     if len(inner) != outer.size:
         raise ValueError("need one inner tree per vertex of the outer tree")
-    table = TREE_TABLE
     # parent[v] is the BFS position of the parent of the vertex at position v
     order, parent = [outer], [-1]
     for v, node in enumerate(order):
@@ -477,8 +477,8 @@ def compose_shapes(outer: RootedTree, inner: Sequence[RootedTree]) -> RootedTree
     # each composed subtree only once it is complete
     comp = [t.id for t in inner]
     for v in range(len(order) - 1, 0, -1):
-        comp[parent[v]] = table.graft(comp[parent[v]], comp[v])
-    return table.trees[comp[0]]
+        comp[parent[v]] = graft(comp[parent[v]], comp[v])
+    return TREES[comp[0]]
 
 
 def slot_compositions(s: RootedTree, t: RootedTree) -> tuple[tuple[RootedTree, int], ...]:
@@ -1155,7 +1155,7 @@ def _hnap_coproduct_by_ideals(t: RootedTree) -> TensorElement:
 # ---------------------------------------------------------------------------
 # the series product by the labeled route: substitute into a labeled
 # representative with nap_compose and take the shape.  It shares nothing
-# with the graft engine of trees.TreeTable, so it serves as its oracle.
+# with the graft engine of naphopf.trees, so it serves as its oracle.
 
 
 def _compose_labeled(outer: RootedTree, inner, representative) -> RootedTree:

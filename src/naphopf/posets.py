@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import groupby, product as cartesian
 from math import comb, prod
 
-from .trees import Forest, RootedTree, TREE_TABLE
+from .trees import KIDS, TREES, Forest, RootedTree, node, subtrees
 
 
 class IntervalPoset:
@@ -50,15 +50,14 @@ class IntervalPoset:
                  "forests", "thetas")
 
     def __init__(self, tree: RootedTree) -> None:
-        table = TREE_TABLE
-        node, trees = table.node, table.trees
+        trees = TREES
         # a BFS of t over the child ids: shape[v - 1] is the id of the
         # subtree below label v, and labels[v - 1] the labels of its children
         shape = [tree.id]
         labels = []
         for i in shape:
             first = len(shape) + 1
-            shape.extend(table.kids[i])
+            shape.extend(KIDS[i])
             labels.append(range(first, len(shape) + 1))
         # the ideals of the subtree below v, as rows (restriction id, v, id
         # of the branch component at v, rows of the kept children)
@@ -120,8 +119,8 @@ def _children_first(t: RootedTree, value) -> dict:
     # value(child ids, values so far) for every distinct subtree id of t,
     # children first in id order, so a deep tree needs no Python stack
     out: dict = {}
-    for j in TREE_TABLE.subtrees(t.id, ()):
-        out[j] = value(TREE_TABLE.kids[j], out)
+    for j in subtrees(t.id, ()):
+        out[j] = value(KIDS[j], out)
     return out
 
 
@@ -135,7 +134,7 @@ def ideal_count(t: RootedTree) -> int:
 def ideal_orbit_count(t: RootedTree) -> int:
     """The number of root-containing ideals up to automorphism, summed over
     the distinct subtrees of t: a bound on the rows that
-    ``TreeTable.ideals`` stores for t, and equal to them on chains.
+    :func:`naphopf.trees.ideals` stores for t, and equal to them on chains.
 
     A subtree whose root has m equal branches of class c, each with o
     ideal classes, takes one of C(o + m, m) multisets of "cut off or one of

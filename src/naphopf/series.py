@@ -21,12 +21,15 @@ from operator import itemgetter
 from .hopf import HopfElement
 from .trees import (
     LEAF,
-    TREE_TABLE,
+    SIZES,
+    TREES,
     RootedTree,
     aut_order,
     chain,
     corolla,
     enumerate_trees,
+    parse_tree,
+    substitute,
 )
 
 
@@ -97,8 +100,6 @@ class TreeSeries:
     def from_json(cls, data: dict) -> "TreeSeries":
         """Inverse of :meth:`to_json`.  Data of another shape raises
         ValueError naming the offending field."""
-        from .trees import parse_tree
-
         if not isinstance(data, dict):
             raise ValueError("series JSON must be an object")
         truncation, coeffs = data.get("truncation"), data.get("coeffs")
@@ -107,8 +108,13 @@ class TreeSeries:
         if not (isinstance(coeffs, dict) and all(
                 isinstance(k, str) and type(c) in (int, str) for k, c in coeffs.items())):
             raise ValueError("series field 'coeffs' must map tree strings to rationals")
+        parsed, spellings = {}, {}
         try:
-            parsed = {parse_tree(k): Fraction(c) for k, c in coeffs.items()}
+            for k, c in coeffs.items():
+                t = parse_tree(k)
+                if t in spellings:  # one coefficient would silently replace the other
+                    raise ValueError(f"{spellings[t]!r} and {k!r} name the same tree")
+                spellings[t], parsed[t] = k, Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"series field 'coeffs': {exc}") from None
         return cls(truncation, parsed)
@@ -165,7 +171,6 @@ def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict,
     # D_a and scale are 1 that divisor is 1 and the class is its int count.
     # The entries are read at the budgets of n whatever the degree, so every
     # degree shares them
-    table = TREE_TABLE
     da = lcm(*(c.denominator for c in a.values()))
     low, high = (1, n) if degree is None else (degree, degree)
     acc: dict = {}
@@ -173,8 +178,8 @@ def _substituted(a: dict, pool: list, scale: int, n: int, memo: dict,
     # its largest budget, and not built again for a larger one
     for t, at in sorted(a.items(), key=lambda kv: kv[0].size):
         if t.size <= high:
-            table.substitute(t.id, pool, n, memo, acc,
-                             at.numerator * (da // at.denominator), low, high)
+            substitute(t.id, pool, n, memo, acc,
+                       at.numerator * (da // at.denominator), low, high)
     return _divided(acc, da, scale)
 
 
@@ -184,7 +189,7 @@ def _divided(acc: dict, d: int, scale: int) -> dict:
     # divisor is 1 for every class, that is when d and scale are 1
     if d == scale == 1:
         return {u: c for u, c in acc.items() if c}
-    sizes = TREE_TABLE.sizes
+    sizes = SIZES
     return {u: Fraction(c, d * scale ** sizes[u]) for u, c in acc.items() if c}
 
 
@@ -194,7 +199,7 @@ def series_multiply(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     The coefficient of a class c collects, over every tree t in the support
     of a and every assignment of support trees of b to the vertices of t,
     the product of the coefficients whose composition lands in c.  It is
-    computed by the graft recursion of :class:`~naphopf.trees.TreeTable`
+    computed by the graft recursion of :func:`~naphopf.trees.substitute`
     on interned tree ids, in ints: b_s is scaled by D**|s| for a D that
     clears b's denominators and a_t by the lcm D_a of a's, so every term
     landing on c carries D_a * D**|c| and each class is divided once.  The
@@ -205,7 +210,7 @@ def series_multiply(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     n = min(a.truncation, b.truncation)
     scale = _graded_scale(n, b)
     out = _substituted(a.coeffs, _scaled_pool(b, n, scale), scale, n, {})
-    return TreeSeries(n, {TREE_TABLE.trees[u]: c for u, c in out.items()})
+    return TreeSeries(n, {TREES[u]: c for u, c in out.items()})
 
 
 def series_inverse(a: TreeSeries) -> TreeSeries:
@@ -220,14 +225,13 @@ def series_inverse(a: TreeSeries) -> TreeSeries:
     """
     _require_group(a)
     n = a.truncation
-    table = TREE_TABLE
     scale = _graded_scale(n, a)
     pool = _scaled_pool(a, n, scale)
     memo: dict = {}
     inv = {LEAF: 1}
     for d in range(2, n + 1):
         for u, c in _substituted(inv, pool, scale, n, memo, d).items():
-            inv[table.trees[u]] = -c
+            inv[TREES[u]] = -c
     if _substituted(inv, pool, scale, n, memo) != {LEAF.id: 1}:
         raise ArithmeticError("left inverse failed to verify")
     del memo  # the check below is a product with its own pool and memo
@@ -257,7 +261,7 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
 
     s∘t is the one-insertion layer of substitution.  For each size m >= 2
     of the right operand's support, one memo serves every left tree s with
-    |s| + m - 1 <= N, and one :meth:`~naphopf.trees.TreeTable.substitute`
+    |s| + m - 1 <= N, and one :func:`~naphopf.trees.substitute`
     call puts the pool of the single vertex and the size-m trees into s,
     reading only the classes of size |s| + m - 1: two insertions would need
     |s| + 2m - 2 vertices.  s∘1 = |s| s needs no engine.  In ints: with one
@@ -268,7 +272,6 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     result's coefficients are the ints themselves.
     """
     n = min(a.truncation, b.truncation)
-    table = TREE_TABLE
     scale = _graded_scale(n, a, b)
     dab = lcm(*(c.denominator for x in (a, b) for c in x.coeffs.values()))
     acc: dict = {}
@@ -282,8 +285,8 @@ def lie_bracket(a: TreeSeries, b: TreeSeries) -> TreeSeries:
                 if m == 1:  # s∘1 = |s| s, y_1 D being the pool's second term
                     acc[s] = acc.get(s, 0) + w * size * pool[1][2] * scale ** (size - 1)
                 elif top <= n:
-                    table.substitute(s, pool, top, memo, acc, w, top, top)
-    return TreeSeries(n, {table.trees[u]: c for u, c in _divided(acc, dab, scale).items()})
+                    substitute(s, pool, top, memo, acc, w, top, top)
+    return TreeSeries(n, {TREES[u]: c for u, c in _divided(acc, dab, scale).items()})
 
 
 def zeta_series(n: int) -> TreeSeries:

@@ -11,6 +11,34 @@ interned.  Interned trees, with their ids, and forests live for the whole
 process.  Labeled trees, their enumeration and composition, and the two
 set-operads built on them serve only as oracles and live in
 :mod:`naphopf.oracles`.
+
+The tree table is this module.  ``TREES[i]`` is the one instance of tree
+i, and ``SIZES``, ``KIDS`` (the ids of its children in canonical child
+order) and ``AUTS`` (its automorphism order) are what the engines read of
+it; each list grows by one entry per tree built.  A tree's children are
+built before it, so each child id is smaller than its parent's, and
+:func:`subtrees` lists a tree's subtrees children first by sorting their
+ids.  :func:`node` finds a tree from its children's ids in the one intern
+dict, and sorts and constructs it only if it was never built.  Nothing is
+enumerated in advance.
+
+Substituting into a tree is the B-series recursion (Butcher 1972;
+Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
+a tree x at the root of B(t_1..t_k) and composing each branch gives
+x ◁ S(t_1) ◁ ... ◁ S(t_k), so S(B(t_1..t_k)) = S(p) ◁ S(t_k) for the
+prefix tree p = B(t_1..t_{k-1}), which has an id too.  :func:`substitute`
+keeps one memo entry per tree read as a prefix or a last branch, its
+composed classes sorted by size, and a size budget prunes every graft
+whose result could not fit.  Products, inverses and the Lie bracket all
+run on it.  The coefficients are ints: the series layer scales rational
+ones to integers first (see :func:`naphopf.series.series_multiply`).  The
+root-containing ideals of a tree, which give all three coproducts, are
+tabled the same way, by id and with integer counts: see :func:`ideals`.
+
+Id-keyed memos are dicts in this module (``GRAFTS``, ``IDEAL_ROWS``,
+``ANTIPODES``); memos keyed by values are ``lru_cache``s on pure
+functions, such as the spellings of :func:`parse_tree`.  :func:`clear`
+empties the dicts in place, and the spelling cache with them.
 """
 
 from __future__ import annotations
@@ -54,10 +82,10 @@ class _Interned:
 # every tree built in this process, by id, and what the engines read of
 # tree i: its size, the ids of its children in canonical child order and
 # its automorphism order
-_BY_ID: list["RootedTree"] = []
-_SIZES: list[int] = []
-_KIDS: list[tuple[int, ...]] = []
-_AUTS: list[int] = []
+TREES: list["RootedTree"] = []
+SIZES: list[int] = []
+KIDS: list[tuple[int, ...]] = []
+AUTS: list[int] = []
 # the intern dict: the id of every tree built, by the sorted tuple of its
 # child ids
 _BY_KIDS: dict[tuple[int, ...], int] = {}
@@ -70,7 +98,7 @@ class RootedTree(_Interned):
     ascending by (size, string).  ``RootedTree(children)`` returns the one
     instance of its shape, so two trees are equal, and the same object,
     exactly when their canonical strings are equal.  ``id`` is the next
-    free int when the tree is built, so ``TREE_TABLE.trees[t.id] is t``.
+    free int when the tree is built, so ``TREES[t.id] is t``.
     Trees and their ids live for the whole process, and trees must not be
     mutated.
     """
@@ -80,7 +108,7 @@ class RootedTree(_Interned):
     def __new__(cls, children: Iterable["RootedTree"] = ()) -> "RootedTree":
         key = tuple(sorted([c.id for c in children]))
         i = _BY_KIDS.get(key)
-        return _new_tree(key) if i is None else _BY_ID[i]
+        return _new_tree(key) if i is None else TREES[i]
 
     def __reduce__(self):
         # parsing is not recursive, so deep trees pickle too
@@ -108,7 +136,7 @@ def _new_tree(key: tuple[int, ...]) -> RootedTree:
     # the one place a tree is made, on a miss of the intern dict: the first
     # instance of the tree whose root has the children with the sorted ids
     # key.  Trees are built from one thread at a time
-    kids = tuple(sorted([_BY_ID[k] for k in key], key=_key))
+    kids = tuple(sorted([TREES[k] for k in key], key=_key))
     ids = tuple([c.id for c in kids])
     # aut is m! aut(c)^m over each run of m equal children, which are
     # adjacent: the j-th child of a run brings j aut(c)
@@ -116,20 +144,20 @@ def _new_tree(key: tuple[int, ...]) -> RootedTree:
     for k in ids:
         m = m + 1 if k == last else 1
         last = k
-        aut *= m * _AUTS[k]
+        aut *= m * AUTS[k]
     t = object.__new__(RootedTree)
     t.children = kids
     t.size = 1 + sum([c.size for c in kids])
     t.string = "(%s)" % "".join([c.string for c in kids])
-    t.id = _BY_KIDS[key] = len(_BY_ID)
-    _BY_ID.append(t)
-    _SIZES.append(t.size)
-    _KIDS.append(key if key == ids else ids)
-    _AUTS.append(aut)
+    t.id = _BY_KIDS[key] = len(TREES)
+    TREES.append(t)
+    SIZES.append(t.size)
+    KIDS.append(key if key == ids else ids)
+    AUTS.append(aut)
     return t
 
 
-def _node(kids: Iterable[int]) -> int:
+def node(kids: Iterable[int]) -> int:
     """The id of the tree whose root has the children with ids ``kids``,
     in any order; the tree is constructed only if it was never built."""
     key = tuple(sorted(kids))
@@ -175,7 +203,7 @@ def parse_tree(text: str) -> RootedTree:
     constructed again.  The ``lru_cache`` keys on the exact text,
     whitespace included, so a spelling parsed before costs one lookup;
     it does not store exceptions, so malformed text raises on every call.
-    ``TREE_TABLE.clear()`` empties it.
+    :func:`clear` empties it.
     """
     s = text.strip()
     # a literal made of parentheses only, as many '(' as ')'; anything else
@@ -193,13 +221,13 @@ def parse_tree(text: str) -> RootedTree:
                 stack.append(kids)
                 kids = []
             elif stack:
-                i = _node(kids)
+                i = node(kids)
                 kids = stack.pop()
                 kids.append(i)
             else:  # the root closed before the end
                 break
         else:
-            return _BY_ID[_node(kids)]
+            return TREES[node(kids)]
     _raise_syntax_error(text)
 
 
@@ -353,7 +381,7 @@ def aut_order(t: RootedTree) -> int:
     mult(c)! * aut(c)^mult(c); it is evaluated once, when t is built, from
     its children's orders.
     """
-    return _AUTS[t.id]
+    return AUTS[t.id]
 
 
 def aut0_order(f: Forest) -> int:
@@ -372,263 +400,227 @@ def forest_aut_order(f: Forest) -> int:
     return out
 
 
-# the row of TreeTable.grafts of a tree that has none yet, for reading
-# ``grafts.get(i, NO_GRAFTS).get(j)`` in one line (never filled)
+# the memos keyed by tree ids, filled on first use: the graft map
+# GRAFTS[i][j] = id(s ◁ t) for the ids i of s and j of t, the rows of
+# ideals() by tree id, and the antipode of each id for each row source of
+# naphopf.hopf
+GRAFTS: dict[int, dict[int, int]] = {}
+IDEAL_ROWS: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
+ANTIPODES: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
+# the row of GRAFTS of a tree that has none yet, for reading
+# ``GRAFTS.get(i, NO_GRAFTS).get(j)`` in one line (never filled)
 NO_GRAFTS: MappingProxyType = MappingProxyType({})
 
 
-class TreeTable:
-    """The NAP composition engine on tree ids, and its memos keyed by ids.
+def clear() -> None:
+    """Empty every memo keyed by tree ids in place, and the spelling cache
+    of :func:`parse_tree`; ids, like trees, stay."""
+    for memo in (GRAFTS, IDEAL_ROWS, ANTIPODES):
+        memo.clear()
+    parse_tree.cache_clear()
 
-    Every tree has its id from the moment it is built (see
-    :class:`RootedTree`).  ``trees[i]`` is the one instance of tree i, and
-    ``sizes``, ``kids`` (the ids of its children in canonical child order)
-    and ``auts`` (its automorphism order) are what the engines read of it.
-    These lists are process-wide, shared by every table, and grow by one
-    entry per tree built; so do the ids, which live for the process like
-    the trees.  A tree's children are built before it, so each child id is
-    smaller than its parent's, and :meth:`subtrees` lists a tree's subtrees
-    children first by sorting their ids.  :meth:`node` finds a tree from
-    its children's ids in the one intern dict, and sorts and constructs it
-    only if it was never built.  The graft map ``grafts[i][j] = id(s ◁ t)``
-    is filled on first use.  Nothing is enumerated in advance;
-    :meth:`stats` counts the trees built and the memo entries.
 
-    Substituting into a tree is the B-series recursion (Butcher 1972;
-    Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
-    a tree x at the root of B(t_1..t_k) and composing each branch gives
-    x ◁ S(t_1) ◁ ... ◁ S(t_k), so S(B(t_1..t_k)) = S(p) ◁ S(t_k) for the
-    prefix tree p = B(t_1..t_{k-1}), which has an id too.
-    :meth:`substitute` keeps one memo entry per tree read as a prefix or a
-    last branch, its composed classes sorted by size, and a size budget
-    prunes every graft whose result could not fit.  Products, inverses and
-    the Lie bracket all run on it.  The coefficients are ints: the series
-    layer scales rational ones to integers first (see
-    :func:`naphopf.series.series_multiply`).
+def stats() -> dict[str, int]:
+    """Entry counts: trees built in the process, graft-map entries, rows
+    of the ideal table, per-tree antipodes and memoized spellings."""
+    return {"trees": len(TREES), "grafts": sum(map(len, GRAFTS.values())),
+            "ideal_rows": sum(map(len, IDEAL_ROWS.values())),
+            "antipodes": sum(map(len, ANTIPODES.values())),
+            "spellings": parse_tree.cache_info().currsize}
 
-    The root-containing ideals of a tree, which give all three coproducts,
-    are tabled the same way, by id and with integer counts: see
-    :meth:`ideals`; ``antipodes`` holds the antipode of each id for each
-    row source of :mod:`naphopf.hopf`.  Every memo keyed by tree ids is a
-    field of the table; memos keyed by values are ``lru_cache``s on pure
-    functions, such as the spellings of :func:`parse_tree`.  :meth:`clear`
-    empties the table's memos in place, and the spelling cache with them.
+
+def subtrees(i: int, done: Container[int]) -> list[int]:
+    """The ids of the distinct subtrees of tree i not in ``done``,
+    ascending: children first, as a child is built before its parent.
+    The walk does not enter a subtree in ``done``, whose own subtrees
+    are taken to be done too."""
+    out, todo = set(), [i]
+    while todo:
+        j = todo.pop()
+        if j not in out and j not in done:
+            out.add(j)
+            todo.extend(KIDS[j])
+    return sorted(out)
+
+
+def graft(i: int, j: int) -> int:
+    """The id of s ◁ t, where i and j are the ids of s and t."""
+    row = GRAFTS.get(i)
+    if row is None:
+        row = GRAFTS[i] = {}
+    g = row.get(j)
+    if g is None:
+        g = row[j] = node(KIDS[i] + (j,))
+    return g
+
+
+def ideals(i: int) -> dict:
+    """The root-containing ideals S of tree i, as {(beta, gamma): count}.
+
+    S writes the tree as gamma, its restriction to S, composed with one
+    component beta_v at each v in S: v and its branches outside S.
+    ``beta`` is the sorted tuple of the ids of the components with two
+    vertices or more (the other |gamma| - len(beta) are single
+    vertices); the count is the incidence structure constant f.
+
+    Each branch k of the root either hangs whole in the root's
+    component, or joins S through a row of k's own table.  The subtrees
+    are filled in id order (:func:`subtrees`), so children first and
+    with no recursion: the depth of a tree is not bounded by the
+    recursion limit.
     """
-
-    __slots__ = ("grafts", "ideal_table", "antipodes")
-    trees, sizes, kids, auts = _BY_ID, _SIZES, _KIDS, _AUTS
-
-    def __init__(self) -> None:
-        self.grafts: dict[int, dict[int, int]] = {}
-        self.ideal_table: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
-        self.antipodes: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
-
-    def clear(self) -> None:
-        """Empty every memo of the table in place, and the spelling cache of
-        :func:`parse_tree`; ids, like trees, stay."""
-        for memo in (self.grafts, self.ideal_table, self.antipodes):
-            memo.clear()
-        parse_tree.cache_clear()
-
-    def stats(self) -> dict[str, int]:
-        """Entry counts: trees built in the process, graft-map entries, rows
-        of the ideal table, per-tree antipodes and memoized spellings."""
-        return {"trees": len(self.trees), "grafts": sum(map(len, self.grafts.values())),
-                "ideal_rows": sum(map(len, self.ideal_table.values())),
-                "antipodes": sum(map(len, self.antipodes.values())),
-                "spellings": parse_tree.cache_info().currsize}
-
-    node = staticmethod(_node)
-
-    def subtrees(self, i: int, done: Container[int]) -> list[int]:
-        """The ids of the distinct subtrees of tree i not in ``done``,
-        ascending: children first, as a child is built before its parent.
-        The walk does not enter a subtree in ``done``, whose own subtrees
-        are taken to be done too."""
-        out, todo = set(), [i]
-        while todo:
-            j = todo.pop()
-            if j not in out and j not in done:
-                out.add(j)
-                todo.extend(self.kids[j])
-        return sorted(out)
-
-    def graft(self, i: int, j: int) -> int:
-        """The id of s ◁ t, where i and j are the ids of s and t."""
-        row = self.grafts.get(i)
-        if row is None:
-            row = self.grafts[i] = {}
-        g = row.get(j)
-        if g is None:
-            g = row[j] = self.node(self.kids[i] + (j,))
-        return g
-
-    def ideals(self, i: int) -> dict:
-        """The root-containing ideals S of tree i, as {(beta, gamma): count}.
-
-        S writes the tree as gamma, its restriction to S, composed with one
-        component beta_v at each v in S: v and its branches outside S.
-        ``beta`` is the sorted tuple of the ids of the components with two
-        vertices or more (the other |gamma| - len(beta) are single
-        vertices); the count is the incidence structure constant f.
-
-        Each branch k of the root either hangs whole in the root's
-        component, or joins S through a row of k's own table.  The subtrees
-        are filled in id order (:meth:`subtrees`), so children first and
-        with no recursion: the depth of a tree is not bounded by the
-        recursion limit.
-        """
-        table = self.ideal_table
-        rows = table.get(i)
-        if rows is not None:
-            return rows
-        grafts, graft, kids_of, leaf = self.grafts, self.graft, self.kids, LEAF.id
-        for j in self.subtrees(i, table):
-            kids = kids_of[j]
-            # (beta so far, the root's component so far, gamma so far)
-            states: dict = {((), leaf, leaf): 1}
-            for k in kids:
-                below, grown = table[k], {}
-                for (b, rc, g), c in states.items():
-                    r = grafts.get(rc, NO_GRAFTS).get(k)
-                    key = (b, graft(rc, k) if r is None else r, g)
-                    grown[key] = grown.get(key, 0) + c
-                    for (b2, g2), c2 in below.items():
-                        r = grafts.get(g, NO_GRAFTS).get(g2)
-                        key = (tuple(sorted(b + b2)) if b and b2 else b or b2,
-                               rc, graft(g, g2) if r is None else r)
-                        grown[key] = grown.get(key, 0) + c * c2
-                states = grown
-            rows = {}
+    table = IDEAL_ROWS
+    rows = table.get(i)
+    if rows is not None:
+        return rows
+    grafts, kids_of, leaf = GRAFTS, KIDS, LEAF.id
+    for j in subtrees(i, table):
+        kids = kids_of[j]
+        # (beta so far, the root's component so far, gamma so far)
+        states: dict = {((), leaf, leaf): 1}
+        for k in kids:
+            below, grown = table[k], {}
             for (b, rc, g), c in states.items():
-                key = (tuple(sorted(b + (rc,))) if rc != leaf else b, g)
-                rows[key] = rows.get(key, 0) + c
-            table[j] = rows
-        return table[i]
+                r = grafts.get(rc, NO_GRAFTS).get(k)
+                key = (b, graft(rc, k) if r is None else r, g)
+                grown[key] = grown.get(key, 0) + c
+                for (b2, g2), c2 in below.items():
+                    r = grafts.get(g, NO_GRAFTS).get(g2)
+                    key = (tuple(sorted(b + b2)) if b and b2 else b or b2,
+                           rc, graft(g, g2) if r is None else r)
+                    grown[key] = grown.get(key, 0) + c * c2
+            states = grown
+        rows = {}
+        for (b, rc, g), c in states.items():
+            key = (tuple(sorted(b + (rc,))) if rc != leaf else b, g)
+            rows[key] = rows.get(key, 0) + c
+        table[j] = rows
+    return table[i]
 
-    def substitute(self, t: int, pool: list, budget: int, memo: dict, acc: dict,
-                   weight: int, low: int, high: int) -> None:
-        """Every vertex of tree t substituted by a tree of ``pool``.
 
-        Adds ``weight`` times each composed class of size ``low..high``
-        (``high`` at most ``budget``) to ``acc``, weighted by the product
-        of the pool coefficients.  ``pool`` is a list of
-        ``(size, id, coeff)`` sorted by size.
+def substitute(t: int, pool: list, budget: int, memo: dict, acc: dict,
+               weight: int, low: int, high: int) -> None:
+    """Every vertex of tree t substituted by a tree of ``pool``.
 
-        A tree B(k_1..k_m) is substituted as S(p) ◁ S(k_m): its prefix tree
-        p = B(k_1..k_{m-1}) is read at ``budget - |k_m|`` and its last
-        branch at ``budget - |p|``.  ``memo`` keeps one entry per tree (see
-        :meth:`_substitution`) and must only ever see one pool.  t's
-        classes below ``budget`` are read from its entry, which a later read
-        of t as a prefix or a branch shares, since such reads stay below
-        ``budget``; its classes of size ``budget`` are grafted straight into
-        ``acc`` and never stored.  With a pool of the single vertex and trees
-        of one size m >= 2, the classes of size |t| + m - 1 put one tree at
-        one vertex of t: the Lie bracket's one-insertion layer.
-        """
-        kids = self.kids[t]
-        if not kids:  # the single vertex takes the pool
-            for s, u, c in pool:
-                if low <= s <= high:
-                    acc[u] = acc.get(u, 0) + weight * c
-            return
-        sizes, last = self.sizes, kids[-1]
-        p = self.node(kids[:-1])
-        # the prefix and the branch at their full budgets first, so that t's
-        # entry finds them and does not build them twice
-        prefix = self._substitution(p, pool, budget - sizes[last], memo)
-        branch = self._substitution(last, pool, budget - sizes[p], memo)
-        if sizes[t] < budget and low < budget:
-            _, terms, starts = self._substitution(t, pool, budget - 1, memo)
-            for u, c in terms[starts[low]:starts[min(high, budget - 1) + 1]]:
+    Adds ``weight`` times each composed class of size ``low..high``
+    (``high`` at most ``budget``) to ``acc``, weighted by the product
+    of the pool coefficients.  ``pool`` is a list of
+    ``(size, id, coeff)`` sorted by size.
+
+    A tree B(k_1..k_m) is substituted as S(p) ◁ S(k_m): its prefix tree
+    p = B(k_1..k_{m-1}) is read at ``budget - |k_m|`` and its last
+    branch at ``budget - |p|``.  ``memo`` keeps one entry per tree (see
+    :func:`_substitution`) and must only ever see one pool.  t's
+    classes below ``budget`` are read from its entry, which a later read
+    of t as a prefix or a branch shares, since such reads stay below
+    ``budget``; its classes of size ``budget`` are grafted straight into
+    ``acc`` and never stored.  With a pool of the single vertex and trees
+    of one size m >= 2, the classes of size |t| + m - 1 put one tree at
+    one vertex of t: the Lie bracket's one-insertion layer.
+    """
+    kids = KIDS[t]
+    if not kids:  # the single vertex takes the pool
+        for s, u, c in pool:
+            if low <= s <= high:
                 acc[u] = acc.get(u, 0) + weight * c
-        if high == budget:
-            self._graft_entries(acc, weight, prefix, branch, budget, budget)
+        return
+    sizes, last = SIZES, kids[-1]
+    p = node(kids[:-1])
+    # the prefix and the branch at their full budgets first, so that t's
+    # entry finds them and does not build them twice
+    prefix = _substitution(p, pool, budget - sizes[last], memo)
+    branch = _substitution(last, pool, budget - sizes[p], memo)
+    if sizes[t] < budget and low < budget:
+        _, terms, starts = _substitution(t, pool, budget - 1, memo)
+        for u, c in terms[starts[low]:starts[min(high, budget - 1) + 1]]:
+            acc[u] = acc.get(u, 0) + weight * c
+    if high == budget:
+        _graft_entries(acc, weight, prefix, branch, budget, budget)
 
-    def _substitution(self, t: int, pool: list, budget: int, memo: dict) -> tuple:
-        # the entry of tree t in memo, built if missing or below budget:
-        # (budget, terms, starts), the (class id, coeff) terms of S(t) up to
-        # budget sorted by size, the first of size s at terms[starts[s]].
-        # An entry stands at the largest budget asked so far, and a smaller
-        # budget reads a prefix of it: which classes of size s a tree has
-        # does not depend on the budget.  The single vertex holds the pool,
-        # which serves every budget.
-        # Requests run on an explicit stack, so the depth and width of t are
-        # not bounded by the recursion limit; each carries its prefix tree
-        # once looked up, for its second visit
-        have = memo.get(t)
-        if have is not None and have[0] >= budget:
-            return have
-        sizes, kids_of, node, missing = self.sizes, self.kids, self.node, (0,)
-        stack = [(t, budget, None)]
-        while stack:
-            s, b, p = stack[-1]
-            have = memo.get(s)
-            if have is not None and have[0] >= b:
-                stack.pop()
-                continue
-            kids = kids_of[s]
-            if not kids:
-                stack.pop()
-                memo[s] = (inf, *self._entry({u: c for _, u, c in pool}, 1, pool[-1][0]))
-                continue
-            last = kids[-1]
-            if p is None:
-                p = node(kids[:-1])
-            bp, bk = b - sizes[last], b - sizes[p]
-            prefix, branch = memo.get(p, missing), memo.get(last, missing)
-            if prefix[0] < bp or branch[0] < bk:
-                stack[-1] = (s, b, p)
-                if prefix[0] < bp:
-                    stack.append((p, bp, None))
-                if branch[0] < bk:
-                    stack.append((last, bk, None))
-                continue
+
+def _substitution(t: int, pool: list, budget: int, memo: dict) -> tuple:
+    # the entry of tree t in memo, built if missing or below budget:
+    # (budget, terms, starts), the (class id, coeff) terms of S(t) up to
+    # budget sorted by size, the first of size s at terms[starts[s]].
+    # An entry stands at the largest budget asked so far, and a smaller
+    # budget reads a prefix of it: which classes of size s a tree has
+    # does not depend on the budget.  The single vertex holds the pool,
+    # which serves every budget.
+    # Requests run on an explicit stack, so the depth and width of t are
+    # not bounded by the recursion limit; each carries its prefix tree
+    # once looked up, for its second visit
+    have = memo.get(t)
+    if have is not None and have[0] >= budget:
+        return have
+    sizes, kids_of, missing = SIZES, KIDS, (0,)
+    stack = [(t, budget, None)]
+    while stack:
+        s, b, p = stack[-1]
+        have = memo.get(s)
+        if have is not None and have[0] >= b:
             stack.pop()
-            acc: dict = {}
-            self._graft_entries(acc, 1, prefix, branch, sizes[s], b)
-            memo[s] = (b, *self._entry(acc, sizes[s], b))
-        return memo[t]
-
-    def _entry(self, acc: dict, low: int, top: int) -> tuple:
-        # the nonzero terms of acc, of sizes low..top, sorted by size, and
-        # where each size starts
-        sizes = self.sizes
-        layers: list = [[] for _ in range(low, top + 1)]
-        for u, c in acc.items():
-            if c:
-                layers[sizes[u] - low].append((u, c))
-        return ([term for layer in layers for term in layer],
-                [0] * (low + 1) + list(accumulate(map(len, layers))))
-
-    def _graft_entries(self, acc: dict, weight: int, prefix: tuple, branch: tuple,
-                       low: int, high: int) -> None:
-        # adds weight * cu * cy to u ◁ y for the terms (u, cu) of the prefix
-        # entry and (y, cy) of the branch entry with low <= |u| + |y| <= high
-        grafts, graft, sizes = self.grafts, self.graft, self.sizes
-        _, ys, ks = branch
-        # the first term of an entry is its tree, the smallest of its classes
-        end, top, seen, row = high - sizes[ys[0][0]], len(ks) - 2, 0, ()
-        for u, cu in prefix[1]:  # by size, up to the largest that fits
-            su = sizes[u]
-            if su != seen:  # the branch terms that fit u's size, once per size
-                if su > end:
-                    break
-                seen, lo, hi = su, low - su, high - su
-                if hi > top:
-                    hi = top
-                row = ys[ks[lo if lo > 0 else 0]:ks[hi + 1]] if lo <= hi else ()
-            if not row:
-                continue
-            w = weight * cu
-            made = grafts.get(u)
-            if made is None:
-                made = grafts[u] = {}
-            get = made.get
-            for y, cy in row:
-                # a graft has two vertices or more, so its id is never 0
-                g = get(y) or graft(u, y)
-                acc[g] = acc.get(g, 0) + w * cy
+            continue
+        kids = kids_of[s]
+        if not kids:
+            stack.pop()
+            memo[s] = (inf, *_entry({u: c for _, u, c in pool}, 1, pool[-1][0]))
+            continue
+        last = kids[-1]
+        if p is None:
+            p = node(kids[:-1])
+        bp, bk = b - sizes[last], b - sizes[p]
+        prefix, branch = memo.get(p, missing), memo.get(last, missing)
+        if prefix[0] < bp or branch[0] < bk:
+            stack[-1] = (s, b, p)
+            if prefix[0] < bp:
+                stack.append((p, bp, None))
+            if branch[0] < bk:
+                stack.append((last, bk, None))
+            continue
+        stack.pop()
+        acc: dict = {}
+        _graft_entries(acc, 1, prefix, branch, sizes[s], b)
+        memo[s] = (b, *_entry(acc, sizes[s], b))
+    return memo[t]
 
 
-TREE_TABLE = TreeTable()
+def _entry(acc: dict, low: int, top: int) -> tuple:
+    # the nonzero terms of acc, of sizes low..top, sorted by size, and
+    # where each size starts
+    sizes = SIZES
+    layers: list = [[] for _ in range(low, top + 1)]
+    for u, c in acc.items():
+        if c:
+            layers[sizes[u] - low].append((u, c))
+    return ([term for layer in layers for term in layer],
+            [0] * (low + 1) + list(accumulate(map(len, layers))))
+
+
+def _graft_entries(acc: dict, weight: int, prefix: tuple, branch: tuple,
+                   low: int, high: int) -> None:
+    # adds weight * cu * cy to u ◁ y for the terms (u, cu) of the prefix
+    # entry and (y, cy) of the branch entry with low <= |u| + |y| <= high
+    grafts, sizes = GRAFTS, SIZES
+    _, ys, ks = branch
+    # the first term of an entry is its tree, the smallest of its classes
+    end, top, seen, row = high - sizes[ys[0][0]], len(ks) - 2, 0, ()
+    for u, cu in prefix[1]:  # by size, up to the largest that fits
+        su = sizes[u]
+        if su != seen:  # the branch terms that fit u's size, once per size
+            if su > end:
+                break
+            seen, lo, hi = su, low - su, high - su
+            if hi > top:
+                hi = top
+            row = ys[ks[lo if lo > 0 else 0]:ks[hi + 1]] if lo <= hi else ()
+        if not row:
+            continue
+        w = weight * cu
+        made = grafts.get(u)
+        if made is None:
+            made = grafts[u] = {}
+        get = made.get
+        for y, cy in row:
+            # a graft has two vertices or more, so its id is never 0
+            g = get(y) or graft(u, y)
+            acc[g] = acc.get(g, 0) + w * cy

@@ -4,12 +4,11 @@ import sys
 
 import pytest
 
-from naphopf import cli, oracles
+from naphopf import cli, hopf, oracles, trees
 from naphopf.cli import (COPRODUCT_LIMIT, ENUMERATE_N_LIMIT, INTERVAL_LIMIT, LABELED_N_LIMIT,
                          SERIES_N_LIMIT, VERIFY_DEGREE_LIMIT, main)
 from naphopf.posets import ideal_count, ideal_orbit_count
-from naphopf.trees import (TREE_TABLE, RootedTree, TreeTable, chain, corolla, enumerate_trees,
-                           parse_tree)
+from naphopf.trees import RootedTree, chain, corolla, enumerate_trees, parse_tree
 from naphopf.verify import SuiteReport
 
 
@@ -115,7 +114,7 @@ def test_coproduct_above_the_size_limit_exits_2(capsys, monkeypatch, algebra):
     # classes; the refusal comes before any ideal is listed
     tree = RootedTree([chain(k) for k in range(2, 10)])
     assert ideal_orbit_count(tree) > COPRODUCT_LIMIT >= ideal_orbit_count(chain(1200))
-    monkeypatch.setattr(TreeTable, "ideals", refuse)
+    monkeypatch.setattr(hopf, "ideals", refuse)
     code, out, err = run(capsys, "coproduct", tree.string, "--algebra", algebra)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
@@ -207,6 +206,31 @@ def test_verify_series_output_is_unchanged(capsys):
     assert digest.hexdigest() == "7eeee55f2aa9b98977928220bc7c884932eac6cbb89fd81588aef7e511a2d566"
 
 
+def test_coproduct_output_is_unchanged(capsys):
+    # the JSON coproduct in all three algebras of every tree with 1..7
+    # vertices and of chain(200), as printed before the tree table's facts
+    # became module names of naphopf.trees
+    digest = hashlib.sha256()
+    for algebra in ("hnap", "qgnap", "ck"):
+        for t in [t for n in range(1, 8) for t in enumerate_trees(n)] + [chain(200)]:
+            assert main(["coproduct", t.string, "--algebra", algebra]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "3e741bfa5a6126789287c0a8513d0a278c0226beb2d8553181cc715e2fdad9a9"
+
+
+def test_series_output_is_unchanged(capsys):
+    # the JSON of inverses, products, a graft and a projection at -N 8, as
+    # printed before the tree table's facts became module names of
+    # naphopf.trees
+    digest = hashlib.sha256()
+    for argv in (["inv", "zeta"], ["inv", "ladder"], ["mul", "zeta", "mobius"],
+                 ["mul", "corolla", "ladder"], ["graft", "corolla", "unit"],
+                 ["project", "comm", "zeta"]):
+        assert main(["series", *argv, "-N", "8"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "afbcafd5d6f46b10cd954b0bd02ff3d6a44a46bf628eadd15a6af343c4a9e3c7"
+
+
 def test_series_named_and_inverse(capsys):
     code, out, _ = run(capsys, "series", "inv", "zeta", "-N", "5")
     inv = json.loads(out)
@@ -255,6 +279,9 @@ def test_series_file_truncated_below_request(tmp_path, capsys):
     ({"truncation": 3, "coeffs": ["()", "1"]}, "'coeffs'"),
     ({"truncation": 3, "coeffs": {"()": "1/0"}}, "'coeffs'"),
     ([3, {"()": "1"}], "object"),
+    # two spellings of one tree: neither coefficient may be dropped
+    ({"truncation": 4, "coeffs": {"()": "1", "(()(()))": "1", "((())())": "5"}},
+     "'coeffs': '(()(()))' and '((())())' name the same tree"),
 ])
 def test_series_file_with_bad_schema(tmp_path, capsys, data, field):
     path = tmp_path / "bad.json"
@@ -399,7 +426,7 @@ def test_verify_timings_end_with_the_tree_table_stats(capsys):
                                          "timings"}
     lines = err.splitlines()
     assert sum(" ms  ck-iso: " in line for line in lines) == len(report["checks"])
-    stats = TREE_TABLE.stats()
+    stats = trees.stats()
     assert lines[-1] == (f"tree table: {stats['trees']} trees, {stats['grafts']} grafts, "
                          f"{stats['ideal_rows']} ideal_rows, "
                          f"{stats['antipodes']} antipodes, {stats['spellings']} spellings")

@@ -2,7 +2,7 @@
 
 The labeled route (``naphopf.oracles._compose_labeled`` and friends)
 substitutes into a labeled representative and takes the shape; it shares
-no code with ``trees.TreeTable``.  Sizes stay at N <= 7, where it is cheap.
+no code with the graft engine of ``naphopf.trees``.  Sizes stay at N <= 7, where it is cheap.
 """
 
 import json
@@ -38,10 +38,11 @@ from naphopf.oracles import (
 )
 from naphopf.trees import (
     LEAF,
-    TREE_TABLE,
+    TREES,
     chain,
     corolla,
     enumerate_trees,
+    substitute,
 )
 
 REPRESENTATIVES = (canonical_representative, dfs_representative)
@@ -149,11 +150,11 @@ def test_lie_bracket_interns_only_the_trees_it_reaches():
     code = (
         "import json\n"
         "from naphopf.series import TreeSeries, lie_bracket\n"
-        "from naphopf.trees import LEAF, TREE_TABLE, chain\n"
+        "from naphopf.trees import LEAF, SIZES, chain, stats\n"
         "a = TreeSeries(12, {LEAF: 1, chain(2): 2})\n"
         "b = TreeSeries(12, {LEAF: 3, chain(2): -1})\n"
         "c = lie_bracket(a, b)\n"
-        "print(json.dumps([TREE_TABLE.stats()['trees'], max(TREE_TABLE.sizes),\n"
+        "print(json.dumps([stats()['trees'], max(SIZES),\n"
         "                  {t.string: str(v) for t, v in c.coeffs.items()}]))\n"
     )
     interned, largest, coeffs = run_fresh(code)
@@ -228,11 +229,10 @@ def test_bracket_splits_the_right_operand_by_size():
     def substituted(*sizes):
         # chain(3) under one pool of the single vertex and chains, all of
         # coefficient 1, read at 5 vertices
-        table = TREE_TABLE
         pool = [(k, chain(k).id, 1) for k in (1, *sizes)]
         acc = {}
-        table.substitute(chain(3).id, pool, 5, {}, acc, 1, 5, 5)
-        return {table.trees[u]: c for u, c in acc.items() if c}
+        substitute(chain(3).id, pool, 5, {}, acc, 1, 5, 5)
+        return {TREES[u]: c for u, c in acc.items() if c}
 
     slots = dict(slot_compositions(chain(3), chain(3)))
     assert substituted(3) == slots
@@ -240,27 +240,28 @@ def test_bracket_splits_the_right_operand_by_size():
 
 
 def test_bracket_builds_each_entry_once_at_its_one_insertion_budget():
-    # every (memo, tree) entry is laid out once by TreeTable._entry, at
+    # every (memo, tree) entry is laid out once by trees._entry, at
     # |q| + m - 1 for its tree q and the size m of its pool's trees: the one
     # budget the bracket's reads ask of it, so none is rebuilt at a larger
-    # one.  substitute is wrapped to note the pool of each entry
+    # one.  The series layer's substitute is wrapped to note the pool of
+    # each entry
     code = (
         "import json\n"
+        "from naphopf import series, trees\n"
         "from naphopf.series import corolla_series, lie_bracket, zeta_series\n"
-        "from naphopf.trees import TREE_TABLE, TreeTable\n"
         "built, pools = [], []\n"
-        "entry, substitute = TreeTable._entry, TreeTable.substitute\n"
-        "def count_entry(self, acc, low, top):\n"
-        "    out = entry(self, acc, low, top)\n"
+        "entry, substitute = trees._entry, series.substitute\n"
+        "def count_entry(acc, low, top):\n"
+        "    out = entry(acc, low, top)\n"
         "    built.append((len(pools) - 1, out[0][0][0], top))\n"
         "    return out\n"
-        "def note_pool(self, t, pool, *args):\n"
+        "def note_pool(t, pool, *args):\n"
         "    if not pools or pools[-1] is not pool:\n"
         "        pools.append(pool)\n"
-        "    return substitute(self, t, pool, *args)\n"
-        "TreeTable._entry, TreeTable.substitute = count_entry, note_pool\n"
+        "    return substitute(t, pool, *args)\n"
+        "trees._entry, series.substitute = count_entry, note_pool\n"
         "lie_bracket(zeta_series(8), corolla_series(8))\n"
-        "sizes = TREE_TABLE.sizes\n"
+        "sizes = trees.SIZES\n"
         "print(json.dumps([len(built), len({(k, q) for k, q, _ in built}), len(pools),\n"
         "                  [top - sizes[q] - pools[k][-1][0] + 1 for k, q, top in built]]))\n"
     )
@@ -307,23 +308,23 @@ def test_series_engine_does_no_fraction_arithmetic_per_term():
 
 
 def test_substitution_builds_one_entry_per_tree_and_pool():
-    # every entry is laid out once by TreeTable._entry, and its first term
-    # is the tree itself (the only class of its size);
+    # every entry is laid out once by trees._entry, and its first term
+    # is the tree itself (the only class of its size); the series layer's
     # substitute is wrapped to note which pool the entries belong to
     code = (
         "import json\n"
+        "from naphopf import series, trees\n"
         "from naphopf.series import series_inverse, series_multiply, zeta_series\n"
-        "from naphopf.trees import TreeTable\n"
         "built, pools = [], [None]\n"
-        "entry, substitute = TreeTable._entry, TreeTable.substitute\n"
-        "def count_entry(self, acc, low, top):\n"
-        "    out = entry(self, acc, low, top)\n"
+        "entry, substitute = trees._entry, series.substitute\n"
+        "def count_entry(acc, low, top):\n"
+        "    out = entry(acc, low, top)\n"
         "    built.append((pools[0], out[0][0][0]))\n"
         "    return out\n"
-        "def note_pool(self, t, pool, *args):\n"
+        "def note_pool(t, pool, *args):\n"
         "    pools[0] = id(pool)\n"
-        "    return substitute(self, t, pool, *args)\n"
-        "TreeTable._entry, TreeTable.substitute = count_entry, note_pool\n"
+        "    return substitute(t, pool, *args)\n"
+        "trees._entry, series.substitute = count_entry, note_pool\n"
         "z = zeta_series(8)\n"
         "series_multiply(z, z)\n"
         "product = len(built), len(set(built))\n"
@@ -362,7 +363,7 @@ def test_substitution_interns_only_the_trees_and_grafts_of_the_fold():
         "import json\n"
         "from fractions import Fraction\n"
         "from naphopf.series import TreeSeries, series_inverse, series_multiply\n"
-        "from naphopf.trees import LEAF, TREE_TABLE, parse_tree\n"
+        "from naphopf.trees import LEAF, parse_tree, stats\n"
         f"supports = json.loads({json.dumps(supports)!r})\n"
         "a, b = (TreeSeries(9, {LEAF: 1, **{parse_tree(s): Fraction(*c)\n"
         "                                   for s, c in terms.items()}})\n"
@@ -370,8 +371,8 @@ def test_substitution_interns_only_the_trees_and_grafts_of_the_fold():
         "counts = []\n"
         "for run in (lambda: series_multiply(a, b), lambda: series_inverse(a)):\n"
         "    run()\n"
-        "    stats = TREE_TABLE.stats()\n"
-        "    counts.append([stats['trees'], stats['grafts']])\n"
+        "    built = stats()\n"
+        "    counts.append([built['trees'], built['grafts']])\n"
         "print(json.dumps(counts))\n"
     )
     assert run_fresh(code) == [[54, 35], [61, 46]]

@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 
+from naphopf import hopf
 from naphopf.hopf import (
     ALGEBRAS,
     BasisMap,
@@ -45,9 +46,12 @@ from naphopf.oracles import (
 from naphopf.posets import interval_of
 from naphopf.series import random_group_element, series_inverse, zeta_series
 from naphopf.trees import (
+    ANTIPODES,
+    GRAFTS,
+    IDEAL_ROWS,
+    TREES,
     Forest,
     LEAF,
-    TREE_TABLE,
     aut0_order,
     aut_order,
     chain,
@@ -55,6 +59,7 @@ from naphopf.trees import (
     enumerate_forests,
     enumerate_trees,
     forest_aut_order,
+    ideals,
     parse_tree,
 )
 from naphopf.checks import _coassociative
@@ -198,38 +203,38 @@ def test_qgnap_antipode_builds_no_coproduct_and_no_other_antipode():
 
 
 def test_tree_antipodes_live_and_die_with_their_table(fresh_table):
-    # the per-tree antipode memo is keyed by tree ids, so it is a field of
-    # the table: clear() empties it with every other memo, the ids stay,
+    # the per-tree antipode memo is keyed by tree ids, so it is a dict of
+    # naphopf.trees: clear() empties it with every other memo, the ids stay,
     # and the antipodes computed again are the same values on the same
     # tree and forest instances
     keys = [(algebra, ALGEBRAS[algebra].tree_key(t)) for algebra in ALGEBRAS
             for n in range(2, 7) for t in enumerate_trees(n)]
     assert len(keys) == 108
     ids = [t.id for n in range(2, 7) for t in enumerate_trees(n)]
-    table = fresh_table()
+    fresh_table()
     before = [antipode_monomial(*k) for k in keys]
-    assert table.antipodes and table.ideal_table
-    assert fresh_table() is table  # clears the table and the antipode cache
-    assert not (table.antipodes or table.ideal_table or table.grafts)
+    assert ANTIPODES and IDEAL_ROWS
+    fresh_table()  # clears the memos in place, and the antipode cache
+    assert hopf.ANTIPODES is ANTIPODES
+    assert not (ANTIPODES or IDEAL_ROWS or GRAFTS)
     assert parse_tree.cache_info().currsize == 0
     for t in (chain(12), corolla(9)):  # trees built in between move no id
-        assert table.trees[t.id] is t
+        assert TREES[t.id] is t
     after = [antipode_monomial(*k) for k in keys]
     assert [t.id for n in range(2, 7) for t in enumerate_trees(n)] == ids
     assert after == before and all(x is not y for x, y in zip(after, before))
     for x, y in zip(after, before):
         assert all(a is b for a, b in zip(x.terms, y.terms))
-    assert table.antipodes
+    assert ANTIPODES
 
 
 def test_ideal_table_counts_are_the_interval_constants():
-    # f read off TreeTable.ideals against the ideal enumeration of posets
-    table = TREE_TABLE
+    # f read off trees.ideals against the ideal enumeration of posets
     trees = 0
     for n in range(1, 9):
         for t in enumerate_trees(n):
-            f = {(Forest(table.trees[j] for j in b), table.trees[g]): c
-                 for (b, g), c in table.ideals(t.id).items()}
+            f = {(Forest(TREES[j] for j in b), TREES[g]): c
+                 for (b, g), c in ideals(t.id).items()}
             assert f == f_structure_constants(t), t.string
             trees += 1
     assert trees == 200
@@ -693,7 +698,7 @@ def test_warm_queries_build_nothing():
     # a guard on work, not on time, in a fresh interpreter: once each of the
     # six kinds of query has been answered for every tree with 2..6
     # vertices, asking again from the same strings parses nothing (no
-    # _node lookup of a root), constructs no tree (not even one
+    # node lookup of a root), constructs no tree (not even one
     # already built), gives no new id and makes or compares no Fraction,
     # counted by a profile hook
     code = (
@@ -708,7 +713,7 @@ def test_warm_queries_build_nothing():
         "    return [kind(trees.parse_tree(s)) for kind in kinds for s in texts]\n"
         "first = ask()\n"
         "watched = {f.__code__: f.__qualname__ for f in (\n"
-        "    trees.RootedTree.__new__, trees._new_tree, trees._node,\n"
+        "    trees.RootedTree.__new__, trees._new_tree, trees.node,\n"
         "    trees._raise_syntax_error,\n"
         "    Fraction.__new__, Fraction.__eq__)}\n"
         "calls = dict.fromkeys(watched.values(), 0)\n"
@@ -729,7 +734,7 @@ def test_warm_queries_build_nothing():
     assert trees_asked == 36 and answers == 6 * 36
     # each repeat hands out the very object of its first answer
     assert same == answers
-    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "_node": 0,
+    assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "node": 0,
                      "_raise_syntax_error": 0,
                      "Fraction.__new__": 0, "Fraction.__eq__": 0}
 

@@ -37,11 +37,11 @@ from naphopf.posets import (
     mobius,
     mobius_closed_form,
 )
+from naphopf import trees as trees_module
 from naphopf.trees import (
     Forest,
     LEAF,
     RootedTree,
-    TreeTable,
     chain,
     corolla,
     enumerate_trees,
@@ -498,13 +498,13 @@ def test_bitmask_bounds_and_covers_match_the_definition():
             for x in range(p.n) for y in range(p.n) for z in range(p.n))
 
 
-def test_ideal_orbit_count_bounds_the_stored_ideal_rows():
+def test_ideal_orbit_count_bounds_the_stored_ideal_rows(fresh_table):
     # equal on chains; automorphic ideals of a wide tree can share a row,
     # and different ideal classes too, so there it is an upper bound
     def stored_rows(t):
-        table = TreeTable()
-        table.ideals(t.id)
-        return table.stats()["ideal_rows"]
+        fresh_table()
+        trees_module.ideals(t.id)
+        return trees_module.stats()["ideal_rows"]
 
     assert ideal_orbit_count(chain(50)) == stored_rows(chain(50)) == 50 * 51 // 2
     for hi in range(2, 8):

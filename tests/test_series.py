@@ -63,6 +63,20 @@ def test_series_json_roundtrip():
     assert data["coeffs"]["(()()())"] == "1/6"
 
 
+def test_series_json_with_two_spellings_of_one_tree_is_refused():
+    # (()(())) and ((())()) are one tree: keeping either coefficient would
+    # silently drop the other
+    data = {"truncation": 4, "coeffs": {"()": "1", "(()(()))": "1", "((())())": "5"}}
+    with pytest.raises(ValueError) as err:
+        TreeSeries.from_json(data)
+    assert str(err.value) == ("series field 'coeffs': '(()(()))' and '((())())' "
+                              "name the same tree")
+    # whitespace makes another spelling too
+    with pytest.raises(ValueError) as err:
+        TreeSeries.from_json({"truncation": 2, "coeffs": {"()": "1", " () ": "1"}})
+    assert str(err.value).endswith("'()' and ' () ' name the same tree")
+
+
 def test_an_int_coefficient_stays_an_int():
     # an int is kept, any other number becomes a Fraction, and 3 and
     # Fraction(3) are one coefficient

@@ -13,7 +13,6 @@ from naphopf.trees import (
     Forest,
     LEAF,
     RootedTree,
-    TREE_TABLE,
     TreeSyntaxError,
     aut0_order,
     aut_order,
@@ -27,7 +26,7 @@ from naphopf.trees import (
     parse_forest,
     parse_tree,
 )
-from naphopf import trees as trees_module
+from naphopf import hopf, trees as trees_module
 from naphopf.oracles import (
     LabeledTree,
     _compose_labeled,
@@ -109,7 +108,7 @@ def _spelling(rng: random.Random, t: RootedTree) -> str:
 
 
 def _built(text: str) -> RootedTree:
-    # recursive descent with the RootedTree constructor, no TreeTable
+    # recursive descent with the RootedTree constructor, no node() lookup
     def tree(i: int) -> tuple[RootedTree, int]:
         kids, i = [], i + 1
         while text[i] == "(":
@@ -139,31 +138,31 @@ def test_reparsing_builds_nothing(monkeypatch, fresh_table):
     # builds a new tree instance, and once parsed, none adds a table entry
     rng = random.Random(7)
     texts = [_spelling(rng, t) for n in range(1, 7) for t in enumerate_trees(n)]
-    table = fresh_table()
+    fresh_table()
     built = []
     new_tree = trees_module._new_tree
     monkeypatch.setattr(trees_module, "_new_tree",
                         lambda *args: built.append(args) or new_tree(*args))
-    trees_before = table.stats()["trees"]
+    trees_before = trees_module.stats()["trees"]
     first = [parse_tree(text) for text in texts]
     # enumerate_trees built every instance, and gave each its id then
-    assert built == [] and all(table.trees[t.id] is t for t in first)
-    stats = table.stats()
+    assert built == [] and all(trees_module.TREES[t.id] is t for t in first)
+    stats = trees_module.stats()
     assert stats["trees"] == trees_before and stats["spellings"] == len(set(texts))
     for text in texts + [_spelling(rng, t) for t in first]:
         assert parse_tree(text) is parse_tree(text)
     assert built == []
     # only the spelling memo grows, by the new spellings
-    after = table.stats()
+    after = trees_module.stats()
     assert after.pop("spellings") > stats.pop("spellings") and after == stats
     # clear() empties every memo in place; the ids stay, and parsing again
     # hands out the same instances and builds nothing
     ids = [t.id for t in first]
-    table.clear()
-    assert table.stats() == dict(stats, spellings=0, grafts=0, ideal_rows=0, antipodes=0)
+    trees_module.clear()
+    assert trees_module.stats() == dict(stats, spellings=0, grafts=0, ideal_rows=0, antipodes=0)
     again = [parse_tree(text) for text in texts]
     assert all(a is b for a, b in zip(again, first)) and [t.id for t in again] == ids
-    assert built == [] and table.stats()["spellings"] == len(set(texts))
+    assert built == [] and trees_module.stats()["spellings"] == len(set(texts))
 
 
 def test_deep_chain_parses_without_recursion():
@@ -171,7 +170,7 @@ def test_deep_chain_parses_without_recursion():
     # than any other test's tree, and the 1199 chains over it are built by
     # this parse alone
     text = "(" * 1200 + "()" * 1600 + ")" * 1200
-    before = TREE_TABLE.stats()["trees"]
+    before = trees_module.stats()["trees"]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -180,31 +179,30 @@ def test_deep_chain_parses_without_recursion():
             parse_tree(text[:-1])
     finally:
         sys.setrecursionlimit(limit)
-    assert t.size == 2800 and t.string == text and TREE_TABLE.trees[t.id] is t
-    assert TREE_TABLE.stats()["trees"] - before == 1200
+    assert t.size == 2800 and t.string == text and trees_module.TREES[t.id] is t
+    assert trees_module.stats()["trees"] - before == 1200
     assert err.value.offset == len(text) - 1
 
 
 def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
     text = "((())(()()))"
-    table = fresh_table()
     first = parse_tree(text)
     assert parse_tree(text) is first and parse_tree.cache_info().currsize == 1
     # whitespace-padded spellings are memoized apart, as the same tree
     for padded in (" " + text, text + "\n", "\t %s \r\n" % text):
         assert parse_tree(padded) is first
         assert parse_tree(padded) is first
-    assert table.trees[first.id] is first and table.stats()["spellings"] == 4
-    # clear() empties every memo in place, the table's and the modules'
-    # that imported it; the id stays, and the tree handed out again is the
-    # one instance
-    table.clear()
-    assert fresh_table() is table is TREE_TABLE
-    assert not (table.grafts or table.ideal_table or table.antipodes)
+    assert trees_module.TREES[first.id] is first and trees_module.stats()["spellings"] == 4
+    # clear() empties every memo in place, so the modules that imported the
+    # memos see them empty; the id stays, and the tree handed out again is
+    # the one instance
+    trees_module.clear()
+    assert hopf.GRAFTS is trees_module.GRAFTS and hopf.ANTIPODES is trees_module.ANTIPODES
+    assert not (trees_module.GRAFTS or trees_module.IDEAL_ROWS or trees_module.ANTIPODES)
     assert parse_tree.cache_info().currsize == 0
-    trees_before = table.stats()["trees"]
+    trees_before = trees_module.stats()["trees"]
     again = parse_tree(text)
-    assert again is first and table.stats()["spellings"] == 1
+    assert again is first and trees_module.stats()["spellings"] == 1
     assert parse_tree(text) is again
     # malformed text is never stored and raises the same error every call
     for bad, offset in (("((())", 5), ("(()))", 4), (" (x)", 2)):
@@ -212,8 +210,8 @@ def test_spelling_memo_lives_and_dies_with_its_table(fresh_table):
             with pytest.raises(TreeSyntaxError) as err:
                 parse_tree(bad)
             assert err.value.offset == offset
-        assert table.stats()["spellings"] == 1
-    assert table.stats()["trees"] == trees_before
+        assert trees_module.stats()["spellings"] == 1
+    assert trees_module.stats()["trees"] == trees_before
 
 
 # --- one instance per shape --------------------------------------------------
@@ -229,20 +227,20 @@ def _spellings(t: RootedTree) -> set[str]:
 
 
 def test_identity_oracle_every_construction_is_the_one_instance(fresh_table):
-    table = fresh_table()  # the spellings parsed here fill emptied memos
+    # the fixture emptied the memos: the spellings parsed here fill them
     assert LEAF.id == 0  # the engines read the single vertex as id 0
     for n in range(1, 8):
         for t in enumerate_trees(n):
-            assert table.trees[t.id] is t
+            assert trees_module.TREES[t.id] is t
             # a tree's children are built before it: subtrees in id order
             # are children first
             assert all(c.id < t.id for c in t.children)
             for order in permutations(t.children):
                 assert RootedTree(order) is t
-                assert table.node([c.id for c in order]) == t.id
+                assert trees_module.node([c.id for c in order]) == t.id
             if t.children:  # its prefix tree with its last branch grafted on
                 *prefix, last = t.children
-                assert table.graft(RootedTree(prefix).id, last.id) == t.id
+                assert trees_module.graft(RootedTree(prefix).id, last.id) == t.id
             for text in _spellings(t):
                 assert parse_tree(text) is t and _built(text) is t
 
@@ -250,12 +248,12 @@ def test_identity_oracle_every_construction_is_the_one_instance(fresh_table):
 def test_subtrees_lists_each_distinct_subtree_once_children_first():
     t = RootedTree((chain(3), chain(3), corolla(2)))
     ids = [t.id, chain(3).id, chain(2).id, corolla(2).id, LEAF.id]
-    assert TREE_TABLE.subtrees(t.id, ()) == sorted(ids)
+    assert trees_module.subtrees(t.id, ()) == sorted(ids)
     # done subtrees are left out and not entered: chain(2) is below chain(3)
     # only, the leaf below corolla(2) too
-    assert TREE_TABLE.subtrees(t.id, {chain(3).id}) == sorted({t.id, corolla(2).id, LEAF.id})
-    assert TREE_TABLE.subtrees(t.id, {LEAF.id}) == sorted(set(ids) - {LEAF.id})
-    assert TREE_TABLE.subtrees(t.id, {t.id}) == []
+    assert trees_module.subtrees(t.id, {chain(3).id}) == sorted({t.id, corolla(2).id, LEAF.id})
+    assert trees_module.subtrees(t.id, {LEAF.id}) == sorted(set(ids) - {LEAF.id})
+    assert trees_module.subtrees(t.id, {t.id}) == []
 
 
 def test_identity_oracle_same_object_exactly_when_same_string():
@@ -414,14 +412,13 @@ def test_aut_order_against_labeled_count():
 def test_aut_order_against_permutation_fixing_oracle():
     from naphopf.oracles import labeled_isomorphisms
 
-    table = TREE_TABLE
     for n in range(1, 8):
         for t in enumerate_trees(n):
             rep = canonical_representative(t)
-            assert aut_order(t) == table.auts[t.id] == len(labeled_isomorphisms(rep, rep))
+            assert aut_order(t) == trees_module.AUTS[t.id] == len(labeled_isomorphisms(rep, rep))
             # the engines' view of t agrees with the tree itself
-            assert table.sizes[t.id] == t.size
-            assert table.kids[t.id] == tuple(c.id for c in t.children)
+            assert trees_module.SIZES[t.id] == t.size
+            assert trees_module.KIDS[t.id] == tuple(c.id for c in t.children)
 
 
 def test_aut0_order():
