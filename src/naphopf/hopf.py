@@ -16,8 +16,9 @@
 All three coproducts and all three antipodes are read off one table, the
 root-containing ideals of :func:`naphopf.trees.ideals`, which
 works on interned tree ids with integer counts; the ``qgnap`` constants are
-its counts under the paper's main theorem.  Trees and forests are built
-only when a result is handed out.  The oracles
+its counts under the paper's main theorem.  A forest key is the forest of
+its B+ tree, ``forest_of(node(ids))``, so ``ck`` multiplies as ``hnap``
+does.  Trees and forests are built only when a result is handed out.  The oracles
 (ideal enumeration by :mod:`naphopf.posets`, admissible cuts over edge
 subsets, the labeled composition route and the brute-force orbit counts)
 live in :mod:`naphopf.oracles`.
@@ -43,7 +44,7 @@ from math import prod
 from types import MappingProxyType
 
 from .trees import (ANTIPODES, AUTS, GRAFTS, KIDS, LEAF, NO_GRAFTS, SIZES, TREES, Forest,
-                    RootedTree, aut_order, graft, ideals, node)
+                    RootedTree, aut_order, forest_of, graft, ideals, node)
 
 
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
@@ -53,10 +54,7 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
     whose root carries every branch of every component; single-vertex
     components are units and disappear.
     """
-    branches: list[RootedTree] = []
-    for t in f.components:
-        branches.extend(t.children)
-    return RootedTree(branches)
+    return TREES[node([k for c in KIDS[f.id] for k in KIDS[c]])]
 
 
 class _Combination:
@@ -295,11 +293,10 @@ def g_structure_constants(alpha: RootedTree) -> Mapping[tuple[Forest, RootedTree
     forest_aut(beta) / aut0(beta) is the product of the automorphism orders
     of the components of beta.  The mapping is cached and read-only.
     """
-    trees, sizes = TREES, SIZES
+    trees, sizes, leaf = TREES, SIZES, LEAF.id
     out: dict[tuple[Forest, RootedTree], int] = {}
     for b, g, c in _g_rows(alpha.id):
-        beta = Forest([trees[j] for j in b] + [LEAF] * (sizes[g] - len(b)))
-        out[(beta, trees[g])] = c
+        out[(forest_of(node(b + (leaf,) * (sizes[g] - len(b)))), trees[g])] = c
     return MappingProxyType(out)
 
 
@@ -338,10 +335,10 @@ def _qgnap_rows(j: int) -> Iterable[tuple[tuple[int, ...], int | None, int]]:
 
 def _rows_coproduct(algebra: str, rows: Callable, t: RootedTree) -> TensorElement:
     # the rows of tree t as a read-only tensor of forests
-    trees, unit = TREES, Forest()
+    unit = Forest()
     out: dict = {}
     for a, r, c in rows(t.id):
-        key = (Forest([trees[k] for k in a]), unit if r is None else Forest((trees[r],)))
+        key = (forest_of(node(a)), unit if r is None else forest_of(node((r,))))
         out[key] = out.get(key, 0) + c
     return TensorElement._from_counts(algebra, out)
 
@@ -381,8 +378,8 @@ def ck_coproduct(f: "Forest | RootedTree") -> TensorElement:
 
 
 def b_plus(f: Forest) -> RootedTree:
-    """The graft operator: a new root whose branches are the forest components."""
-    return RootedTree(f.components)
+    """The graft operator: the tree whose root carries the components."""
+    return TREES[f.id]
 
 
 # ---------------------------------------------------------------------------
@@ -427,19 +424,13 @@ def _tree_antipode(i: int, rows: Callable) -> dict:
     return memo[i]
 
 
-def _forest_antipode(algebra: str, rows: Callable, f: Forest) -> HopfElement:
-    # the antipode is multiplicative: the product of the trees' antipodes
-    trees = TREES
-    s = _id_product(_tree_antipode(t.id, rows) for t in f.components)
-    return HopfElement._from_counts(algebra, {Forest(trees[k] for k in u): c
-                                              for u, c in s.items()})
-
-
-def _hnap_antipode(t: RootedTree) -> HopfElement:
-    # the ck antipode of the branch forest, carried back by B+: the tree
-    # whose root has the children u
-    s = _id_product(_tree_antipode(k, _ck_rows) for k in KIDS[t.id])
-    return HopfElement._from_counts("hnap", {TREES[node(u)]: c for u, c in s.items()})
+def _antipode(algebra: str, rows: Callable, read: Callable[[int], object], key) -> HopfElement:
+    # the antipode is multiplicative: the product of the antipodes of the
+    # branches of the B+ tree of key, a forest or an hnap basis tree (the ck
+    # antipode of its branch forest, carried back by B+).  Each forest u of
+    # the product is its B+ tree node(u), read as a forest or as that tree
+    s = _id_product(_tree_antipode(k, rows) for k in KIDS[key.id])
+    return HopfElement._from_counts(algebra, {read(node(u)): c for u, c in s.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +454,12 @@ class Algebra(namedtuple("Algebra", "unit is_key multiply coproduct antipode ren
     __slots__ = ()
 
 
+def _merge(a, b) -> int:
+    # the id of the tree whose root carries the branches of the B+ trees of
+    # a and b: the product of two hnap basis trees or of two ck forests
+    return node(KIDS[a.id] + KIDS[b.id])
+
+
 class _AlgebraTable(dict):
     def __missing__(self, tag):
         raise ValueError(f"unknown algebra tag {tag!r}")
@@ -472,9 +469,9 @@ class _AlgebraTable(dict):
 _CK = Algebra(
     unit=Forest(),
     is_key=lambda k: isinstance(k, Forest),
-    multiply=lambda a, b: Forest(a.components + b.components),
+    multiply=lambda a, b: forest_of(_merge(a, b)),
     coproduct=ck_coproduct,
-    antipode=partial(_forest_antipode, "ck", _ck_rows),
+    antipode=partial(_antipode, "ck", _ck_rows, forest_of),
     render=lambda f: f.render() or "1",
     sort_key=Forest.sort_key,
     tree_key=lambda t: Forest((t,)))
@@ -484,9 +481,9 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
     hnap=Algebra(
         unit=LEAF,
         is_key=lambda k: isinstance(k, RootedTree),
-        multiply=lambda a, b: RootedTree(a.children + b.children),
+        multiply=lambda a, b: TREES[_merge(a, b)],
         coproduct=hnap_coproduct,
-        antipode=_hnap_antipode,
+        antipode=partial(_antipode, "hnap", _ck_rows, TREES.__getitem__),
         render=lambda t: t.string,
         sort_key=lambda t: (t.size, t.string),
         tree_key=lambda t: t),
@@ -495,7 +492,7 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
     qgnap=_CK._replace(
         is_key=lambda k: isinstance(k, Forest) and all(t.size > 1 for t in k.components),
         coproduct=partial(_forest_coproduct, "qgnap", qgnap_coproduct),
-        antipode=partial(_forest_antipode, "qgnap", _qgnap_rows),
+        antipode=partial(_antipode, "qgnap", _qgnap_rows, forest_of),
         tree_key=lambda t: Forest((t,)).drop_units()),
     ck=_CK,
 )
@@ -538,13 +535,13 @@ class BasisMap:
 
 
 # the linear extension of the graft operator on the Connes-Kreimer algebra
-b_plus_map = BasisMap("ck", "ck", lambda f: Forest((b_plus(f),)))
+b_plus_map = BasisMap("ck", "ck", lambda f: forest_of(node((f.id,))))
 
 # the one-cocycle on the incidence algebra: F_[t] -> F_[B(r,t)]
 l_nap = BasisMap("hnap", "hnap", lambda t: RootedTree((t,)))
 
 # the Hopf isomorphism F_[B(r,t_1..t_k)] -> forest t_1...t_k
-iso_to_ck = BasisMap("hnap", "ck", lambda t: Forest(t.children))
+iso_to_ck = BasisMap("hnap", "ck", lambda t: forest_of(t.id))
 
 # the inverse isomorphism: forest t_1...t_k -> F_[B(r,t_1..t_k)]
 iso_from_ck = BasisMap("ck", "hnap", b_plus)

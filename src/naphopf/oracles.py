@@ -44,7 +44,7 @@ from .trees import (
     TREES,
     Forest,
     RootedTree,
-    enumerate_forests_with_components,
+    enumerate_forests,
     enumerate_trees,
     graft,
 )
@@ -1044,6 +1044,11 @@ def g_coefficient(alpha: RootedTree, beta: Forest, gamma: RootedTree) -> int:
     if alpha.size < 2:
         raise ValueError("generators are attached to trees of size >= 2")
     return g_structure_constants(alpha).get((beta, gamma), 0)
+
+
+def enumerate_forests_with_components(total: int, k: int) -> tuple[Forest, ...]:
+    """All forests with exactly k components and the given total size."""
+    return tuple(f for f in enumerate_forests(total) if len(f) == k)
 
 
 def admissible_triples(alpha: RootedTree) -> list[tuple[Forest, RootedTree]]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import groupby, product as cartesian
 from math import comb, prod
 
-from .trees import KIDS, TREES, Forest, RootedTree, node, subtrees
+from .trees import KIDS, TREES, RootedTree, forest_of, node, subtrees
 
 
 class IntervalPoset:
@@ -43,14 +43,14 @@ class IntervalPoset:
     ids until the end, so a restriction is ``node`` of the kept children's
     restrictions and the branch component at v is ``node`` of the cut
     children's full shapes: a shape built before is looked up, never
-    rebuilt.  Equal branch forests are one ``Forest``.
+    rebuilt.  A branch forest is the forest of ``node`` of its components,
+    its B+ tree, so equal branch forests are one ``Forest``.
     """
 
     __slots__ = ("elements", "masks", "child_masks", "bottom_index", "top_index",
                  "forests", "thetas")
 
     def __init__(self, tree: RootedTree) -> None:
-        trees = TREES
         # a BFS of t over the child ids: shape[v - 1] is the id of the
         # subtree below label v, and labels[v - 1] the labels of its children
         shape = [tree.id]
@@ -87,15 +87,11 @@ class IntervalPoset:
                           row[0], tuple(comps)))
         # bottom (rank 0) is the full vertex set; rank = vertices removed
         split.sort()
-        forests: dict = {}
-        for *_, comps in split:
-            if comps not in forests:
-                forests[comps] = Forest([trees[c] for c in comps])
         self.elements = tuple(frozenset(e[1]) for e in split)
         self.masks = tuple(e[2] for e in split)
         self.child_masks = tuple(sum(map(bit.__getitem__, kids)) for kids in labels)
-        self.thetas = tuple(trees[e[3]] for e in split)
-        self.forests = tuple(forests[e[4]] for e in split)
+        self.thetas = tuple(TREES[e[3]] for e in split)
+        self.forests = tuple(forest_of(node(e[4])) for e in split)
         self.bottom_index = 0
         self.top_index = len(split) - 1
 

@@ -114,6 +114,9 @@ class TreeSeries:
                 t = parse_tree(k)
                 if t in spellings:  # one coefficient would silently replace the other
                     raise ValueError(f"{spellings[t]!r} and {k!r} name the same tree")
+                if t.size > truncation > 0:  # else dropped silently; cls refuses truncation < 1
+                    raise ValueError(f"{k!r} has {t.size} vertices, more than the "
+                                     f"truncation {truncation}")
                 spellings[t], parsed[t] = k, Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"series field 'coeffs': {exc}") from None

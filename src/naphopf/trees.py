@@ -1,16 +1,19 @@
 """Canonical rooted trees and forests, and the NAP composition engine on
 interned tree ids.
 
-Trees and forests are hash-consed (Filliâtre-Conchon, "Type-safe modular
-hash-consing", 2006): children and components are kept sorted by (size,
-canonical string), and constructing one returns the single instance of its
-shape from a process-wide intern dict.  So structural equality is identity,
-equality and hashing are the object defaults, and multisets deduplicate by
+Trees are hash-consed (Filliâtre-Conchon, "Type-safe modular hash-consing",
+2006): children are kept sorted by (size, canonical string), and
+constructing a tree returns the single instance of its shape from a
+process-wide intern dict.  So structural equality is identity, equality
+and hashing are the object defaults, and multisets deduplicate by
 sorting.  As in that scheme, a tree gets its unique integer id when it is
-interned.  Interned trees, with their ids, and forests live for the whole
-process.  Labeled trees, their enumeration and composition, and the two
-set-operads built on them serve only as oracles and live in
-:mod:`naphopf.oracles`.
+interned.  A forest is its B+ tree, whose root carries the components as
+branches (the paper's map f <-> B+(f)): it has that tree's id and
+children, and its one instance is kept on that tree (:func:`forest_of`),
+so the intern dict is the only one.  Interned trees, with their ids, and
+forests live for the whole process.  Labeled trees, their enumeration and
+composition, and the two set-operads built on them serve only as oracles
+and live in :mod:`naphopf.oracles`.
 
 The tree table is this module.  ``TREES[i]`` is the one instance of tree
 i, and ``SIZES``, ``KIDS`` (the ids of its children in canonical child
@@ -43,11 +46,10 @@ empties the dicts in place, and the spelling cache with them.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Container, Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, inf
+from math import inf, prod
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -86,8 +88,8 @@ TREES: list["RootedTree"] = []
 SIZES: list[int] = []
 KIDS: list[tuple[int, ...]] = []
 AUTS: list[int] = []
-# the intern dict: the id of every tree built, by the sorted tuple of its
-# child ids
+# the intern dict, the only one: the id of every tree built, by the sorted
+# tuple of its child ids.  A forest is looked up here as its B+ tree
 _BY_KIDS: dict[tuple[int, ...], int] = {}
 
 
@@ -98,12 +100,13 @@ class RootedTree(_Interned):
     ascending by (size, string).  ``RootedTree(children)`` returns the one
     instance of its shape, so two trees are equal, and the same object,
     exactly when their canonical strings are equal.  ``id`` is the next
-    free int when the tree is built, so ``TREES[t.id] is t``.
+    free int when the tree is built, so ``TREES[t.id] is t``.  ``forest``
+    is the forest of t's branches once :func:`forest_of` has made it.
     Trees and their ids live for the whole process, and trees must not be
     mutated.
     """
 
-    __slots__ = ("children", "size", "string", "id")
+    __slots__ = ("children", "size", "string", "id", "forest")
 
     def __new__(cls, children: Iterable["RootedTree"] = ()) -> "RootedTree":
         key = tuple(sorted([c.id for c in children]))
@@ -149,6 +152,7 @@ def _new_tree(key: tuple[int, ...]) -> RootedTree:
     t.children = kids
     t.size = 1 + sum([c.size for c in kids])
     t.string = "(%s)" % "".join([c.string for c in kids])
+    t.forest = None
     t.id = _BY_KIDS[key] = len(TREES)
     TREES.append(t)
     SIZES.append(t.size)
@@ -263,30 +267,21 @@ def _raise_syntax_error(text: str):
     raise AssertionError(f"{text!r} is well formed")
 
 
-# every forest built in this process, by its sorted component tuple
-_FORESTS: dict[tuple[RootedTree, ...], "Forest"] = {}
-
-
 class Forest(_Interned):
     """Canonical multiset of rooted trees, sorted like tree children.
 
-    Hash-consed like :class:`RootedTree`: ``Forest(components)`` returns the
-    one instance of its multiset, so equal forests are the same object.  The
-    empty forest is allowed; it is the unit monomial in the Hopf-algebra
-    modules.
+    A forest is its B+ tree, whose root carries the components as
+    branches: ``id`` is that tree's id, ``components`` its children and
+    ``size`` its size less the root, and ``Forest(components)`` returns
+    the one instance kept on that tree (:func:`forest_of`).  The empty
+    forest, whose B+ tree is the single vertex, is the unit monomial in
+    the Hopf-algebra modules.
     """
 
-    __slots__ = ("components", "size")
+    __slots__ = ("components", "size", "id")
 
     def __new__(cls, components: Iterable[RootedTree] = ()) -> "Forest":
-        comps = tuple(sorted(components, key=_key))
-        f = _FORESTS.get(comps)
-        if f is None:
-            f = object.__new__(Forest)
-            f.components = comps
-            f.size = sum(t.size for t in comps)
-            f = _FORESTS.setdefault(comps, f)
-        return f
+        return forest_of(node([t.id for t in components]))
 
     def __reduce__(self):
         return Forest, (self.components,)
@@ -313,6 +308,18 @@ class Forest(_Interned):
     def drop_units(self) -> "Forest":
         """The forest with single-vertex components removed."""
         return Forest(t for t in self.components if t.size > 1)
+
+
+def forest_of(i: int) -> Forest:
+    """The forest of the branches of tree i, made on first use and then
+    kept on the tree: ``forest_of(i).id == i``."""
+    t = TREES[i]
+    if t.forest is None:
+        f = t.forest = object.__new__(Forest)
+        f.components = t.children
+        f.size = t.size - 1
+        f.id = i
+    return t.forest
 
 
 def parse_forest(text: str) -> Forest:
@@ -369,11 +376,6 @@ def enumerate_forests(total: int) -> tuple[Forest, ...]:
     return tuple(Forest(f) for f in _forest_tuples(total))
 
 
-def enumerate_forests_with_components(total: int, k: int) -> tuple[Forest, ...]:
-    """All forests with exactly k components and the given total size."""
-    return tuple(f for f in enumerate_forests(total) if len(f) == k)
-
-
 def aut_order(t: RootedTree) -> int:
     """Order of the automorphism group of t.
 
@@ -385,19 +387,14 @@ def aut_order(t: RootedTree) -> int:
 
 
 def aut0_order(f: Forest) -> int:
-    """Order of the component-permutation group: prod over classes of mult!."""
-    out = 1
-    for mult in Counter(f.components).values():
-        out *= factorial(mult)
-    return out
+    """Order of the component-permutation group, prod over classes of
+    mult!: the forest's automorphism order over its components' orders."""
+    return AUTS[f.id] // prod([AUTS[k] for k in KIDS[f.id]])
 
 
 def forest_aut_order(f: Forest) -> int:
-    """Full automorphism order of a forest: aut0 times the component auts."""
-    out = aut0_order(f)
-    for t in f.components:
-        out *= aut_order(t)
-    return out
+    """Full automorphism order of a forest, that of its B+ tree."""
+    return AUTS[f.id]
 
 
 # the memos keyed by tree ids, filled on first use: the graft map
@@ -421,8 +418,9 @@ def clear() -> None:
 
 
 def stats() -> dict[str, int]:
-    """Entry counts: trees built in the process, graft-map entries, rows
-    of the ideal table, per-tree antipodes and memoized spellings."""
+    """Entry counts: trees built in the process (the B+ trees of the
+    forests built among them), graft-map entries, rows of the ideal
+    table, per-tree antipodes and memoized spellings."""
     return {"trees": len(TREES), "grafts": sum(map(len, GRAFTS.values())),
             "ideal_rows": sum(map(len, IDEAL_ROWS.values())),
             "antipodes": sum(map(len, ANTIPODES.values())),

@@ -292,6 +292,16 @@ def test_series_file_with_bad_schema(tmp_path, capsys, data, field):
     assert "Traceback" not in err
 
 
+def test_series_file_with_a_tree_above_its_truncation(tmp_path, capsys):
+    # the coefficient of ((())) would be dropped without a word
+    path = tmp_path / "above.json"
+    path.write_text(json.dumps({"truncation": 2, "coeffs": {"()": "1", "((()))": "7"}}))
+    code, out, err = run(capsys, "series", "mul", str(path), "unit", "-N", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: series field 'coeffs': '((()))' has 3 vertices")
+    assert "Traceback" not in err
+
+
 def test_series_directory_operand(tmp_path, capsys):
     code, out, err = run(capsys, "series", "inv", str(tmp_path), "-N", "3")
     assert code == 2

@@ -130,28 +130,33 @@ def test_interval_construction_builds_no_tree_the_table_holds():
     # tree constructions (hits of the intern dict too) and new tree
     # instances with their ids, counted by a profile hook in a fresh
     # interpreter: once every tree with at most 8 vertices is built, every
-    # restriction and branch of their intervals is an intern-dict lookup
+    # restriction and branch of their intervals is an intern-dict lookup.
+    # A branch forest is its B+ tree, so the trees built are exactly the
+    # B+ trees of the branch forests not held before (286 of them), and
+    # each is the id of some forest of an interval
     code = (
         "import json, sys\n"
         "from naphopf.posets import interval_of\n"
-        "from naphopf.trees import RootedTree, _new_tree, enumerate_trees\n"
+        "from naphopf.trees import TREES, RootedTree, _new_tree, enumerate_trees\n"
         "trees = [t for n in range(1, 9) for t in enumerate_trees(n)]\n"
-        "watched = {f.__code__ for f in (RootedTree.__new__, _new_tree)}\n"
-        "calls = 0\n"
+        "held = len(TREES)\n"
+        "calls = {RootedTree.__new__.__code__: 0, _new_tree.__code__: 0}\n"
         "def count(frame, event, arg):\n"
-        "    global calls\n"
-        "    if event == 'call' and frame.f_code in watched:\n"
-        "        calls += 1\n"
+        "    if event == 'call' and frame.f_code in calls:\n"
+        "        calls[frame.f_code] += 1\n"
         "sys.setprofile(count)\n"
-        "ideals = sum(len(interval_of(t)) for t in trees if t.size >= 2)\n"
+        "ips = [interval_of(t) for t in trees if t.size >= 2]\n"
         "sys.setprofile(None)\n"
-        "print(json.dumps([sum(t.size >= 2 for t in trees), ideals, calls]))\n"
+        "forests = {f.id for ip in ips for f in ip.forests}\n"
+        "built = range(held, len(TREES))\n"
+        "print(json.dumps([len(ips), sum(map(len, ips)), list(calls.values()), len(built),\n"
+        "                  all(i in forests for i in built)]))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
-    assert json.loads(out.stdout) == [199, 5181, 0]
+    assert json.loads(out.stdout) == [199, 5181, [0, 286], 286, True]
 
 
 def test_forest_below_and_theta_examples():

@@ -77,6 +77,18 @@ def test_series_json_with_two_spellings_of_one_tree_is_refused():
     assert str(err.value).endswith("'()' and ' () ' name the same tree")
 
 
+def test_series_json_with_a_tree_above_the_truncation_is_refused():
+    # a stored series never holds a tree above its truncation, so loading
+    # one would silently drop its coefficient
+    data = {"truncation": 2, "coeffs": {"()": "1", "((()))": "7"}}
+    with pytest.raises(ValueError) as err:
+        TreeSeries.from_json(data)
+    assert str(err.value) == ("series field 'coeffs': '((()))' has 3 vertices, "
+                              "more than the truncation 2")
+    # arithmetic results keep truncating
+    assert TreeSeries(2, {LEAF: 1, chain(3): 7}) == TreeSeries(2, {LEAF: 1})
+
+
 def test_an_int_coefficient_stays_an_int():
     # an int is kept, any other number becomes a Fraction, and 3 and
     # Fraction(3) are one coefficient

@@ -19,7 +19,6 @@ from naphopf.trees import (
     chain,
     corolla,
     enumerate_forests,
-    enumerate_forests_with_components,
     enumerate_trees,
     forest_aut_order,
     graft_onto,
@@ -34,6 +33,7 @@ from naphopf.oracles import (
     comm_instance,
     compose_shapes,
     dfs_representative,
+    enumerate_forests_with_components,
     labeled_forests,
     labeled_trees,
     nap_compose,
@@ -427,6 +427,37 @@ def test_aut0_order():
     assert aut0_order(Forest((chain(2), chain(2)))) == 2
     f = Forest((chain(2), chain(2), LEAF))
     assert forest_aut_order(f) == aut0_order(f) * aut_order(chain(2)) ** 2
+
+
+def _aut0_by_multiplicities(f: Forest) -> int:
+    # the component-permutation order from the multiplicities of the
+    # components: prod over classes of mult!
+    out = 1
+    for mult in Counter(f.components).values():
+        out *= factorial(mult)
+    return out
+
+
+def test_forest_auts_and_components_against_multiplicity_oracle():
+    # a forest is read off its B+ tree: its automorphism orders come from
+    # the tree's, checked against the multiplicities of its components,
+    # and its components and render are the tree's children and their
+    # strings in canonical order
+    for m in range(9):
+        for f in enumerate_forests(m):
+            aut0 = _aut0_by_multiplicities(f)
+            full = aut0
+            for t in f.components:
+                full *= aut_order(t)
+            assert aut0_order(f) == aut0 and forest_aut_order(f) == full, f.render()
+            comps = list(f.components)
+            random.Random(m).shuffle(comps)
+            assert Forest(comps) is f
+            b_plus = trees_module.TREES[trees_module.node([t.id for t in comps])]
+            assert f.components == b_plus.children and f.id == b_plus.id
+            assert f.size == b_plus.size - 1 == m
+            assert f.render() == " ".join(sorted((t.string for t in comps),
+                                                 key=lambda s: (len(s), s)))
 
 
 def test_forest_aut_against_label_permutation_oracle():
