@@ -805,7 +805,7 @@ def _proj_gcomm(n, rng):
 
 
 def _random_comp_series(rng, n: int) -> PowerSeries:
-    cs = [Fraction(0), Fraction(1)]
+    cs = [0, 1]
     for _ in range(2, n + 1):
         cs.append(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
     return PowerSeries(cs)

@@ -27,8 +27,8 @@ A memo keyed by values is an ``lru_cache``; id-keyed memos, such as the
 per-tree antipodes, are dicts in :mod:`naphopf.trees`; ``trees.clear()``
 empties them.  The ids themselves live for the process, like the trees.
 
-Coefficients are exact, under one rule: an ``int`` stays an ``int`` and any
-other number becomes a ``Fraction``.  Every coproduct and antipode
+Coefficients are exact, under one rule, :func:`exact`, which the series
+of :mod:`naphopf.series` follow too.  Every coproduct and antipode
 coefficient is an integer count, so the engines' counts are handed out as
 they are; only the 1/aut weights of ``rho`` and the caller's scalars bring
 denominators.
@@ -47,6 +47,12 @@ from .trees import (ANTIPODES, AUTS, GRAFTS, KIDS, LEAF, NO_GRAFTS, SIZES, TREES
                     RootedTree, aut_order, forest_of, graft, ideals, node)
 
 
+def exact(c) -> int | Fraction:
+    """The library's one coefficient rule: an ``int`` or a ``Fraction`` is
+    returned as it is, and any other number becomes a ``Fraction``."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
     """The basis tree equal to the product of F_[t] over the components of f.
 
@@ -59,8 +65,9 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
 
 class _Combination:
     """Finite rational combination of keys, tagged with its algebra; the
-    vector-space operations shared by elements and tensors.  A coefficient
-    that is an ``int`` stays one; any other becomes a ``Fraction``."""
+    vector-space operations shared by elements and tensors.  Coefficients
+    follow :func:`exact`.  The constructors set the slots through
+    ``object.__setattr__``, so a subclass can refuse every later assignment."""
 
     __slots__ = ("algebra", "terms")
 
@@ -68,18 +75,17 @@ class _Combination:
         ALGEBRAS[algebra]  # an unknown tag raises ValueError
         clean = {}
         for key, c in (terms or {}).items():
-            if type(c) is not int:
-                c = Fraction(c)
+            c = exact(c)
             if c:
                 clean[key] = c
-        self.algebra = algebra
-        self.terms = clean
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "terms", clean)
 
     def _new(self, terms: dict):
         # keys and coefficients come from operands already checked
         x = object.__new__(type(self))
-        x.algebra = self.algebra
-        x.terms = {k: c for k, c in terms.items() if c}
+        object.__setattr__(x, "algebra", self.algebra)
+        object.__setattr__(x, "terms", {k: c for k, c in terms.items() if c})
         return x
 
     @classmethod
@@ -88,8 +94,8 @@ class _Combination:
         # every caller: its keys are monomials by construction, so they are
         # not checked again, and its terms are read-only
         x = object.__new__(cls)
-        x.algebra = algebra
-        x.terms = MappingProxyType({k: c for k, c in counts.items() if c})
+        object.__setattr__(x, "algebra", algebra)
+        object.__setattr__(x, "terms", MappingProxyType({k: c for k, c in counts.items() if c}))
         return x
 
     def _require_same(self, other: "_Combination") -> None:
@@ -123,8 +129,7 @@ class _Combination:
         return (-1) * self
 
     def __rmul__(self, c):
-        if type(c) is not int:
-            c = Fraction(c)
+        c = exact(c)
         return self._new({k: c * v for k, v in self.terms.items()})
 
 
@@ -153,8 +158,7 @@ class HopfElement(_Combination):
         """coeff * key, the key checked once."""
         if not ALGEBRAS[algebra].is_key(key):
             raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
-        if type(coeff) is not int:
-            coeff = Fraction(coeff)
+        coeff = exact(coeff)
         x = object.__new__(cls)
         x.algebra = algebra
         x.terms = {key: coeff} if coeff else {}
@@ -212,9 +216,21 @@ class HopfElement(_Combination):
 
 
 class TensorElement(_Combination):
-    """Finite rational combination of monomial (x) monomial pairs."""
+    """Finite rational combination of monomial (x) monomial pairs.
+
+    Read-only once built: a cached coproduct is shared by every caller, so
+    rebinding its ``terms`` would change it for all of them."""
 
     __slots__ = ()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"a TensorElement is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle through the constructor, which sets the slots
+        return TensorElement, (self.algebra, dict(self.terms))
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         if type(other) is not TensorElement:

@@ -2,7 +2,7 @@
 
 Nothing on the production path imports this module: the checks of
 :mod:`naphopf.checks` import it, and so do the tests and ``enumerate
---labeled``; the package resolves its public names on first use.  Every
+--labeled``; ``import naphopf`` does not.  Every
 route here is exhaustive or works on labeled structures and shares no code
 with the engine it checks; the exponential ones refuse inputs above their
 limits:
@@ -1146,8 +1146,8 @@ def _hnap_coproduct_by_ideals(t: RootedTree) -> TensorElement:
     """The incidence coproduct of F_[t] from its definition: one
     branch-forest (x) restriction term per ideal of the interval of t.
 
-    ``hopf.hnap_coproduct`` goes through the Connes-Kreimer coproduct
-    instead, so this is the oracle it is checked against.
+    ``hopf.hnap_coproduct`` reads the rows of ``trees.ideals`` instead and
+    builds no interval, so this is the oracle it is checked against.
     """
     ip = interval_of(t)
     out: dict = {}

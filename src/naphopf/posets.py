@@ -45,6 +45,8 @@ class IntervalPoset:
     children's full shapes: a shape built before is looked up, never
     rebuilt.  A branch forest is the forest of ``node`` of its components,
     its B+ tree, so equal branch forests are one ``Forest``.
+
+    Read-only once built: a cached interval is shared by every caller.
     """
 
     __slots__ = ("elements", "masks", "child_masks", "bottom_index", "top_index",
@@ -87,13 +89,23 @@ class IntervalPoset:
                           row[0], tuple(comps)))
         # bottom (rank 0) is the full vertex set; rank = vertices removed
         split.sort()
-        self.elements = tuple(frozenset(e[1]) for e in split)
-        self.masks = tuple(e[2] for e in split)
-        self.child_masks = tuple(sum(map(bit.__getitem__, kids)) for kids in labels)
-        self.thetas = tuple(TREES[e[3]] for e in split)
-        self.forests = tuple(forest_of(node(e[4])) for e in split)
-        self.bottom_index = 0
-        self.top_index = len(split) - 1
+        put = object.__setattr__
+        put(self, "elements", tuple(frozenset(e[1]) for e in split))
+        put(self, "masks", tuple(e[2] for e in split))
+        put(self, "child_masks", tuple(sum(map(bit.__getitem__, kids)) for kids in labels))
+        put(self, "thetas", tuple(TREES[e[3]] for e in split))
+        put(self, "forests", tuple(forest_of(node(e[4])) for e in split))
+        put(self, "bottom_index", 0)
+        put(self, "top_index", len(split) - 1)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"an IntervalPoset is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # a copy or an unpickled interval is the cached one of the same tree
+        return interval_of, (self.thetas[self.bottom_index],)
 
     def __len__(self) -> int:
         return len(self.elements)

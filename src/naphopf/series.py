@@ -1,8 +1,8 @@
 """The group of tree-indexed series under operadic substitution.
 
 A truncated series assigns a rational coefficient to every tree of size at
-most N, under the library's one rule: an ``int`` stays an ``int`` and any
-other number becomes a ``Fraction``, so integer operands give integer
+most N, under the library's one rule, :func:`naphopf.hopf.exact`, which
+the one-variable power series follow too: integer operands give integer
 results.  Group elements have coefficient 1 on the single vertex.  The product
 substitutes the right series into every vertex of every tree of the left
 one, by the graft recursion on interned tree ids.  The classical Zeta, Mobius,
@@ -18,7 +18,7 @@ from itertools import groupby
 from math import factorial, lcm
 from operator import itemgetter
 
-from .hopf import HopfElement
+from .hopf import HopfElement, exact
 from .trees import (
     LEAF,
     SIZES,
@@ -34,10 +34,8 @@ from .trees import (
 
 
 class TreeSeries:
-    """Truncated formal series indexed by canonical rooted trees.
-
-    A coefficient that is an ``int`` stays one; any other number becomes a
-    ``Fraction``, and a ``Fraction`` is kept as it is."""
+    """Truncated formal series indexed by canonical rooted trees, with
+    coefficients under :func:`~naphopf.hopf.exact`."""
 
     __slots__ = ("truncation", "coeffs")
 
@@ -48,8 +46,7 @@ class TreeSeries:
         for t, c in (coeffs or {}).items():
             if t.size > truncation:
                 continue
-            if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
+            c = exact(c)
             if c:
                 clean[t] = c
         self.truncation = truncation
@@ -80,7 +77,7 @@ class TreeSeries:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TreeSeries":
-        c = scalar if type(scalar) is int else Fraction(scalar)
+        c = exact(scalar)
         return TreeSeries(self.truncation, {t: c * v for t, v in self.coeffs.items()})
 
     def truncate(self, n: int) -> "TreeSeries":
@@ -344,12 +341,12 @@ def spec_membership(a: TreeSeries) -> tuple[bool, RootedTree | None]:
 
 
 class PowerSeries:
-    """Truncated power series with exact rational coefficients c_0..c_N."""
+    """Truncated power series c_0..c_N, coefficients under :func:`~naphopf.hopf.exact`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable) -> None:
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(exact, coeffs))
         if not self.coeffs:
             raise ValueError("need at least the constant coefficient")
 
@@ -357,13 +354,11 @@ class PowerSeries:
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n] if n < len(self.coeffs) else Fraction(0)
+    def coefficient(self, n: int) -> Fraction | int:
+        return self.coeffs[n] if n < len(self.coeffs) else 0
 
     def truncate(self, n: int) -> "PowerSeries":
-        cs = list(self.coeffs[:n + 1])
-        cs += [Fraction(0)] * (n + 1 - len(cs))
-        return PowerSeries(cs)
+        return PowerSeries([self.coefficient(i) for i in range(n + 1)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
@@ -376,19 +371,16 @@ class PowerSeries:
 
 
 def ps_one(n: int) -> PowerSeries:
-    return PowerSeries([Fraction(1)] + [Fraction(0)] * n)
+    return PowerSeries([1] + [0] * n)
 
 
 def ps_x(n: int) -> PowerSeries:
-    cs = [Fraction(0)] * (n + 1)
-    if n >= 1:
-        cs[1] = Fraction(1)
-    return PowerSeries(cs)
+    return PowerSeries([0, 1]).truncate(n)
 
 
 def ps_multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     bs = b.coeffs
     for i, ai in enumerate(a.coeffs[:n + 1]):
         if ai:
@@ -398,18 +390,23 @@ def ps_multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
+def _inverse(c: Fraction | int) -> Fraction | int:
+    # 1/c exactly: c itself when it is 1 or -1, so an int stays an int
+    return c if c == 1 or c == -1 else 1 / Fraction(c)
+
+
 def ps_mul_inverse(a: PowerSeries) -> PowerSeries:
     """Multiplicative inverse; needs an invertible constant term."""
-    if a.coefficient(0) == 0:
+    cs = a.coeffs
+    if cs[0] == 0:
         raise ValueError("constant term must be nonzero")
-    n = a.truncation
-    out = [Fraction(0)] * (n + 1)
-    out[0] = 1 / a.coefficient(0)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
+    lead = _inverse(cs[0])
+    out = [lead]
+    for m in range(1, len(cs)):
+        acc = 0
         for i in range(1, m + 1):
-            acc += a.coefficient(i) * out[m - i]
-        out[m] = -acc / a.coefficient(0)
+            acc += cs[i] * out[m - i]
+        out.append(-acc * lead)
     return PowerSeries(out)
 
 
@@ -418,7 +415,7 @@ def ps_compose(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     if b.coefficient(0) != 0:
         raise ValueError("inner series must have zero constant term")
     n = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     out[0] = a.coefficient(0)
     power, inner = ps_one(n), b.truncate(n)
     for am in a.coeffs[1:n + 1]:
@@ -431,19 +428,24 @@ def ps_compose(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def ps_comp_inverse(a: PowerSeries) -> PowerSeries:
-    """Compositional inverse of x + higher order (linear term must be invertible)."""
+    """Compositional inverse of a_1 x + higher order, a_1 nonzero: g(a(x)) = x
+    at x^m gives g_m = -(sum_{k < m} g_k [x^m]a^k) / a_1^m, read off one table
+    of the powers a^k.  Both compositions are checked."""
     if a.coefficient(0) != 0:
         raise ValueError("series must have zero constant term")
     if a.coefficient(1) == 0:
         raise ValueError("linear term must be invertible")
     n = a.truncation
-    inv = [Fraction(0)] * (n + 1)
-    if n >= 1:
-        inv[1] = 1 / a.coefficient(1)
+    powers = [a]  # powers[k - 1] is a^k
+    for _ in range(2, n):
+        powers.append(ps_multiply(powers[-1], a))
+    lead = _inverse(a.coeffs[1])
+    inv = [0, lead]
     for m in range(2, n + 1):
-        g = PowerSeries(inv[:m] + [Fraction(0)] * (n + 1 - m))
-        residue = ps_compose(g, a).coefficient(m)
-        inv[m] = -residue / (a.coefficient(1) ** m)
+        acc = 0
+        for k in range(1, m):
+            acc += inv[k] * powers[k - 1].coeffs[m]
+        inv.append(-acc * lead ** m)
     g = PowerSeries(inv)
     if ps_compose(g, a) != ps_x(n) or ps_compose(a, g) != ps_x(n):
         raise ArithmeticError("compositional inverse failed to verify")
@@ -452,10 +454,7 @@ def ps_comp_inverse(a: PowerSeries) -> PowerSeries:
 
 def ps_exp_neg_x_times_x(n: int) -> PowerSeries:
     """The truncation of x exp(-x)."""
-    cs = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        cs[m] = Fraction((-1) ** (m - 1), factorial(m - 1))
-    return PowerSeries(cs)
+    return PowerSeries([0] + [Fraction((-1) ** m, factorial(m)) for m in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +463,17 @@ def ps_exp_neg_x_times_x(n: int) -> PowerSeries:
 
 def project_corolla(a: TreeSeries) -> PowerSeries:
     """Corolla coefficients as a multiplicative-group series (c_0 = 1)."""
-    n = a.truncation - 1
-    return PowerSeries([a.coefficient(corolla(k)) for k in range(n + 1)])
+    return PowerSeries([a.coefficient(corolla(k)) for k in range(a.truncation)])
 
 
 def project_ladder(a: TreeSeries) -> PowerSeries:
     """Linear-tree coefficients as a multiplicative-group series (c_0 = 1)."""
-    n = a.truncation - 1
-    return PowerSeries([a.coefficient(chain(k + 1)) for k in range(n + 1)])
+    return PowerSeries([a.coefficient(chain(k + 1)) for k in range(a.truncation)])
 
 
 def project_comm(a: TreeSeries) -> PowerSeries:
     """Sum of same-size coefficients, as a composition-group series."""
-    cs = [Fraction(0)] * (a.truncation + 1)
+    cs = [0] * (a.truncation + 1)
     for t, c in a.coeffs.items():
         cs[t.size] += c
     return PowerSeries(cs)
@@ -489,12 +486,10 @@ def gcomm_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     tuple of degrees from b; this must agree with ps_compose(a, b)
     coefficientwise.
     """
-    if a.coefficient(0) != 0 or a.coefficient(1) != 1:
-        raise ValueError("composition-group element needs c0 = 0, c1 = 1")
-    if b.coefficient(0) != 0 or b.coefficient(1) != 1:
+    if any(s.coefficient(0) != 0 or s.coefficient(1) != 1 for s in (a, b)):
         raise ValueError("composition-group element needs c0 = 0, c1 = 1")
     n = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     pool = [(s, s, b.coefficient(s)) for s in range(1, n + 1) if b.coefficient(s)]
     for m in range(1, n + 1):
         am = a.coefficient(m)
@@ -509,7 +504,7 @@ def ordered_tuples(slots: int, budget: int, pool: list):
     ``(size, item, coeff)``, whose sizes sum to at most ``budget``; yields
     ``(items, total size, product of the coefficients)``."""
     if slots == 0:
-        yield (), 0, Fraction(1)
+        yield (), 0, 1
         return
     for size, item, c in pool:
         if size > budget - (slots - 1):

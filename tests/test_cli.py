@@ -231,6 +231,28 @@ def test_series_output_is_unchanged(capsys):
     assert digest.hexdigest() == "afbcafd5d6f46b10cd954b0bd02ff3d6a44a46bf628eadd15a6af343c4a9e3c7"
 
 
+def test_projection_output_is_unchanged(capsys, tmp_path):
+    # the JSON of the three projections of every named series and of a file
+    # with Fraction coefficients at -N 9, and the projections suite's JSON
+    # without its elapsed time at the default degrees and at --degree 8, as
+    # printed while every power-series coefficient was a Fraction
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps({"truncation": 9, "coeffs": {
+        "()": "1", "(())": "1/2", "((()))": "-2/3", "(()())": "5", "(()()())": "3/4",
+        "(((())))": "-7/6", "(()()()()()()()())": "1/9", "((((((((()))))))))": "-4"}}))
+    digest = hashlib.sha256()
+    for projection in ("corolla", "ladder", "comm"):
+        for operand in ("zeta", "mobius", "corolla", "ladder", "unit", str(path)):
+            assert main(["series", "project", projection, operand, "-N", "9"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    for extra in ([], ["--degree", "8"]):
+        assert main(["verify", "--suite", "projections", *extra]) == 0
+        data = json.loads(capsys.readouterr().out)
+        del data["elapsed_ms"]
+        digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == "02dd458c4bca37df000ad142341ba75233505338f8133a42b8e2f59b4bf886f6"
+
+
 def test_series_named_and_inverse(capsys):
     code, out, _ = run(capsys, "series", "inv", "zeta", "-N", "5")
     inv = json.loads(out)

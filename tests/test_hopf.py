@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from naphopf.hopf import (
     b_plus_map,
     ck_coproduct,
     convolution_antipode_identity,
+    exact,
     forest_as_tree_monomial,
     g_structure_constants,
     hnap_coproduct,
@@ -605,6 +608,16 @@ def test_cached_results_are_read_only():
         bp.index[next(iter(bp.index))] = 0
     with pytest.raises(AttributeError):
         bp.theta.clear()
+    # a cached coproduct or interval cannot be rebound or deleted either
+    with pytest.raises(AttributeError):
+        hnap_coproduct(t).terms = {}
+    with pytest.raises(AttributeError):
+        del ck_coproduct(t).terms
+    with pytest.raises(AttributeError):
+        interval_of(t).forests = ()
+    with pytest.raises(AttributeError):
+        del interval_of(t).masks
+    assert repr(hnap_coproduct(t)) != "TensorElement('hnap', 0)"
     ip = interval_of(t)
     with pytest.raises(AttributeError):
         ip.elements[0].add(2)
@@ -619,6 +632,27 @@ def test_cached_results_are_read_only():
     assert len(interval_of(t)) == 3
     assert len(brute_force_pi(nap_instance(), 2).index) == 3
     assert len(brute_force_pi(nap_instance(), 2).theta) == 5
+    assert len(interval_of(t).forests) == 3 and len(ck_coproduct(t).terms) == 4
+
+
+def test_read_only_results_copy_and_pickle():
+    # a copy or an unpickled interval is the cached one; a tensor is rebuilt
+    # through its constructor, read-only again
+    t = parse_tree("((()()))")
+    ip, te = interval_of(t), hnap_coproduct(t)
+    for clone in (copy.copy(ip), copy.deepcopy(ip), pickle.loads(pickle.dumps(ip))):
+        assert clone is ip
+    for clone in (copy.copy(te), copy.deepcopy(te), pickle.loads(pickle.dumps(te))):
+        assert type(clone) is TensorElement and clone == te
+        with pytest.raises(AttributeError):
+            clone.terms = {}
+
+
+def test_exact_is_the_one_coefficient_rule():
+    three, third = 3, Fraction(1, 3)
+    assert exact(three) is three and exact(third) is third
+    for c, want in ((0.5, Fraction(1, 2)), ("2/6", third), (True, Fraction(1))):
+        assert type(exact(c)) is Fraction and exact(c) == want
 
 
 def test_single_tree_ck_and_antipode_return_the_cached_values():

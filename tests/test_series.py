@@ -291,6 +291,42 @@ def test_spec_membership_stability():
 # --- power series toolkit --------------------------------------------------------------
 
 
+def _types(*series: PowerSeries) -> set:
+    return {type(c) for s in series for c in s.coeffs}
+
+
+def test_power_series_follow_the_coefficient_rule():
+    # as for tree series: integer operands give ints through every ps
+    # function and projection, and 1 + x + x^2 + ... inverts to 1 - x
+    n = 8
+    c, ladder = corolla_series(n), ladder_series(n)
+    assert _types(*(proj(s) for s in (c, ladder)
+                    for proj in (project_corolla, project_ladder, project_comm))) == {int}
+    pc, pl = project_comm(c), project_comm(ladder)
+    assert ps_mul_inverse(project_corolla(c)) == project_corolla(ladder)
+    assert ps_comp_inverse(pc) == pl
+    assert _types(ps_mul_inverse(project_corolla(c)), ps_mul_inverse(project_ladder(ladder)),
+                  ps_comp_inverse(pc), ps_comp_inverse(pl), ps_compose(pc, pl),
+                  ps_multiply(project_corolla(c), project_corolla(ladder)),
+                  gcomm_product(pc, pl), ps_one(n), ps_x(n), pc.truncate(n + 2),
+                  ps_comp_inverse(PowerSeries([0, -1, 1, 3]))) == {int}
+    # dividing by anything but 1 or -1 gives Fractions; a float becomes one
+    halves = ps_mul_inverse(PowerSeries([2, 1]))
+    assert halves == PowerSeries([Fraction(1, 2), Fraction(-1, 4)])
+    assert _types(halves) == {Fraction}
+    assert _types(ps_comp_inverse(PowerSeries([0, 2, 1]))) == {int, Fraction}  # g_0 = 0
+    assert PowerSeries([0.5]).coeffs == (Fraction(1, 2),)
+    # no path yields a float, from int, Fraction or float input
+    z, m = zeta_series(n), mobius_series(n)
+    wobbly = PowerSeries([0, 1.0, 0.5, -0.25])
+    outs = [project_comm(z), ps_comp_inverse(project_comm(z)), ps_mul_inverse(project_corolla(z)),
+            ps_mul_inverse(project_ladder(m)), ps_comp_inverse(ps_exp_neg_x_times_x(n)),
+            gcomm_product(project_comm(z), project_comm(m)), ps_comp_inverse(wobbly),
+            ps_compose(wobbly, wobbly), ps_mul_inverse(PowerSeries([1.5, 2.0])), wobbly]
+    assert all(float not in _types(s) for s in outs)
+    assert ps_compose(ps_comp_inverse(wobbly), wobbly) == ps_x(3)
+
+
 def test_ps_mul_inverse_geometric():
     one_plus_x = PowerSeries([1, 1] + [0] * 6)
     inv = ps_mul_inverse(one_plus_x)
