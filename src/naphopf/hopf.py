@@ -66,8 +66,12 @@ def forest_as_tree_monomial(f: Forest) -> RootedTree:
 class _Combination:
     """Finite rational combination of keys, tagged with its algebra; the
     vector-space operations shared by elements and tensors.  Coefficients
-    follow :func:`exact`.  The constructors set the slots through
-    ``object.__setattr__``, so a subclass can refuse every later assignment."""
+    follow :func:`exact`.
+
+    Read-only once built: a cached coproduct or antipode is shared by every
+    caller, so rebinding its ``terms`` would change it for all of them.
+    The constructors set the slots through their descriptors
+    (``_set_algebra``, ``_set_terms``), which the guard does not see."""
 
     __slots__ = ("algebra", "terms")
 
@@ -78,14 +82,23 @@ class _Combination:
             c = exact(c)
             if c:
                 clean[key] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", clean)
+        _set_algebra(self, algebra)
+        _set_terms(self, clean)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"a {type(self).__name__} is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle through the constructor, which sets the slots
+        return type(self), (self.algebra, dict(self.terms))
 
     def _new(self, terms: dict):
         # keys and coefficients come from operands already checked
         x = object.__new__(type(self))
-        object.__setattr__(x, "algebra", self.algebra)
-        object.__setattr__(x, "terms", {k: c for k, c in terms.items() if c})
+        _set_algebra(x, self.algebra)
+        _set_terms(x, {k: c for k, c in terms.items() if c})
         return x
 
     @classmethod
@@ -94,8 +107,8 @@ class _Combination:
         # every caller: its keys are monomials by construction, so they are
         # not checked again, and its terms are read-only
         x = object.__new__(cls)
-        object.__setattr__(x, "algebra", algebra)
-        object.__setattr__(x, "terms", MappingProxyType({k: c for k, c in counts.items() if c}))
+        _set_algebra(x, algebra)
+        _set_terms(x, MappingProxyType({k: c for k, c in counts.items() if c}))
         return x
 
     def _require_same(self, other: "_Combination") -> None:
@@ -133,6 +146,10 @@ class _Combination:
         return self._new({k: c * v for k, v in self.terms.items()})
 
 
+# the slot setters of _Combination's constructors
+_set_algebra, _set_terms = _Combination.algebra.__set__, _Combination.terms.__set__
+
+
 class HopfElement(_Combination):
     """Finite rational combination of monomials in one of the three algebras."""
 
@@ -160,8 +177,8 @@ class HopfElement(_Combination):
             raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
         coeff = exact(coeff)
         x = object.__new__(cls)
-        x.algebra = algebra
-        x.terms = {key: coeff} if coeff else {}
+        _set_algebra(x, algebra)
+        _set_terms(x, {key: coeff} if coeff else {})
         return x
 
     @classmethod
@@ -216,21 +233,9 @@ class HopfElement(_Combination):
 
 
 class TensorElement(_Combination):
-    """Finite rational combination of monomial (x) monomial pairs.
-
-    Read-only once built: a cached coproduct is shared by every caller, so
-    rebinding its ``terms`` would change it for all of them."""
+    """Finite rational combination of monomial (x) monomial pairs."""
 
     __slots__ = ()
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"a TensorElement is read-only: {name!r} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # copy and pickle through the constructor, which sets the slots
-        return TensorElement, (self.algebra, dict(self.terms))
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         if type(other) is not TensorElement:

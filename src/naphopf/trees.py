@@ -10,10 +10,12 @@ sorting.  As in that scheme, a tree gets its unique integer id when it is
 interned.  A forest is its B+ tree, whose root carries the components as
 branches (the paper's map f <-> B+(f)): it has that tree's id and
 children, and its one instance is kept on that tree (:func:`forest_of`),
-so the intern dict is the only one.  Interned trees, with their ids, and
-forests live for the whole process.  Labeled trees, their enumeration and
-composition, and the two set-operads built on them serve only as oracles
-and live in :mod:`naphopf.oracles`.
+so the intern dict is the only one, and a forest literal is read as the
+branches of that tree by the one loop that reads a tree literal.
+Interned trees, with their ids, and forests live for the whole process.
+Labeled trees, their enumeration and composition, and the two
+set-operads built on them serve only as oracles and live in
+:mod:`naphopf.oracles`.
 
 The tree table is this module.  ``TREES[i]`` is the one instance of tree
 i, and ``SIZES``, ``KIDS`` (the ids of its children in canonical child
@@ -199,72 +201,54 @@ def parse_tree(text: str) -> RootedTree:
     """Parse the grammar ``tree := "(" tree* ")"`` into a canonical tree.
 
     Leading and trailing whitespace is ignored; anything else malformed
-    raises :class:`TreeSyntaxError` with the offending byte offset.
+    raises :class:`TreeSyntaxError` at the first bad byte, with its UTF-8
+    byte offset.
 
     Every spelling of one tree returns its one instance, as every
-    construction does.  Each vertex is looked up in the intern dict by the
-    ids of its children, so a tree built before is neither sorted nor
-    constructed again.  The ``lru_cache`` keys on the exact text,
-    whitespace included, so a spelling parsed before costs one lookup;
-    it does not store exceptions, so malformed text raises on every call.
-    :func:`clear` empties it.
+    construction does.  The text is read once, and each vertex is looked
+    up in the intern dict by the ids of its children, so a tree built
+    before is neither sorted nor constructed again.  The ``lru_cache``
+    keys on the exact text, whitespace included, so a spelling parsed
+    before costs one lookup; it does not store exceptions, so malformed
+    text raises on every call.  :func:`clear` empties it.
     """
-    s = text.strip()
-    # a literal made of parentheses only, as many '(' as ')'; anything else
-    # goes to the validating loop of _raise_syntax_error, which reports the error
-    if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
-        leaf = LEAF.id
-        # the child ids collected so far at each open vertex below the root,
-        # on an explicit stack: the depth is not bounded by the recursion limit
-        stack: list[list[int]] = []
-        kids: list[int] = []
-        for ch in s[1:-1].replace("()", "."):  # "." is a leaf
-            if ch == ".":
-                kids.append(leaf)
-            elif ch == "(":
-                stack.append(kids)
-                kids = []
-            elif stack:
-                i = node(kids)
-                kids = stack.pop()
-                kids.append(i)
-            else:  # the root closed before the end
-                break
-        else:
-            return TREES[node(kids)]
-    _raise_syntax_error(text)
+    return TREES[_parse(text, False)]
 
 
-def _raise_syntax_error(text: str):
-    # the validating parse of a malformed literal: raises at the first error
-    # and never returns
-    def fail(message: str, i: int):
-        # text[:i] is parentheses and whitespace, so it always encodes
-        raise TreeSyntaxError(message, len(text[:i].encode("utf-8")))
-
-    n = len(text)
-    i = 0
-    while i < n and text[i].isspace():
-        i += 1
-    depth = 0  # of open vertices: a counter, not a recursion
-    while True:
-        if i >= n:
-            fail("unclosed '('" if depth else "unexpected end of input, expected '('", i)
-        ch = text[i]
-        i += 1
+def _parse(text: str, forest: bool) -> int:
+    # the one pass over tree text: the id of the tree it spells or, with
+    # forest, of the B+ tree whose root, left open, takes its trees.
+    # Whitespace is allowed only outside every vertex, and the first
+    # character outside the grammar raises.  The child ids of the open
+    # vertices are on an explicit stack, so the depth is not bounded by the
+    # recursion limit
+    leaf = LEAF.id
+    stack: list[list[int]] = []
+    kids: list[int] = []  # of the innermost open vertex, or the top level
+    for i, ch in enumerate(text):
         if ch == "(":
-            depth += 1
-        elif ch == ")" and depth:
-            depth -= 1
-            if not depth:
-                break
-        else:
-            fail(f"expected '(' but found {ch!r}", i - 1)
-    while i < n and text[i].isspace():
-        i += 1
-    if i != n:
-        fail("trailing input after tree", i)
-    raise AssertionError(f"{text!r} is well formed")
+            stack.append(kids)
+            kids = []
+        elif ch == ")" and stack:
+            k = node(kids) if kids else leaf
+            kids = stack.pop()
+            kids.append(k)
+            if not (stack or forest):  # the tree is read: whitespace may follow
+                rest = text[i + 1:].lstrip()
+                if rest:
+                    raise _syntax_error("trailing input after tree", text, len(text) - len(rest))
+                return k
+        elif stack or not ch.isspace():
+            raise _syntax_error(f"expected '(' but found {ch!r}", text, i)
+    if stack or not forest:
+        raise _syntax_error("unclosed '('" if stack else "unexpected end of input, expected '('",
+                            text, len(text))
+    return node(kids)
+
+
+def _syntax_error(message: str, text: str, i: int) -> TreeSyntaxError:
+    # text[:i] is parentheses and whitespace, so it always encodes
+    return TreeSyntaxError(message, len(text[:i].encode("utf-8")))
 
 
 class Forest(_Interned):
@@ -323,8 +307,12 @@ def forest_of(i: int) -> Forest:
 
 
 def parse_forest(text: str) -> Forest:
-    """Parse whitespace-separated tree literals into a canonical forest."""
-    return Forest(parse_tree(tok) for tok in text.split())
+    """Parse tree literals, with optional whitespace between them, into a
+    canonical forest: ``"()()"`` is ``"() ()"``.  The trees are read as
+    the branches of the forest's B+ tree, by the loop of :func:`parse_tree`;
+    malformed text raises :class:`TreeSyntaxError` at its first bad byte,
+    its offset counted from the start of the forest text."""
+    return forest_of(_parse(text, True))
 
 
 @lru_cache(maxsize=None)

@@ -613,6 +613,15 @@ def test_cached_results_are_read_only():
         hnap_coproduct(t).terms = {}
     with pytest.raises(AttributeError):
         del ck_coproduct(t).terms
+    # nor can a cached antipode, whose later callers would see the change
+    cached = antipode_monomial("hnap", t)
+    for name, value in (("terms", {}), ("algebra", "ck")):
+        with pytest.raises(AttributeError):
+            setattr(cached, name, value)
+        with pytest.raises(AttributeError):
+            delattr(cached, name)
+    assert antipode(HopfElement.hnap_basis(t)) is cached
+    assert cached.algebra == "hnap" and cached.terms
     with pytest.raises(AttributeError):
         interval_of(t).forests = ()
     with pytest.raises(AttributeError):
@@ -636,16 +645,19 @@ def test_cached_results_are_read_only():
 
 
 def test_read_only_results_copy_and_pickle():
-    # a copy or an unpickled interval is the cached one; a tensor is rebuilt
-    # through its constructor, read-only again
+    # a copy or an unpickled interval is the cached one; a tensor or an
+    # antipode is rebuilt through its constructor, read-only again
     t = parse_tree("((()()))")
-    ip, te = interval_of(t), hnap_coproduct(t)
+    ip, te, s = interval_of(t), hnap_coproduct(t), antipode_monomial("hnap", t)
     for clone in (copy.copy(ip), copy.deepcopy(ip), pickle.loads(pickle.dumps(ip))):
         assert clone is ip
-    for clone in (copy.copy(te), copy.deepcopy(te), pickle.loads(pickle.dumps(te))):
-        assert type(clone) is TensorElement and clone == te
-        with pytest.raises(AttributeError):
-            clone.terms = {}
+    for x in (te, s):
+        for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(clone) is type(x) and clone == x and clone.algebra == x.algebra
+            with pytest.raises(AttributeError):
+                clone.terms = {}
+            with pytest.raises(AttributeError):
+                clone.algebra = "ck"
 
 
 def test_exact_is_the_one_coefficient_rule():
@@ -731,8 +743,8 @@ def test_unit_monomials_check_the_key_and_share_one_coefficient():
 def test_warm_queries_build_nothing():
     # a guard on work, not on time, in a fresh interpreter: once each of the
     # six kinds of query has been answered for every tree with 2..6
-    # vertices, asking again from the same strings parses nothing (no
-    # node lookup of a root), constructs no tree (not even one
+    # vertices, asking again from the same strings parses nothing (the
+    # parse loop never runs), constructs no tree (not even one
     # already built), gives no new id and makes or compares no Fraction,
     # counted by a profile hook
     code = (
@@ -748,7 +760,7 @@ def test_warm_queries_build_nothing():
         "first = ask()\n"
         "watched = {f.__code__: f.__qualname__ for f in (\n"
         "    trees.RootedTree.__new__, trees._new_tree, trees.node,\n"
-        "    trees._raise_syntax_error,\n"
+        "    trees._parse,\n"
         "    Fraction.__new__, Fraction.__eq__)}\n"
         "calls = dict.fromkeys(watched.values(), 0)\n"
         "def count(frame, event, arg):\n"
@@ -769,7 +781,7 @@ def test_warm_queries_build_nothing():
     # each repeat hands out the very object of its first answer
     assert same == answers
     assert calls == {"RootedTree.__new__": 0, "_new_tree": 0, "node": 0,
-                     "_raise_syntax_error": 0,
+                     "_parse": 0,
                      "Fraction.__new__": 0, "Fraction.__eq__": 0}
 
 

@@ -21,6 +21,7 @@ from naphopf.trees import (
     enumerate_forests,
     enumerate_trees,
     forest_aut_order,
+    forest_of,
     graft_onto,
     parse_forest,
     parse_tree,
@@ -98,6 +99,133 @@ def test_parse_errors_report_byte_offsets(text, offset, message):
         parse_tree(text)
     assert err.value.offset == offset
     assert str(err.value) == f"{message} (byte {offset})"
+
+
+def _two_phase_parse_tree(text: str) -> RootedTree:
+    # the reference for parse_tree: a fast path for a literal of
+    # parentheses only, as many '(' as ')', then a second, validating scan
+    # of the text that raises at the first error
+    s = text.strip()
+    if s[:1] == "(" and s[-1:] == ")" and 2 * s.count("(") == len(s) == 2 * s.count(")"):
+        stack, kids = [], []
+        for ch in s[1:-1].replace("()", "."):  # "." is a leaf
+            if ch == ".":
+                kids.append(LEAF.id)
+            elif ch == "(":
+                stack.append(kids)
+                kids = []
+            elif stack:
+                i = trees_module.node(kids)
+                kids = stack.pop()
+                kids.append(i)
+            else:  # the root closed before the end
+                break
+        else:
+            return trees_module.TREES[trees_module.node(kids)]
+
+    def fail(message: str, i: int):
+        raise TreeSyntaxError(message, len(text[:i].encode("utf-8")))
+
+    n, i, depth = len(text), 0, 0
+    while i < n and text[i].isspace():
+        i += 1
+    while True:
+        if i >= n:
+            fail("unclosed '('" if depth else "unexpected end of input, expected '('", i)
+        ch = text[i]
+        i += 1
+        if ch == "(":
+            depth += 1
+        elif ch == ")" and depth:
+            depth -= 1
+            if not depth:
+                break
+        else:
+            fail(f"expected '(' but found {ch!r}", i - 1)
+    while i < n and text[i].isspace():
+        i += 1
+    if i != n:
+        fail("trailing input after tree", i)
+    raise AssertionError(f"the two phases disagree on {text!r}")
+
+
+def _descent_parse_forest(text: str) -> Forest:
+    # the reference for parse_forest: recursive descent over
+    # forest := ws* (tree ws*)*, with the RootedTree constructor
+    def fail(message: str, i: int):
+        raise TreeSyntaxError(message, len(text[:i].encode("utf-8")))
+
+    def tree(i: int) -> tuple[RootedTree, int]:
+        kids, i = [], i + 1
+        while True:
+            if i == len(text):
+                fail("unclosed '('", i)
+            if text[i] == ")":
+                return RootedTree(kids), i + 1
+            if text[i] != "(":
+                fail(f"expected '(' but found {text[i]!r}", i)
+            kid, i = tree(i)
+            kids.append(kid)
+
+    components, i = [], 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+        elif text[i] == "(":
+            t, i = tree(i)
+            components.append(t)
+        else:
+            fail(f"expected '(' but found {text[i]!r}", i)
+    return Forest(components)
+
+
+_ALPHABET = "() \t\x1c\xa0\u3000x\u00e9"
+
+
+def _random_text(rng: random.Random, shapes: list[RootedTree]) -> str:
+    # half the time any string over _ALPHABET, mostly parentheses; else up
+    # to three spellings of trees joined by runs of whitespace, possibly
+    # empty, and half of those with one character inserted, replaced or
+    # dropped
+    if rng.random() < 0.5:
+        return "".join(rng.choices(_ALPHABET, [10, 10, 2, 1, 1, 1, 1, 1, 1],
+                                   k=rng.randrange(13)))
+    gaps = [" ", "\t", "\x1c", "\xa0", "\u3000", ""]
+    text = "".join(rng.choice(gaps) + _spelling(rng, rng.choice(shapes))
+                   for _ in range(rng.randrange(4))) + rng.choice(gaps)
+    if rng.random() < 0.5:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(["", rng.choice(_ALPHABET)]) + text[i + rng.randrange(2):]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except TreeSyntaxError as err:
+        return (str(err), err.offset)
+
+
+def test_parsers_agree_with_their_references():
+    # 20,000 seeded strings: parse_tree gives the tree, or the message and
+    # byte offset, of the two-phase reference, and parse_forest those of
+    # the recursive descent; every forest that whitespace splitting into
+    # trees accepts is the same forest
+    rng = random.Random(28)
+    shapes = [t for n in range(1, 6) for t in enumerate_trees(n)]
+    accepted = Counter()
+    for _ in range(20_000):
+        text = _random_text(rng, shapes)
+        tree = _outcome(parse_tree, text)
+        assert tree == _outcome(_two_phase_parse_tree, text), repr(text)
+        forest = _outcome(parse_forest, text)
+        assert forest == _outcome(_descent_parse_forest, text), repr(text)
+        split = _outcome(lambda s: Forest(map(_two_phase_parse_tree, s.split())), text)
+        if isinstance(split, Forest):
+            assert forest is split, repr(text)
+        accepted.update(tree=isinstance(tree, RootedTree), forest=isinstance(forest, Forest))
+    # the mix reaches both outcomes of both parsers
+    assert 1_000 < accepted["tree"] < 19_000 and 1_000 < accepted["forest"] < 19_000
 
 
 def _spelling(rng: random.Random, t: RootedTree) -> str:
@@ -343,7 +471,24 @@ def test_forest_rendering_and_parsing():
     assert f.render() == "() (()) (())"
     assert parse_forest(f.render()) == f
     assert parse_forest("") == Forest()
+    # trees may touch: their forest is the children of "(()())"
+    assert parse_forest("()()") is forest_of(parse_tree("(()())").id)
+    assert repr(parse_forest("()()")) == "Forest('() ()')"
     assert f.drop_units() == Forest((chain(2), chain(2)))
+
+
+@pytest.mark.parametrize("text,offset,message", [
+    ("() (x)", 4, "expected '(' but found 'x'"),
+    ("( )", 1, "expected '(' but found ' '"),
+    ("(()) ((", 7, "unclosed '('"),
+    (")", 0, "expected '(' but found ')'"),
+    ("\u3000() x", 6, "expected '(' but found 'x'"),
+])
+def test_forest_errors_name_the_first_bad_byte_of_the_text(text, offset, message):
+    with pytest.raises(TreeSyntaxError) as err:
+        parse_forest(text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (byte {offset})"
 
 
 # --- enumeration -------------------------------------------------------------
