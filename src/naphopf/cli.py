@@ -40,7 +40,7 @@ NAMED_SERIES = {
 
 # the largest inputs that take seconds: zeta*zeta at N = 13 takes ~1.5 s and
 # ~90 MB, the 7^6 labeled trees on 7 vertices ~5 s and ~190 MB, the trees
-# on 16 vertices ~3.5-4 s and ~185 MB (15: ~1.5 s and ~75 MB), and each
+# on 16 vertices ~2.5-3.5 s and ~165 MB (15: ~1-1.3 s and ~68 MB), and each
 # costs several times more one size up
 SERIES_N_LIMIT = 13
 LABELED_N_LIMIT = 7

@@ -237,6 +237,13 @@ class TensorElement(_Combination):
 
     __slots__ = ()
 
+    def __init__(self, algebra: str, terms: dict | None = None) -> None:
+        is_key = ALGEBRAS[algebra].is_key
+        for key in terms or ():
+            if not (type(key) is tuple and len(key) == 2 and is_key(key[0]) and is_key(key[1])):
+                raise ValueError(f"{key!r} is not a pair of monomials of the {algebra} algebra")
+        super().__init__(algebra, terms)
+
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         if type(other) is not TensorElement:
             return NotImplemented

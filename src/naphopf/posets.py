@@ -168,7 +168,7 @@ def mobius(t: RootedTree) -> int:
     """mu(0,1) of the interval of t by the antichain rule: the vertices
     below the root are an antichain exactly when t is a corolla, and then
     mu = (-1)^(n-1) for n vertices; 0 for every other tree."""
-    return (-1) ** (t.size - 1) if len(t.children) == t.size - 1 else 0
+    return (-1) ** (t.size - 1) if len(KIDS[t.id]) == t.size - 1 else 0
 
 
 # the closed form is the rule itself

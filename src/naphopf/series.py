@@ -12,6 +12,7 @@ onto one-variable power series groups.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import groupby
@@ -28,6 +29,7 @@ from .trees import (
     chain,
     corolla,
     enumerate_trees,
+    graft_onto,
     parse_tree,
     substitute,
 )
@@ -57,9 +59,6 @@ class TreeSeries:
 
     def is_group_element(self) -> bool:
         return self.coeffs.get(LEAF) == 1
-
-    def support(self) -> list[RootedTree]:
-        return sorted(self.coeffs, key=lambda t: (t.size, t.string))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TreeSeries)
@@ -96,7 +95,9 @@ class TreeSeries:
     @classmethod
     def from_json(cls, data: dict) -> "TreeSeries":
         """Inverse of :meth:`to_json`.  Data of another shape raises
-        ValueError naming the offending field."""
+        ValueError naming the offending field; a coefficient is a JSON
+        integer or a string ``-?[0-9]+(/[0-9]+)?``, as :meth:`to_json`
+        writes it."""
         if not isinstance(data, dict):
             raise ValueError("series JSON must be an object")
         truncation, coeffs = data.get("truncation"), data.get("coeffs")
@@ -114,6 +115,8 @@ class TreeSeries:
                 if t.size > truncation > 0:  # else dropped silently; cls refuses truncation < 1
                     raise ValueError(f"{k!r} has {t.size} vertices, more than the "
                                      f"truncation {truncation}")
+                if type(c) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c):
+                    raise ValueError(f"{k!r} has coefficient {c!r}, not an integer or p/q")
                 spellings[t], parsed[t] = k, Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"series field 'coeffs': {exc}") from None
@@ -249,7 +252,7 @@ def series_graft(a: TreeSeries, b: TreeSeries) -> TreeSeries:
         for t, cb in b.coeffs.items():
             if s.size + t.size > n:
                 continue
-            g = RootedTree(s.children + (t,))
+            g = graft_onto(s, t)
             out[g] = out.get(g, 0) + ca * cb
     return TreeSeries(n, out)
 

@@ -19,13 +19,13 @@ set-operads built on them serve only as oracles and live in
 
 The tree table is this module.  ``TREES[i]`` is the one instance of tree
 i, and ``SIZES``, ``KIDS`` (the ids of its children in canonical child
-order) and ``AUTS`` (its automorphism order) are what the engines read of
-it; each list grows by one entry per tree built.  A tree's children are
-built before it, so each child id is smaller than its parent's, and
-:func:`subtrees` lists a tree's subtrees children first by sorting their
-ids.  :func:`node` finds a tree from its children's ids in the one intern
-dict, and sorts and constructs it only if it was never built.  Nothing is
-enumerated in advance.
+order, the one stored copy of them) and ``AUTS`` (its automorphism order)
+are what the engines read of it; each list grows by one entry per tree
+built.  A tree's children are built before it, so each child id is
+smaller than its parent's, and :func:`subtrees` lists a tree's subtrees
+children first by sorting their ids.  :func:`node` finds a tree from its
+children's ids in the one intern dict, and sorts and constructs it only
+if it was never built.  Nothing is enumerated in advance.
 
 Substituting into a tree is the B-series recursion (Butcher 1972;
 Hairer-Lubich-Wanner, Geometric Numerical Integration, III.1): putting
@@ -48,6 +48,7 @@ empties the dicts in place, and the spelling cache with them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Container, Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
@@ -102,13 +103,14 @@ class RootedTree(_Interned):
     ascending by (size, string).  ``RootedTree(children)`` returns the one
     instance of its shape, so two trees are equal, and the same object,
     exactly when their canonical strings are equal.  ``id`` is the next
-    free int when the tree is built, so ``TREES[t.id] is t``.  ``forest``
-    is the forest of t's branches once :func:`forest_of` has made it.
-    Trees and their ids live for the whole process, and trees must not be
-    mutated.
+    free int when the tree is built, so ``TREES[t.id] is t``, and
+    ``children`` is read off ``KIDS[t.id]``, which the tree does not copy.
+    ``forest`` is the forest of t's branches once :func:`forest_of` has
+    made it.  Trees and their ids live for the whole process, and trees
+    must not be mutated.
     """
 
-    __slots__ = ("children", "size", "string", "id", "forest")
+    __slots__ = ("size", "string", "id", "forest")
 
     def __new__(cls, children: Iterable["RootedTree"] = ()) -> "RootedTree":
         key = tuple(sorted([c.id for c in children]))
@@ -129,19 +131,24 @@ class RootedTree(_Interned):
         return "RootedTree(%r)" % self.string
 
     @property
+    def children(self) -> tuple["RootedTree", ...]:
+        """The children in canonical order, read off ``KIDS``."""
+        return tuple([TREES[k] for k in KIDS[self.id]])
+
+    @property
     def root_valence(self) -> int:
-        return len(self.children)
+        return len(KIDS[self.id])
 
     def is_corolla(self) -> bool:
         """True iff every non-root vertex is a child of the root."""
-        return len(self.children) == self.size - 1
+        return len(KIDS[self.id]) == self.size - 1
 
 
 def _new_tree(key: tuple[int, ...]) -> RootedTree:
     # the one place a tree is made, on a miss of the intern dict: the first
     # instance of the tree whose root has the children with the sorted ids
     # key.  Trees are built from one thread at a time
-    kids = tuple(sorted([TREES[k] for k in key], key=_key))
+    kids = sorted([TREES[k] for k in key], key=_key)
     ids = tuple([c.id for c in kids])
     # aut is m! aut(c)^m over each run of m equal children, which are
     # adjacent: the j-th child of a run brings j aut(c)
@@ -151,7 +158,6 @@ def _new_tree(key: tuple[int, ...]) -> RootedTree:
         last = k
         aut *= m * AUTS[k]
     t = object.__new__(RootedTree)
-    t.children = kids
     t.size = 1 + sum([c.size for c in kids])
     t.string = "(%s)" % "".join([c.string for c in kids])
     t.forest = None
@@ -193,7 +199,7 @@ def corolla(k: int) -> RootedTree:
 
 def graft_onto(s: RootedTree, t: RootedTree) -> RootedTree:
     """The NAP product s ◁ t: attach t as one more branch of the root of s."""
-    return RootedTree(s.children + (t,))
+    return TREES[node(KIDS[s.id] + (t.id,))]
 
 
 @lru_cache(maxsize=None)
@@ -255,11 +261,11 @@ class Forest(_Interned):
     """Canonical multiset of rooted trees, sorted like tree children.
 
     A forest is its B+ tree, whose root carries the components as
-    branches: ``id`` is that tree's id, ``components`` its children and
-    ``size`` its size less the root, and ``Forest(components)`` returns
-    the one instance kept on that tree (:func:`forest_of`).  The empty
-    forest, whose B+ tree is the single vertex, is the unit monomial in
-    the Hopf-algebra modules.
+    branches: ``id`` is that tree's id, ``components`` its children (read
+    off ``KIDS`` once, when the forest is made), ``size`` its size less
+    the root, and ``Forest(components)`` returns the one instance kept on
+    that tree (:func:`forest_of`).  The empty forest, whose B+ tree is the
+    single vertex, is the unit monomial in the Hopf-algebra modules.
     """
 
     __slots__ = ("components", "size", "id")
@@ -317,51 +323,33 @@ def parse_forest(text: str) -> Forest:
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[RootedTree, ...]:
-    """All unlabeled rooted trees with exactly n vertices, canonically sorted."""
+    """All unlabeled rooted trees with exactly n vertices, canonically
+    sorted.  Each is made once, on ids, as ``node(KIDS[p] + (t,))`` from
+    its largest branch t and the prefix tree p of its other branches (the
+    split of :func:`substitute`), both listed before it."""
     if n < 1:
         raise ValueError("tree size must be >= 1")
     if n == 1:
         return (LEAF,)
-    return tuple(sorted((RootedTree(f) for f in _forest_tuples(n - 1)), key=_key))
-
-
-def _forest_tuples(total: int) -> Iterator[tuple[RootedTree, ...]]:
-    # Multisets of trees with the given total size, components in
-    # non-increasing (size, string) order, listed from the largest.  A
-    # depth-first walk on an explicit stack that stores nothing: every tree
-    # a level tries ends in a forest, since single vertices fill any rest.
-    if not total:
-        yield ()
-        return
-    # every tree of size <= total, largest first; those of size <= r start
-    # at first[r]
-    desc, first = [], [0] * (total + 1)
-    for s in range(total, 0, -1):
-        first[s] = len(desc)
-        desc.extend(reversed(enumerate_trees(s)))
-    # per open level: the position of its next tree and the vertices left
-    comps, stack = [], [(0, total)]
-    while stack:
-        i, rest = stack.pop()
-        if i == len(desc):  # the level is done, and so is its component
-            if comps:
-                comps.pop()
-            continue
-        t = desc[i]
-        left = rest - t.size
-        stack.append((i + 1, rest))
-        if left:  # the next component is no larger than t and fits
-            comps.append(t)
-            stack.append((max(i, first[left]), left))
-        else:
-            yield (*comps, t)
+    made = []
+    for k in range(1, n):  # the size of the largest branch
+        branches = enumerate_trees(k)
+        for p in enumerate_trees(n - k):
+            kids = KIDS[p.id]
+            # the branches no smaller than p's largest: all of them if it is
+            # smaller than k vertices, none if it is larger
+            start = bisect_left(branches, TREES[kids[-1]]) if kids else 0
+            made.extend([node(kids + (t.id,)) for t in branches[start:]])
+    return tuple(sorted([TREES[i] for i in made], key=_key))
 
 
 def enumerate_forests(total: int) -> tuple[Forest, ...]:
-    """All forests (multisets of trees) with the given total vertex count."""
+    """All forests (multisets of trees) with the given total vertex count,
+    in the order of their B+ trees: the branch forests of
+    ``enumerate_trees(total + 1)``, by (size, string) of that tree."""
     if total < 0:
         raise ValueError("forest size must be >= 0")
-    return tuple(Forest(f) for f in _forest_tuples(total))
+    return tuple([forest_of(t.id) for t in enumerate_trees(total + 1)])
 
 
 def aut_order(t: RootedTree) -> int:

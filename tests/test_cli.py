@@ -304,6 +304,9 @@ def test_series_file_truncated_below_request(tmp_path, capsys):
     # two spellings of one tree: neither coefficient may be dropped
     ({"truncation": 4, "coeffs": {"()": "1", "(()(()))": "1", "((())())": "5"}},
      "'coeffs': '(()(()))' and '((())())' name the same tree"),
+    # only an integer or p/q: an exponent would cost time tenfold per digit
+    ({"truncation": 3, "coeffs": {"()": "1", "(())": "1e10000000"}},
+     "'coeffs': '(())' has coefficient '1e10000000', not an integer or p/q"),
 ])
 def test_series_file_with_bad_schema(tmp_path, capsys, data, field):
     path = tmp_path / "bad.json"

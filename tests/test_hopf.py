@@ -740,6 +740,25 @@ def test_unit_monomials_check_the_key_and_share_one_coefficient():
         HopfElement.hnap_basis(Forest((t,)))
 
 
+
+def test_tensor_keys_are_checked():
+    # a tensor key is a pair of monomials of its algebra; anything else was
+    # stored, and to_json or a product then raised AttributeError
+    t = parse_tree("(()(()))")
+    for alg, left, right in (("hnap", t, LEAF), ("ck", Forest((t, LEAF)), Forest()),
+                             ("qgnap", Forest((t,)), Forest())):
+        x = TensorElement(alg, {(left, right): 2})
+        assert x.terms == {(left, right): 2} and (x * x).to_json()
+    for alg, key in (("hnap", ("x", "y")), ("hnap", (t, Forest((t,)))), ("hnap", (t,)),
+                     ("hnap", (t, t, t)), ("ck", (t, Forest())),
+                     ("qgnap", (Forest((LEAF,)), Forest())), ("hnap", t)):
+        with pytest.raises(ValueError) as err:
+            TensorElement(alg, {key: 1})
+        assert f"is not a pair of monomials of the {alg} algebra" in str(err.value)
+    # the coproduct and a map build checked tensors of their own algebra
+    assert F(t).coproduct() == hnap_coproduct(t)
+    assert tensor_map(ck_coproduct(t), iso_from_ck, iso_from_ck).algebra == "hnap"
+
 def test_warm_queries_build_nothing():
     # a guard on work, not on time, in a fresh interpreter: once each of the
     # six kinds of query has been answered for every tree with 2..6

@@ -89,6 +89,28 @@ def test_series_json_with_a_tree_above_the_truncation_is_refused():
     assert TreeSeries(2, {LEAF: 1, chain(3): 7}) == TreeSeries(2, {LEAF: 1})
 
 
+
+@pytest.mark.parametrize("coeff", [
+    "1e99", "1e3", "1.5", "1E2", " 1", "1/2 ", "+1", "1_000", "0x10", "1/-2",
+    "\u0661", "inf", "nan", "", "1//2", "1/2/3",
+])
+def test_series_json_coefficient_is_an_integer_or_p_over_q(coeff):
+    # only what to_json writes is read back: Fraction would take an exponent
+    # and spend time that grows tenfold per exponent digit
+    data = {"truncation": 2, "coeffs": {"()": "1", "(())": coeff}}
+    with pytest.raises(ValueError) as err:
+        TreeSeries.from_json(data)
+    assert str(err.value) == (f"series field 'coeffs': '(())' has coefficient {coeff!r}, "
+                              "not an integer or p/q")
+
+
+def test_series_json_reads_integers_and_p_over_q():
+    data = {"truncation": 2, "coeffs": {"()": 1, "(())": "-3/6"}}
+    assert TreeSeries.from_json(data).coeffs == {LEAF: 1, chain(2): Fraction(-1, 2)}
+    for c in ("0", "-0", "007", "12/8", "-1/1"):
+        assert TreeSeries.from_json({"truncation": 2, "coeffs": {"(())": c}}).coeffs == (
+            {chain(2): Fraction(c)} if Fraction(c) else {})
+
 def test_an_int_coefficient_stays_an_int():
     # an int is kept, any other number becomes a Fraction, and 3 and
     # Fraction(3) are one coefficient

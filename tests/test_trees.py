@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import permutations, product as cartesian
 from math import factorial
 
@@ -11,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from naphopf.trees import (
     Forest,
+    KIDS,
     LEAF,
     RootedTree,
+    TREES,
     TreeSyntaxError,
     aut0_order,
     aut_order,
@@ -526,6 +529,67 @@ def test_forest_enumeration():
     assert enumerate_forests_with_components(4, 2) == tuple(
         f for f in enumerate_forests(4) if len(f) == 2)
 
+
+
+def _forest_walk(total: int):
+    # the reference for the enumerations: multisets of trees with the given
+    # total size, components in non-increasing (size, string) order, listed
+    # from the largest.  A depth-first walk on an explicit stack that
+    # stores nothing: every tree a level tries ends in a forest, since
+    # single vertices fill any rest
+    if not total:
+        yield ()
+        return
+    # every tree of size <= total, largest first; those of size <= r start
+    # at first[r]
+    desc, first = [], [0] * (total + 1)
+    for s in range(total, 0, -1):
+        first[s] = len(desc)
+        desc.extend(reversed(_walked_trees(s)))
+    # per open level: the position of its next tree and the vertices left
+    comps, stack = [], [(0, total)]
+    while stack:
+        i, rest = stack.pop()
+        if i == len(desc):  # the level is done, and so is its component
+            if comps:
+                comps.pop()
+            continue
+        t = desc[i]
+        left = rest - t.size
+        stack.append((i + 1, rest))
+        if left:  # the next component is no larger than t and fits
+            comps.append(t)
+            stack.append((max(i, first[left]), left))
+        else:
+            yield (*comps, t)
+
+
+@lru_cache(maxsize=None)
+def _walked_trees(n: int) -> tuple:
+    # the trees of n vertices as B+ of the forests of the walk, sorted
+    if n == 1:
+        return (LEAF,)
+    return tuple(sorted((RootedTree(f) for f in _forest_walk(n - 1)),
+                        key=lambda t: (t.size, t.string)))
+
+
+def test_enumeration_against_the_forest_walk():
+    # trees are built on ids from a prefix and a largest branch; the walk
+    # over forests that enumerated them before is the reference
+    for n in range(1, 13):
+        assert enumerate_trees(n) == _walked_trees(n)
+    for m in range(12):
+        forests = enumerate_forests(m)
+        assert set(forests) == {Forest(f) for f in _forest_walk(m)}
+        # in the order of their B+ trees, by (size, string)
+        assert [f.id for f in forests] == [t.id for t in enumerate_trees(m + 1)]
+    assert [f.render() for f in enumerate_forests(3)] == [
+        "((()))", "(()())", "() (())", "() () ()"]
+    # a tree's children are read off KIDS, its one stored copy of them
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            assert t.children == tuple(TREES[k] for k in KIDS[t.id])
+            assert RootedTree(t.children) is t
 
 def test_labeled_forest_counts():
     for n in range(1, 5):
