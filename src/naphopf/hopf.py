@@ -19,13 +19,18 @@ works on interned tree ids with integer counts; the ``qgnap`` constants are
 its counts under the paper's main theorem.  A forest key is the forest of
 its B+ tree, ``forest_of(node(ids))``, so ``ck`` multiplies as ``hnap``
 does.  Trees and forests are built only when a result is handed out.  The oracles
-(ideal enumeration by :mod:`naphopf.posets`, admissible cuts over edge
-subsets, the labeled composition route and the brute-force orbit counts)
+(ideal enumeration by :mod:`naphopf.posets`, admissible cuts as antichains
+of edges, the labeled composition route and the brute-force orbit counts)
 live in :mod:`naphopf.oracles`.
 
 A memo keyed by values is an ``lru_cache``; id-keyed memos, such as the
 per-tree antipodes, are dicts in :mod:`naphopf.trees`; ``trees.clear()``
 empties them.  The ids themselves live for the process, like the trees.
+The monomials with the int coefficient 1 (``hnap_basis``, ``qg_generator``,
+``ck_forest``, ``ck_tree``, ``unit`` and ``monomial(algebra, key)``) are
+interned by one such memo: one element per (algebra, key), read-only like
+the cached coproducts and antipodes, so the antipode of a basis monomial
+is one cache hit.
 
 Coefficients are exact, under one rule, :func:`exact`, which the series
 of :mod:`naphopf.series` follow too.  Every coproduct and antipode
@@ -150,6 +155,10 @@ class _Combination:
 _set_algebra, _set_terms = _Combination.algebra.__set__, _Combination.terms.__set__
 
 
+def _not_a_monomial(algebra: str, key) -> ValueError:
+    return ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
+
+
 class HopfElement(_Combination):
     """Finite rational combination of monomials in one of the three algebras."""
 
@@ -159,12 +168,12 @@ class HopfElement(_Combination):
         is_key = ALGEBRAS[algebra].is_key
         for key in terms or ():
             if not is_key(key):
-                raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
+                raise _not_a_monomial(algebra, key)
         super().__init__(algebra, terms)
 
     @classmethod
     def unit(cls, algebra: str) -> "HopfElement":
-        return cls.monomial(algebra, ALGEBRAS[algebra].unit)
+        return _basis(algebra, ALGEBRAS[algebra].unit)
 
     @classmethod
     def zero(cls, algebra: str) -> "HopfElement":
@@ -172,9 +181,15 @@ class HopfElement(_Combination):
 
     @classmethod
     def monomial(cls, algebra: str, key, coeff=1) -> "HopfElement":
-        """coeff * key, the key checked once."""
+        """coeff * key, the key checked once; with the int coefficient 1 it
+        is the interned, read-only element of the key."""
+        if type(coeff) is int and coeff == 1:
+            try:
+                return _basis(algebra, key)
+            except TypeError:  # an unhashable key
+                raise _not_a_monomial(algebra, key) from None
         if not ALGEBRAS[algebra].is_key(key):
-            raise ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
+            raise _not_a_monomial(algebra, key)
         coeff = exact(coeff)
         x = object.__new__(cls)
         _set_algebra(x, algebra)
@@ -183,21 +198,29 @@ class HopfElement(_Combination):
 
     @classmethod
     def hnap_basis(cls, t: RootedTree) -> "HopfElement":
-        """The basis element F_[t]."""
-        return cls.monomial("hnap", t)
+        """The basis element F_[t], interned."""
+        try:
+            return _basis("hnap", t)
+        except TypeError:  # an unhashable key
+            raise _not_a_monomial("hnap", t) from None
 
     @classmethod
     def qg_generator(cls, alpha: RootedTree) -> "HopfElement":
-        """The generator G_alpha (the unit when alpha is a single vertex)."""
-        return cls.monomial("qgnap", ALGEBRAS["qgnap"].tree_key(alpha))
+        """The generator G_alpha (the unit when alpha is a single vertex), interned."""
+        return _basis("qgnap", ALGEBRAS["qgnap"].tree_key(alpha))
 
     @classmethod
     def ck_forest(cls, f: Forest) -> "HopfElement":
-        return cls.monomial("ck", f)
+        """The forest f of the Connes-Kreimer algebra, interned."""
+        try:
+            return _basis("ck", f)
+        except TypeError:  # an unhashable key
+            raise _not_a_monomial("ck", f) from None
 
     @classmethod
     def ck_tree(cls, t: RootedTree) -> "HopfElement":
-        return cls.monomial("ck", Forest((t,)))
+        """The one-tree forest t of the Connes-Kreimer algebra, interned."""
+        return _basis("ck", Forest((t,)))
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
         if type(other) is not HopfElement:
@@ -268,6 +291,15 @@ class TensorElement(_Combination):
         render = ALGEBRAS[self.algebra].render
         bits = [f"{c}*({render(a)} (x) {render(b)})" for (a, b), c in self.terms.items()]
         return f"TensorElement({self.algebra!r}, {' + '.join(bits) or '0'})"
+
+
+@lru_cache(maxsize=None)
+def _basis(algebra: str, key) -> HopfElement:
+    # the one read-only element 1 * key of each monomial, made on first use;
+    # a key that is not a monomial raises, and an error is not cached
+    if not ALGEBRAS[algebra].is_key(key):
+        raise _not_a_monomial(algebra, key)
+    return HopfElement._from_counts(algebra, {key: 1})
 
 
 def tensor_map(te: TensorElement, left: BasisMap, right: BasisMap) -> TensorElement:
@@ -592,7 +624,7 @@ def antipode_monomial(algebra: str, key) -> HopfElement:
     coproduct, run on tree ids; ``hnap`` carries the ``ck`` antipode of
     the branch forest back by B+.
     """
-    HopfElement.monomial(algebra, key)  # checks the key; an error is not cached
+    _basis(algebra, key)  # checks the key; an error is not cached
     return ALGEBRAS[algebra].antipode(key)
 
 
@@ -600,9 +632,10 @@ def antipode(x: HopfElement) -> HopfElement:
     """Linear extension of the monomial antipode; a single monomial with
     coefficient 1 (an ``int`` or a ``Fraction``) gets the cached, read-only
     monomial antipode."""
-    if len(x.terms) == 1:
-        (key, c), = x.terms.items()
-        if c == 1:
+    terms = x.terms
+    if len(terms) == 1:
+        key, = terms
+        if terms[key] == 1:
             return antipode_monomial(x.algebra, key)
     out: dict = {}
     for key, c in x.terms.items():

@@ -22,8 +22,8 @@ limits:
   realizes the ideal-lattice model of ``naphopf.posets``;
 * the incidence constants f by ideal enumeration, the group constants g
   and the series product by the labeled route, the two orbit counts of
-  the main theorem, and the Connes-Kreimer coproduct and antipode over
-  edge subsets.
+  the main theorem, the Connes-Kreimer coproduct over the antichains of
+  edges and its antipode over all edge subsets.
 """
 
 from __future__ import annotations
@@ -1084,7 +1084,8 @@ def labeled_g_structure_constants(n: int) -> dict:
 def _edge_cuts(t: RootedTree) -> Iterable[tuple[int, bool, list, RootedTree]]:
     """Every subset C of the edges of t, cut: (|C|, whether C is admissible,
     the subtrees cut off, the part left with the root).  C is admissible
-    when no cut edge lies below another."""
+    when no cut edge lies below another; the closed-form antipode sums
+    over every C."""
     rep = canonical_representative(t)
     # BFS labels grow downwards, so taking the edges by decreasing child
     # label completes every subtree before its parent edge is reached
@@ -1105,6 +1106,25 @@ def _edge_cuts(t: RootedTree) -> Iterable[tuple[int, bool, list, RootedTree]]:
         yield len(pieces), admissible, pieces, RootedTree(kids[rep.root])
 
 
+def _admissible_cuts(t: RootedTree) -> list[tuple[list, RootedTree]]:
+    """Every admissible cut of t, the empty one first: (the subtrees cut
+    off, the part left with the root).  Only the antichains of edges are
+    made, none of the other subsets that :func:`_edge_cuts` walks."""
+    rep = canonical_representative(t)
+    cuts: dict = {}
+    # BFS labels grow downwards, so every child is done before its parent
+    for v in sorted(rep.labels, reverse=True):
+        # each child is kept with one of its own cuts or cut off whole; the
+        # first cut of a child is the empty one, whose trunk is its subtree
+        below: list = [([], [])]
+        for c in rep.children(v):
+            whole = cuts[c][0][1]
+            below = ([(p + q, k + [trunk]) for p, k in below for q, trunk in cuts[c]]
+                     + [(p + [whole], k) for p, k in below])
+        cuts[v] = [(p, RootedTree(k)) for p, k in below]
+    return cuts[rep.root]
+
+
 def ck_coproduct_cuts(f: "Forest | RootedTree") -> TensorElement:
     """Connes-Kreimer coproduct by direct admissible-cut enumeration.
 
@@ -1116,10 +1136,9 @@ def ck_coproduct_cuts(f: "Forest | RootedTree") -> TensorElement:
     out = TensorElement("ck", {(Forest(), Forest()): 1})
     for t in f.components:
         terms: dict = {(Forest((t,)), Forest()): 1}
-        for _, admissible, pieces, trunk in _edge_cuts(t):
-            if admissible:
-                key = (Forest(pieces), Forest((trunk,)))
-                terms[key] = terms.get(key, 0) + 1
+        for pieces, trunk in _admissible_cuts(t):
+            key = (Forest(pieces), Forest((trunk,)))
+            terms[key] = terms.get(key, 0) + 1
         out = out * TensorElement("ck", terms)
     return out
 

@@ -96,8 +96,8 @@ class TreeSeries:
     def from_json(cls, data: dict) -> "TreeSeries":
         """Inverse of :meth:`to_json`.  Data of another shape raises
         ValueError naming the offending field; a coefficient is a JSON
-        integer or a string ``-?[0-9]+(/[0-9]+)?``, as :meth:`to_json`
-        writes it."""
+        integer or a string ``-?[0-9]+(/[0-9]+)?`` with a nonzero
+        denominator, as :meth:`to_json` writes it."""
         if not isinstance(data, dict):
             raise ValueError("series JSON must be an object")
         truncation, coeffs = data.get("truncation"), data.get("coeffs")
@@ -117,8 +117,10 @@ class TreeSeries:
                                      f"truncation {truncation}")
                 if type(c) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c):
                     raise ValueError(f"{k!r} has coefficient {c!r}, not an integer or p/q")
+                if type(c) is str and re.fullmatch(r"-?[0-9]+/0+", c):
+                    raise ValueError(f"{k!r} has coefficient {c!r}, a zero denominator")
                 spellings[t], parsed[t] = k, Fraction(c)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"series field 'coeffs': {exc}") from None
         return cls(truncation, parsed)
 

@@ -307,6 +307,9 @@ def test_series_file_truncated_below_request(tmp_path, capsys):
     # only an integer or p/q: an exponent would cost time tenfold per digit
     ({"truncation": 3, "coeffs": {"()": "1", "(())": "1e10000000"}},
      "'coeffs': '(())' has coefficient '1e10000000', not an integer or p/q"),
+    # a p/q with q = 0 names its tree, not the Fraction that refused it
+    ({"truncation": 3, "coeffs": {"()": "1", "(())": "-3/00"}},
+     "'coeffs': '(())' has coefficient '-3/00', a zero denominator"),
 ])
 def test_series_file_with_bad_schema(tmp_path, capsys, data, field):
     path = tmp_path / "bad.json"

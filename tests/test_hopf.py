@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -34,6 +35,8 @@ from naphopf.hopf import (
     tensor_map,
 )
 from naphopf.oracles import (
+    _admissible_cuts,
+    _edge_cuts,
     _hnap_coproduct_by_ideals,
     admissible_triples,
     brute_force_pi,
@@ -474,6 +477,29 @@ def test_ck_inductive_equals_cut_enumeration():
             assert ck_coproduct(f) == ck_coproduct_cuts(f)
 
 
+def _cut_counts(cuts) -> Counter:
+    return Counter((Forest(pieces), trunk) for pieces, trunk in cuts)
+
+
+def test_antichain_cuts_equal_the_admissible_edge_subsets():
+    # the oracle makes only the antichains of edges; they are the subsets
+    # that the all-subsets walk of the closed-form antipode keeps, each once
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    assert len(trees) == 200
+    for t in trees:
+        cuts = _admissible_cuts(t)
+        assert cuts[0] == ([], t), t.string
+        kept = [(pieces, trunk) for _, ok, pieces, trunk in _edge_cuts(t) if ok]
+        assert _cut_counts(cuts) == _cut_counts(kept), t.string
+    # negative control: one non-admissible cut, both edges of chain(3),
+    # added to the antichains breaks the comparison
+    t = chain(3)
+    kept = [(pieces, trunk) for _, ok, pieces, trunk in _edge_cuts(t) if ok]
+    both = [(pieces, trunk) for cut, ok, pieces, trunk in _edge_cuts(t) if cut == 2]
+    assert len(both) == 1 and both[0] == ([LEAF, LEAF], LEAF)
+    assert _cut_counts(_admissible_cuts(t) + both) != _cut_counts(kept)
+
+
 def test_b_plus():
     assert b_plus(Forest()) == LEAF
     assert b_plus(Forest((LEAF, LEAF))) == T200
@@ -642,6 +668,88 @@ def test_cached_results_are_read_only():
     assert len(brute_force_pi(nap_instance(), 2).index) == 3
     assert len(brute_force_pi(nap_instance(), 2).theta) == 5
     assert len(interval_of(t).forests) == 3 and len(ck_coproduct(t).terms) == 4
+
+
+def test_basis_monomials_are_interned():
+    for t in (LEAF, T10, T2100):
+        f = Forest((t,))
+        assert F(t) is HopfElement.monomial("hnap", t) is HopfElement.monomial("hnap", t)
+        assert HopfElement.ck_tree(t) is HopfElement.ck_forest(f) is HopfElement.monomial("ck", f)
+        assert (HopfElement.qg_generator(t)
+                is HopfElement.monomial("qgnap", f.drop_units()))
+    assert HopfElement.unit("hnap") is F(LEAF)
+    assert HopfElement.unit("ck") is HopfElement.ck_forest(Forest())
+    assert HopfElement.unit("qgnap") is HopfElement.qg_generator(LEAF)
+    x = F(T2100)
+    assert x.algebra == "hnap" and x.terms == {T2100: 1} and type(x.terms[T2100]) is int
+
+
+def test_interned_monomials_are_read_only():
+    for x in (F(T110), HopfElement.ck_tree(T110), HopfElement.qg_generator(T110),
+              HopfElement.unit("ck")):
+        key, = x.terms
+        with pytest.raises(AttributeError):
+            x.terms = {}
+        with pytest.raises(AttributeError):
+            del x.terms
+        with pytest.raises(AttributeError):
+            x.terms.clear()
+        with pytest.raises(TypeError):
+            x.terms[key] = 2
+        with pytest.raises(TypeError):
+            del x.terms[key]
+        assert x.terms == {key: 1}
+    # arithmetic on an interned monomial builds a new element
+    x = F(T10)
+    assert (x + x).terms == {T10: 2} and x.terms == {T10: 1}
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1), 2, 0])
+def test_other_coefficients_build_a_fresh_monomial(coeff):
+    for algebra, key in (("hnap", T2100), ("ck", Forest((T10, T10))),
+                         ("qgnap", Forest((T110,)))):
+        x = HopfElement.monomial(algebra, key, coeff)
+        assert x is not HopfElement.monomial(algebra, key, coeff)
+        assert type(x.terms) is dict
+        assert x == HopfElement(algebra, {key: coeff})
+        assert x.terms == ({key: coeff} if coeff else {})
+        assert all(type(c) is type(coeff) for c in x.terms.values())
+
+
+def test_bad_monomial_keys_raise_and_are_not_cached():
+    bad = (("hnap", Forest()), ("ck", T10), ("hnap", [T10]), ("ck", []),
+           ("nap", T10), ("qgnap", Forest((T10, LEAF))))
+    before = hopf._basis.cache_info().currsize
+    for _ in range(2):
+        for algebra, key in bad:
+            with pytest.raises(ValueError):
+                HopfElement.monomial(algebra, key)
+        for key in (Forest(), [T10], {}):
+            with pytest.raises(ValueError, match="hnap"):
+                HopfElement.hnap_basis(key)
+        for key in (T10, [], "()"):
+            with pytest.raises(ValueError, match="ck"):
+                HopfElement.ck_forest(key)
+        with pytest.raises(ValueError, match="unknown algebra"):
+            HopfElement.unit("nap")
+        for algebra, key in bad:
+            if algebra != "nap" and not isinstance(key, list):
+                with pytest.raises(ValueError):
+                    antipode_monomial(algebra, key)
+    assert hopf._basis.cache_info().currsize == before
+
+
+def test_antipodes_of_interned_monomials_to_7_vertices():
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    assert len(trees) == 85
+    for algebra in ALGEBRAS:
+        tree_key = ALGEBRAS[algebra].tree_key
+        for t in trees:
+            key = tree_key(t)
+            x, y = HopfElement.monomial(algebra, key), HopfElement(algebra, {key: 1})
+            assert x is not y and x == y
+            assert antipode(x) is antipode_monomial(algebra, key)
+            assert antipode(x) == antipode(y) == Fraction(1, 2) * antipode(2 * y), t.string
 
 
 def test_read_only_results_copy_and_pickle():
