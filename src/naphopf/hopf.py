@@ -159,6 +159,15 @@ def _not_a_monomial(algebra: str, key) -> ValueError:
     return ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
 
 
+def _check_hashable(algebra: str, key) -> None:
+    # called while the interning cache's TypeError is handled: an unhashable
+    # key is not a monomial, and any other TypeError is the caller's to raise
+    try:
+        hash(key)
+    except TypeError:
+        raise _not_a_monomial(algebra, key) from None
+
+
 class HopfElement(_Combination):
     """Finite rational combination of monomials in one of the three algebras."""
 
@@ -181,28 +190,23 @@ class HopfElement(_Combination):
 
     @classmethod
     def monomial(cls, algebra: str, key, coeff=1) -> "HopfElement":
-        """coeff * key, the key checked once; with the int coefficient 1 it
-        is the interned, read-only element of the key."""
-        if type(coeff) is int and coeff == 1:
-            try:
-                return _basis(algebra, key)
-            except TypeError:  # an unhashable key
-                raise _not_a_monomial(algebra, key) from None
-        if not ALGEBRAS[algebra].is_key(key):
-            raise _not_a_monomial(algebra, key)
-        coeff = exact(coeff)
-        x = object.__new__(cls)
-        _set_algebra(x, algebra)
-        _set_terms(x, {key: coeff} if coeff else {})
-        return x
+        """coeff * key, the key checked once by the interned element 1 * key,
+        which is returned as it is for the int coefficient 1."""
+        try:
+            x = _basis(algebra, key)
+        except TypeError:
+            _check_hashable(algebra, key)
+            raise
+        return x if type(coeff) is int and coeff == 1 else coeff * x
 
     @classmethod
     def hnap_basis(cls, t: RootedTree) -> "HopfElement":
         """The basis element F_[t], interned."""
         try:
             return _basis("hnap", t)
-        except TypeError:  # an unhashable key
-            raise _not_a_monomial("hnap", t) from None
+        except TypeError:
+            _check_hashable("hnap", t)
+            raise
 
     @classmethod
     def qg_generator(cls, alpha: RootedTree) -> "HopfElement":
@@ -214,8 +218,9 @@ class HopfElement(_Combination):
         """The forest f of the Connes-Kreimer algebra, interned."""
         try:
             return _basis("ck", f)
-        except TypeError:  # an unhashable key
-            raise _not_a_monomial("ck", f) from None
+        except TypeError:
+            _check_hashable("ck", f)
+            raise
 
     @classmethod
     def ck_tree(cls, t: RootedTree) -> "HopfElement":

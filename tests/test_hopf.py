@@ -484,8 +484,8 @@ def _cut_counts(cuts) -> Counter:
 def test_antichain_cuts_equal_the_admissible_edge_subsets():
     # the oracle makes only the antichains of edges; they are the subsets
     # that the all-subsets walk of the closed-form antipode keeps, each once
-    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
-    assert len(trees) == 200
+    trees = [t for n in range(1, 10) for t in enumerate_trees(n)]
+    assert len(trees) == 486
     for t in trees:
         cuts = _admissible_cuts(t)
         assert cuts[0] == ([], t), t.string
@@ -737,6 +737,15 @@ def test_bad_monomial_keys_raise_and_are_not_cached():
                 with pytest.raises(ValueError):
                     antipode_monomial(algebra, key)
     assert hopf._basis.cache_info().currsize == before
+
+
+def test_only_an_unhashable_key_is_reported_as_a_bad_key():
+    # an unhashable algebra tag is not the key's fault: its TypeError stands
+    for coeff in (1, 2):
+        with pytest.raises(TypeError, match="unhashable"):
+            HopfElement.monomial(["hnap"], T10, coeff)
+    with pytest.raises(ValueError, match="is not a monomial of the hnap"):
+        HopfElement.monomial("hnap", [T10], 2)
 
 
 def test_antipodes_of_interned_monomials_to_7_vertices():
