@@ -10,33 +10,28 @@
   compose a representative of gamma with a rearrangement of beta.
 * ``ck``: the Connes-Kreimer Hopf algebra, free commutative on all trees.
   Monomials are arbitrary forests; a tree's coproduct is t (x) 1 plus one
-  pruned-forest (x) trunk term per admissible cut, and the admissible cuts
-  are the ideals: a cut prunes the branches of the ideal's components.
+  pruned-forest (x) trunk term per admissible cut, an ideal's cut.
 
-All three coproducts and all three antipodes are read off one table, the
-root-containing ideals of :func:`naphopf.trees.ideals`, which
-works on interned tree ids with integer counts; the ``qgnap`` constants are
-its counts under the paper's main theorem.  A forest key is the forest of
-its B+ tree, ``forest_of(node(ids))``, so ``ck`` multiplies as ``hnap``
-does.  Trees and forests are built only when a result is handed out.  The oracles
-(ideal enumeration by :mod:`naphopf.posets`, admissible cuts as antichains
-of edges, the labeled composition route and the brute-force orbit counts)
-live in :mod:`naphopf.oracles`.
+A forest is its B+ tree, one tree id: the ``ck`` and ``qgnap`` keys are
+``forest_of(i)``, and the antipode recursion keys its forests by those ids.
+All coproducts and antipodes are read off the counts of one table, the
+root-containing ideals of :func:`naphopf.trees.ideals`: a ``ck`` forest's
+coproduct is its B+ tree's ``hnap`` rows read as forests (the basis
+isomorphism), and the ``qgnap`` constants are the counts under the paper's
+main theorem.  The oracles (ideal enumeration by :mod:`naphopf.posets`,
+admissible cuts as antichains of edges, the labeled composition route and
+the brute-force orbit counts) live in :mod:`naphopf.oracles`.
 
 A memo keyed by values is an ``lru_cache``; id-keyed memos, such as the
-per-tree antipodes, are dicts in :mod:`naphopf.trees`; ``trees.clear()``
-empties them.  The ids themselves live for the process, like the trees.
-The monomials with the int coefficient 1 (``hnap_basis``, ``qg_generator``,
-``ck_forest``, ``ck_tree``, ``unit`` and ``monomial(algebra, key)``) are
-interned by one such memo: one element per (algebra, key), read-only like
-the cached coproducts and antipodes, so the antipode of a basis monomial
-is one cache hit.
+per-tree antipodes, are dicts in :mod:`naphopf.trees` that ``trees.clear()``
+empties.  The monomials with the int coefficient 1 (``hnap_basis``,
+``qg_generator``, ``ck_forest``, ``ck_tree``, ``unit`` and ``monomial``)
+are interned, one read-only element per (algebra, key).
 
-Coefficients are exact, under one rule, :func:`exact`, which the series
-of :mod:`naphopf.series` follow too.  Every coproduct and antipode
-coefficient is an integer count, so the engines' counts are handed out as
-they are; only the 1/aut weights of ``rho`` and the caller's scalars bring
-denominators.
+Coefficients follow one rule, :func:`exact`, as the series of
+:mod:`naphopf.series` do.  Coproduct and antipode coefficients are the
+engines' integer counts; only ``rho``'s 1/aut weights and the caller's
+scalars bring denominators.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import prod
 from types import MappingProxyType
 
@@ -59,29 +54,22 @@ def exact(c) -> int | Fraction:
 
 
 def forest_as_tree_monomial(f: Forest) -> RootedTree:
-    """The basis tree equal to the product of F_[t] over the components of f.
-
-    Multiplying basis trees merges root branches, so the product is the tree
-    whose root carries every branch of every component; single-vertex
-    components are units and disappear.
-    """
+    """The basis tree equal to the product of F_[t] over the components of
+    f: its root carries every branch of every component, so single-vertex
+    components, the units, disappear."""
     return TREES[node([k for c in KIDS[f.id] for k in KIDS[c]])]
 
 
 class _Combination:
-    """Finite rational combination of keys, tagged with its algebra; the
-    vector-space operations shared by elements and tensors.  Coefficients
-    follow :func:`exact`.
-
-    Read-only once built: a cached coproduct or antipode is shared by every
-    caller, so rebinding its ``terms`` would change it for all of them.
-    The constructors set the slots through their descriptors
+    """Finite rational combination of keys, tagged with its algebra: the
+    vector-space operations of elements and tensors, coefficients following
+    :func:`exact`.  Read-only once built, as a cached result is shared by
+    every caller; the constructors set the slots through their descriptors
     (``_set_algebra``, ``_set_terms``), which the guard does not see."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: str, terms: dict | None = None) -> None:
-        ALGEBRAS[algebra]  # an unknown tag raises ValueError
         clean = {}
         for key, c in (terms or {}).items():
             c = exact(c)
@@ -159,9 +147,19 @@ def _not_a_monomial(algebra: str, key) -> ValueError:
     return ValueError(f"{key!r} is not a monomial of the {algebra} algebra")
 
 
+def _algebra(tag) -> "Algebra":
+    # the algebra of a tag a caller passed: an unhashable tag is unknown too
+    try:
+        return ALGEBRAS[tag]
+    except TypeError:
+        raise ValueError(f"unknown algebra tag {tag!r}") from None
+
+
 def _check_hashable(algebra: str, key) -> None:
     # called while the interning cache's TypeError is handled: an unhashable
-    # key is not a monomial, and any other TypeError is the caller's to raise
+    # tag is unknown, an unhashable key is not a monomial, and any other
+    # TypeError is the caller's to raise
+    _algebra(algebra)
     try:
         hash(key)
     except TypeError:
@@ -174,7 +172,7 @@ class HopfElement(_Combination):
     __slots__ = ()
 
     def __init__(self, algebra: str, terms: dict | None = None) -> None:
-        is_key = ALGEBRAS[algebra].is_key
+        is_key = _algebra(algebra).is_key
         for key in terms or ():
             if not is_key(key):
                 raise _not_a_monomial(algebra, key)
@@ -182,7 +180,7 @@ class HopfElement(_Combination):
 
     @classmethod
     def unit(cls, algebra: str) -> "HopfElement":
-        return _basis(algebra, ALGEBRAS[algebra].unit)
+        return _basis(algebra, _algebra(algebra).unit)
 
     @classmethod
     def zero(cls, algebra: str) -> "HopfElement":
@@ -211,6 +209,8 @@ class HopfElement(_Combination):
     @classmethod
     def qg_generator(cls, alpha: RootedTree) -> "HopfElement":
         """The generator G_alpha (the unit when alpha is a single vertex), interned."""
+        if not isinstance(alpha, RootedTree):
+            raise _not_a_monomial("qgnap", alpha)
         return _basis("qgnap", ALGEBRAS["qgnap"].tree_key(alpha))
 
     @classmethod
@@ -225,6 +225,8 @@ class HopfElement(_Combination):
     @classmethod
     def ck_tree(cls, t: RootedTree) -> "HopfElement":
         """The one-tree forest t of the Connes-Kreimer algebra, interned."""
+        if not isinstance(t, RootedTree):
+            raise _not_a_monomial("ck", t)
         return _basis("ck", Forest((t,)))
 
     def __mul__(self, other: "HopfElement") -> "HopfElement":
@@ -266,7 +268,7 @@ class TensorElement(_Combination):
     __slots__ = ()
 
     def __init__(self, algebra: str, terms: dict | None = None) -> None:
-        is_key = ALGEBRAS[algebra].is_key
+        is_key = _algebra(algebra).is_key
         for key in terms or ():
             if not (type(key) is tuple and len(key) == 2 and is_key(key[0]) and is_key(key[1])):
                 raise ValueError(f"{key!r} is not a pair of monomials of the {algebra} algebra")
@@ -323,26 +325,29 @@ def tensor_map(te: TensorElement, left: BasisMap, right: BasisMap) -> TensorElem
 # products and coproducts
 
 
-@lru_cache(maxsize=None)
-def hnap_coproduct(t: RootedTree) -> TensorElement:
-    """Coproduct of F_[t]: sum over ideals of branch-forest (x) restriction.
-
-    Each row (beta, gamma) of :func:`~naphopf.trees.ideals` gives
-    F_[beta_1] ... F_[beta_m] (x) F_[gamma], and the product merges root
-    branches: it is the first component with the other components'
-    branches grafted on (the unit F_[•] when beta is all single vertices).
-    """
-    trees, kids, grafts, leaf = TREES, KIDS, GRAFTS, LEAF.id
+def _ideal_coproduct(algebra: str, read: Callable[[int], object], i: int) -> TensorElement:
+    # the rows (beta, gamma) of ideals(i) as merged branches (x) restriction,
+    # both ids read into keys.  The merged branches are the first component
+    # with the others' branches grafted on, the single vertex for no beta
+    kids, grafts, leaf = KIDS, GRAFTS, LEAF.id
     out: dict = {}
-    for (b, g), c in ideals(t.id).items():
+    for (b, g), c in ideals(i).items():
         m = b[0] if b else leaf
         for j in b[1:]:
             for k in kids[j]:
                 r = grafts.get(m, NO_GRAFTS).get(k)
                 m = graft(m, k) if r is None else r
-        key = (trees[m], trees[g])
+        key = (read(m), read(g))
         out[key] = out.get(key, 0) + c
-    return TensorElement._from_counts("hnap", out)
+    return TensorElement._from_counts(algebra, out)
+
+
+@lru_cache(maxsize=None)
+def hnap_coproduct(t: RootedTree) -> TensorElement:
+    """Coproduct of F_[t]: each row (beta, gamma) of :func:`~naphopf.trees.ideals`
+    gives F_[beta_1] ... F_[beta_m] (x) F_[gamma], the product merging the
+    root branches into one basis tree."""
+    return _ideal_coproduct("hnap", TREES.__getitem__, t.id)
 
 
 @lru_cache(maxsize=None)
@@ -415,31 +420,25 @@ def qgnap_coproduct(alpha: RootedTree) -> TensorElement:
     return _rows_coproduct("qgnap", _qgnap_rows, alpha)
 
 
-def _forest_coproduct(algebra: str, tree_coproduct: Callable[[RootedTree], TensorElement],
-                      f: Forest) -> TensorElement:
-    # coproducts are algebra morphisms: multiply the trees' coproducts from
-    # 1 (x) 1; a single tree's coproduct is handed out as it is, cached or not
-    if len(f) == 1:
-        return tree_coproduct(f.components[0])
-    out = TensorElement(algebra, {(Forest(), Forest()): 1})
-    for t in f.components:
-        out = out * tree_coproduct(t)
-    return out
+def _forest_coproduct(f: Forest) -> TensorElement:
+    # the qgnap coproduct is an algebra morphism: the product of the
+    # generators' cached coproducts, 1 (x) 1 for the unit
+    if not f.components:
+        return TensorElement("qgnap", {(f, f): 1})
+    return reduce(TensorElement.__mul__, map(qgnap_coproduct, f.components))
 
 
 @lru_cache(maxsize=None)
-def _ck_tree_coproduct(t: RootedTree) -> TensorElement:
-    return _rows_coproduct("ck", _ck_rows, t)
-
-
 def ck_coproduct(f: "Forest | RootedTree") -> TensorElement:
-    """Connes-Kreimer coproduct of a forest (or a single tree).
-
-    The coproduct of a single tree is the cached, read-only one.
-    """
+    """Connes-Kreimer coproduct of a forest (or a single tree), cached and
+    read-only.  A tree's is t (x) 1 plus its admissible cuts, and a one-tree
+    forest's is its tree's.  Any other forest's is the :func:`hnap_coproduct`
+    of its B+ tree read as forests, by the basis isomorphism F_[B+(f)] -> f."""
     if isinstance(f, RootedTree):
-        return _ck_tree_coproduct(f)
-    return _forest_coproduct("ck", _ck_tree_coproduct, f)
+        return _rows_coproduct("ck", _ck_rows, f)
+    if len(f) == 1:
+        return ck_coproduct(f.components[0])
+    return _ideal_coproduct("ck", forest_of, f.id)
 
 
 def b_plus(f: Forest) -> RootedTree:
@@ -451,13 +450,15 @@ def b_plus(f: Forest) -> RootedTree:
 # antipodes on tree ids
 
 def _id_product(factors: Iterable[dict]) -> dict:
-    # the product of combinations of forests given as sorted id tuples
-    out: dict = {(): 1}
+    # the product of combinations of forests, each forest the id of its B+
+    # tree: a product of two forests is the tree with both roots' branches
+    kids = KIDS
+    out: dict = {LEAF.id: 1}
     for f in factors:
         grown: dict = {}
         for u, cu in out.items():
             for v, cv in f.items():
-                k = tuple(sorted(u + v))
+                k = node(kids[u] + kids[v])
                 grown[k] = grown.get(k, 0) + cu * cv
         out = {k: c for k, c in grown.items() if c}
     return out
@@ -480,22 +481,21 @@ def _tree_antipode(i: int, rows: Callable) -> dict:
             stack.extend(todo)
             continue
         stack.pop()
-        out = {(j,): -1}
+        out = {node((j,)): -1}
         for a, r, c in reduced:
             for u, cu in _id_product(memo[k] for k in a).items():
-                k = tuple(sorted(u + (r,)))
+                k = node(KIDS[u] + (r,))
                 out[k] = out.get(k, 0) - c * cu
         memo[j] = {u: c for u, c in out.items() if c}
     return memo[i]
 
 
 def _antipode(algebra: str, rows: Callable, read: Callable[[int], object], key) -> HopfElement:
-    # the antipode is multiplicative: the product of the antipodes of the
-    # branches of the B+ tree of key, a forest or an hnap basis tree (the ck
-    # antipode of its branch forest, carried back by B+).  Each forest u of
-    # the product is its B+ tree node(u), read as a forest or as that tree
+    # the antipode is multiplicative: the product of the antipodes of the branches
+    # of key's B+ tree (for hnap, the ck antipode of the branch forest, carried
+    # back by B+), each forest of the product read from its B+ tree id into a key
     s = _id_product(_tree_antipode(k, rows) for k in KIDS[key.id])
-    return HopfElement._from_counts(algebra, {read(node(u)): c for u, c in s.items()})
+    return HopfElement._from_counts(algebra, {read(u): c for u, c in s.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +556,7 @@ ALGEBRAS: Mapping[str, Algebra] = _AlgebraTable(
     # G_t of a single vertex t the unit
     qgnap=_CK._replace(
         is_key=lambda k: isinstance(k, Forest) and all(t.size > 1 for t in k.components),
-        coproduct=partial(_forest_coproduct, "qgnap", qgnap_coproduct),
+        coproduct=_forest_coproduct,
         antipode=partial(_antipode, "qgnap", _qgnap_rows, forest_of),
         tree_key=lambda t: Forest((t,)).drop_units()),
     ck=_CK,

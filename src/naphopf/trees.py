@@ -376,10 +376,10 @@ def forest_aut_order(f: Forest) -> int:
 # the memos keyed by tree ids, filled on first use: the graft map
 # GRAFTS[i][j] = id(s ◁ t) for the ids i of s and j of t, the rows of
 # ideals() by tree id, and the antipode of each id for each row source of
-# naphopf.hopf
+# naphopf.hopf, its forests keyed by the ids of their B+ trees
 GRAFTS: dict[int, dict[int, int]] = {}
 IDEAL_ROWS: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
-ANTIPODES: dict[Callable, dict[int, dict[tuple[int, ...], int]]] = {}
+ANTIPODES: dict[Callable, dict[int, dict[int, int]]] = {}
 # the row of GRAFTS of a tree that has none yet, for reading
 # ``GRAFTS.get(i, NO_GRAFTS).get(j)`` in one line (never filled)
 NO_GRAFTS: MappingProxyType = MappingProxyType({})

@@ -472,9 +472,10 @@ def test_ck_inductive_equals_cut_enumeration():
     assert len(trees) == 200
     for t in trees:
         assert ck_coproduct(t) == ck_coproduct_cuts(t), t.string
-    for m in range(0, 5):
-        for f in enumerate_forests(m):
-            assert ck_coproduct(f) == ck_coproduct_cuts(f)
+    forests = [f for m in range(0, 9) for f in enumerate_forests(m)]
+    assert len(forests) == 486
+    for f in forests:
+        assert ck_coproduct(f) == ck_coproduct_cuts(f), f.render()
 
 
 def _cut_counts(cuts) -> Counter:
@@ -562,6 +563,13 @@ def test_coproduct_is_algebra_morphism():
         s, t = rng.choice(trees), rng.choice(trees)
         x, y = F(s), F(t)
         assert (x * y).coproduct() == x.coproduct() * y.coproduct()
+    # a ck forest's coproduct is read off its own B+ tree's ideal rows, so
+    # the product of the parts' coproducts is an independent route to it
+    forests = [f for m in range(2, 7) for f in enumerate_forests(m) if len(f) >= 2]
+    for _ in range(15):
+        a, b = rng.choice(forests), rng.choice(forests)
+        x, y = HopfElement.ck_forest(a), HopfElement.ck_forest(b)
+        assert (x * y).coproduct() == x.coproduct() * y.coproduct(), (a, b)
 
 
 def test_counit_property():
@@ -621,7 +629,8 @@ def test_cached_results_are_read_only():
     with pytest.raises(TypeError):
         constants[(Forest((t,)), LEAF)] = 5
     for te in (hnap_coproduct(t), qgnap_coproduct(t), ck_coproduct(t),
-               antipode_monomial("hnap", t), antipode_monomial("qgnap", Forest((t,)))):
+               ck_coproduct(Forest((t, T10))), antipode_monomial("hnap", t),
+               antipode_monomial("qgnap", Forest((t,)))):
         with pytest.raises(AttributeError):
             te.terms.clear()
         with pytest.raises(TypeError):
@@ -668,6 +677,7 @@ def test_cached_results_are_read_only():
     assert len(brute_force_pi(nap_instance(), 2).index) == 3
     assert len(brute_force_pi(nap_instance(), 2).theta) == 5
     assert len(interval_of(t).forests) == 3 and len(ck_coproduct(t).terms) == 4
+    assert ck_coproduct(Forest((t, T10))) is ck_coproduct(Forest((T10, t)))
 
 
 def test_basis_monomials_are_interned():
@@ -730,6 +740,11 @@ def test_bad_monomial_keys_raise_and_are_not_cached():
         for key in (T10, [], "()"):
             with pytest.raises(ValueError, match="ck"):
                 HopfElement.ck_forest(key)
+        # a forest has an id, but it is not a tree
+        for make, algebra in ((HopfElement.ck_tree, "ck"), (HopfElement.qg_generator, "qgnap")):
+            for key in ("x", Forest((T10,)), [T10]):
+                with pytest.raises(ValueError, match=f"not a monomial of the {algebra} algebra"):
+                    make(key)
         with pytest.raises(ValueError, match="unknown algebra"):
             HopfElement.unit("nap")
         for algebra, key in bad:
@@ -740,10 +755,15 @@ def test_bad_monomial_keys_raise_and_are_not_cached():
 
 
 def test_only_an_unhashable_key_is_reported_as_a_bad_key():
-    # an unhashable algebra tag is not the key's fault: its TypeError stands
-    for coeff in (1, 2):
-        with pytest.raises(TypeError, match="unhashable"):
-            HopfElement.monomial(["hnap"], T10, coeff)
+    # an unhashable algebra tag is not the key's fault: it is an unknown tag,
+    # whichever constructor is given it
+    tag = ["hnap"]
+    for make in (lambda: HopfElement.monomial(tag, T10), lambda: HopfElement.monomial(tag, T10, 2),
+                 lambda: HopfElement.unit(tag), lambda: HopfElement(tag, {}),
+                 lambda: HopfElement.zero(tag), lambda: TensorElement(tag, {})):
+        with pytest.raises(ValueError, match="unknown algebra tag") as raised:
+            make()
+        assert "not a monomial" not in str(raised.value)
     with pytest.raises(ValueError, match="is not a monomial of the hnap"):
         HopfElement.monomial("hnap", [T10], 2)
 
